@@ -11,7 +11,6 @@ the +- pairing of real eigenvalues, and the 2*kappa_A - kappa_c count.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import linalg
 from .errors import (
@@ -138,6 +137,8 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
             raise InvalidInput("eta endpoints must lie in [0, 1]")
     if eta_from == eta_to:
         raise InvalidInput("eta_from and eta_to must differ")
+    # scipy.optimize costs about 0.2 s to import; only tracking needs it
+    from scipy.optimize import linear_sum_assignment
 
     tracker = _Tracker(spec)
     targets = list(np.linspace(eta_from, eta_to, steps))

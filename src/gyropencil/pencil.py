@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import linalg
 from .errors import (
@@ -162,6 +160,9 @@ class SpectrumResult:
     n_finite: int
     discarded_infinite: int
     scale: float
+    # record values for find(), built on first use; records do not change
+    # once the result is returned
+    _lams: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def values(self, expand=False):
         if expand:
@@ -177,9 +178,12 @@ class SpectrumResult:
             return None
         if tol is None:
             tol = 1e-6 * max(1.0, abs(lam))
-        best = min(self.records, key=lambda r: abs(r.lam - lam))
-        if abs(best.lam - lam) <= tol:
-            return best
+        if self._lams is None:
+            self._lams = self.values()
+        dist = np.abs(self._lams - lam)
+        best = int(np.argmin(dist))
+        if dist[best] <= tol:
+            return self.records[best]
         return None
 
     @property
@@ -190,7 +194,7 @@ class SpectrumResult:
 def choose_shift(spec, eta):
     """First candidate shift keeping L(sigma, eta) comfortably invertible."""
     thresh = 1e-8 * max(spec.spec_norm, np.finfo(float).tiny)
-    for sigma in linalg.SHIFT_CANDIDATES:
+    for sigma in linalg.SHIFT_CANDIDATES + linalg._EXTRA_SHIFTS:
         if linalg.smallest_singular_value(evaluate(spec, sigma, eta)) > thresh:
             return sigma
     raise ShiftExhausted(
@@ -204,7 +208,8 @@ def _cluster_points(lams, zero_tol=0.0):
     Points inside the numerically-zero band (|lam| <= zero_tol) are forced
     into a single cluster: a defective zero pair can split symmetrically by
     slightly more than the gap tolerance and must still report as one
-    eigenvalue at the origin.
+    eigenvalue at the origin.  Clusters come out ordered by their smallest
+    member, members ascending.
     """
     npts = len(lams)
     if npts == 0:
@@ -218,12 +223,25 @@ def _cluster_points(lams, zero_tol=0.0):
         zmask = mags <= zero_tol
         if np.count_nonzero(zmask) > 1:
             near = near | (zmask[:, None] & zmask[None, :])
-    adj = csr_matrix(near)
-    ncomp, labels = connected_components(adj, directed=False)
-    clusters = [[] for _ in range(ncomp)]
-    for i, lab in enumerate(labels):
-        clusters[lab].append(i)
-    return clusters
+    rows, cols = np.nonzero(np.triu(near, 1))
+    # union-find over the linked pairs; iterating in index order below keys
+    # each cluster by its smallest member
+    parent = list(range(npts))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        ri, rj = root(i), root(j)
+        if ri != rj:
+            parent[rj] = ri
+    clusters = {}
+    for i in range(npts):
+        clusters.setdefault(root(i), []).append(i)
+    return list(clusters.values())
 
 
 def _kernel_tol(spec, rep, eta, spread, svals_max, nrows):
@@ -231,20 +249,50 @@ def _kernel_tol(spec, rep, eta, spread, svals_max, nrows):
 
     The representative is off the true eigenvalue by at most the cluster
     spread, which perturbs L by spread*(2|rep| ||M|| + eta ||G||) + spread^2 ||M||.
+    Elementwise over arrays of representatives.
     """
-    pert = spread * (2.0 * abs(rep) * spec.norm_m + abs(eta) * spec.norm_g)
-    pert += spread * spread * spec.norm_m
-    return max(nrows * _EPS * svals_max, 3.0 * pert, 1e-13 * spec.scale)
+    pert = spread * (2.0 * np.abs(rep) * spec.norm_m + np.abs(eta) * spec.norm_g)
+    pert = pert + spread * spread * spec.norm_m
+    return np.maximum(np.maximum(nrows * _EPS * svals_max, 3.0 * pert),
+                      1e-13 * spec.scale)
 
 
-def _classify_stacked(spec, rep, eta, spread):
-    """dim(ker L(rep) ∩ ker G) from the rank of L stacked over G."""
-    lmat = evaluate(spec, rep, eta)
-    stacked = np.vstack([lmat, spec.g.astype(lmat.dtype)])
-    svals = sla.svdvals(stacked)
-    tol = _kernel_tol(spec, rep, eta, spread, float(svals[0]), stacked.shape[0])
-    rank = int(np.count_nonzero(svals > tol))
-    return spec.n - rank
+# entries per batched SVD stack: at most 32 MB real, 64 MB complex
+_SVD_BATCH = 1 << 22
+
+
+def _stacked_type1(spec, lams, eta, spreads):
+    """dim(ker L(lam, eta) ∩ ker G) per value, from the rank of L over G.
+
+    At lam = 0 (within 1e-7 * scale) the eta-independent kernel is
+    ker A ∩ ker G.  G's all-zero rows are dropped, which leaves the
+    singular values unchanged; real and nonreal values go through separate
+    batched SVDs so the real ones stay in real arithmetic.
+    """
+    n = spec.n
+    lams = np.asarray(lams, dtype=complex)
+    zero = np.abs(lams) <= 1e-7 * spec.scale
+    lams = np.where(zero, 0.0, lams)
+    etas = np.where(zero, 0.0, eta)
+    spreads = np.where(zero, 0.0, spreads)
+    g_rows = spec.g[np.any(spec.g != 0.0, axis=1)]
+    rows = n + g_rows.shape[0]
+    chunk = max(1, _SVD_BATCH // max(1, rows * n))
+    dims = np.zeros(lams.size, dtype=int)
+    real = lams.imag == 0.0
+    for sel, vals in ((np.flatnonzero(real), lams.real), (np.flatnonzero(~real), lams)):
+        for start in range(0, sel.size, chunk):
+            idx = sel[start:start + chunk]
+            lam = vals[idx]
+            eta_lam = lam * etas[idx]
+            stack = np.empty((idx.size, rows, n), dtype=lam.dtype)
+            stack[:, :n] = ((lam * lam)[:, None, None] * spec.m
+                            - eta_lam[:, None, None] * spec.g - spec.a)
+            stack[:, n:] = g_rows
+            svals = np.linalg.svd(stack, compute_uv=False)
+            tol = _kernel_tol(spec, lam, etas[idx], spreads[idx], svals[:, 0], 2 * n)
+            dims[idx] = n - np.count_nonzero(svals > tol[:, None], axis=1)
+    return dims
 
 
 class _ReducedLadder:
@@ -310,7 +358,40 @@ class _ReducedLadder:
         return out
 
 
-def _fill_types(spec, eta, records, type_route):
+def _real_if_zero_imag(lam):
+    return complex(lam.real, 0.0) if abs(lam.imag) == 0.0 else lam
+
+
+def _simple_pairs(spec, eta, lams, vecs):
+    """Unit eigenvectors and residuals ||L(lam, eta) v|| for simple values.
+
+    Column j of vecs belongs to lams[j].  A vector whose imaginary part is
+    rounding noise is made exactly real.  The residuals come from M V, G V
+    and A V in one product, so they may differ from a per-value evaluate()
+    in the last bits.
+    """
+    nrm = np.linalg.norm(vecs, axis=0)
+    vecs = vecs / np.where(nrm > 0.0, nrm, 1.0)
+    noise = np.max(np.abs(vecs.imag), axis=0) <= 1e-14 * np.maximum(
+        1.0, np.max(np.abs(vecs.real), axis=0))
+    vecs[:, noise] = vecs[:, noise].real
+    n = spec.n
+    mga = np.vstack([spec.m, spec.g, spec.a])
+    prod = (mga @ vecs.real).astype(complex)
+    cplx = np.flatnonzero(~noise)
+    if cplx.size:
+        prod[:, cplx] += 1j * (mga @ vecs.imag[:, cplx])
+    resid = (lams * lams) * prod[:n] - (lams * eta) * prod[n:2 * n] - prod[2 * n:]
+    return vecs, np.linalg.norm(resid, axis=0)
+
+
+def _fill_types(spec, eta, records):
+    """Type split of every record.
+
+    With M definite off the coupling axis the reduced ladder names the
+    type-I values; otherwise each record's kernel inside ker G comes from
+    the stacked rank.
+    """
     classified = spec.rank_one is not None and spec.ker_ma_trivial
     if not classified:
         for rec in records:
@@ -318,51 +399,30 @@ def _fill_types(spec, eta, records, type_route):
             rec.type2_mult = rec.alg_mult
             rec.types_classified = False
         return
+    if not records:
+        return
 
-    zero_tol = 1e-7 * spec.scale
-    route = type_route
-    if route == "auto":
-        route = "reduced" if spec.n >= 60 else "stacked"
-    ladder = None
-    if route == "reduced":
-        ladder = _ReducedLadder(spec, eta)
-        if not ladder.ok:
-            route = "stacked"
-
-    if route == "reduced":
-        for rec in records:
-            rec.type1_mult = 0
+    lams = np.array([rec.lam for rec in records], dtype=complex)
+    ladder = _ReducedLadder(spec, eta)
+    if ladder.ok:
+        type1 = np.zeros(len(records), dtype=int)
         for lam, dim in ladder.type1_assignments():
-            best = None
-            for rec in records:
-                d = abs(rec.lam - lam)
-                if d <= 1e-6 * max(1.0, abs(lam)) and (best is None or d < best[0]):
-                    best = (d, rec)
-            if best is not None:
-                best[1].type1_mult += dim
-        for rec in records:
-            rec.type1_mult = min(rec.type1_mult, rec.alg_mult)
-            rec.type2_mult = rec.alg_mult - rec.type1_mult
-            rec.zero_flagged = abs(rec.lam) <= zero_tol
+            dist = np.abs(lams - lam)
+            best = int(np.argmin(dist))
+            if dist[best] <= 1e-6 * max(1.0, abs(lam)):
+                type1[best] += dim
     else:
-        for rec in records:
-            if abs(rec.lam) <= zero_tol:
-                # at 0 the eta-independent kernel is ker A ∩ ker G
-                m0 = _classify_stacked(spec, 0.0, 0.0, 0.0)
-                rec.zero_flagged = True
-            else:
-                m0 = _classify_stacked(spec, rec.lam, eta, rec._spread)
-            rec.type1_mult = min(m0, rec.alg_mult)
-            rec.type2_mult = rec.alg_mult - rec.type1_mult
+        spreads = np.array([rec._spread for rec in records])
+        type1 = _stacked_type1(spec, lams, eta, spreads)
+    zero = np.abs(lams) <= 1e-7 * spec.scale
+    for rec, t1, z in zip(records, type1.tolist(), zero.tolist()):
+        rec.type1_mult = min(t1, rec.alg_mult)
+        rec.type2_mult = rec.alg_mult - rec.type1_mult
+        rec.zero_flagged = z
 
 
-def spectrum(spec, eta, type_route="auto", shift=None):
-    """All finite eigenvalues of L(., eta) with multiplicities and types.
-
-    type_route: "auto" picks the reduced ladder for large axis-coupled
-    problems and the stacked-rank route otherwise; "stacked"/"reduced"
-    force one (testing hook).
-    """
+def spectrum(spec, eta, shift=None):
+    """All finite eigenvalues of L(., eta) with multiplicities and types."""
     if not (-1e-12 <= eta <= 1.0 + 1e-12):
         raise InvalidInput("eta must lie in [0, 1], got %r" % (eta,))
     eta = min(max(eta, 0.0), 1.0)
@@ -399,38 +459,36 @@ def spectrum(spec, eta, type_route="auto", shift=None):
     # lands above tau_inf; catch those by their vanishing mass content
     tau_soft = 1e-7 * max(1.0, spec.spec_norm)
     m_floor = 1e-6 * spec.norm_m
-    finite_idx = []
-    for i in range(2 * n):
-        mu = abs(mus[i])
-        if mu < tau_inf:
-            continue
-        if mu < tau_soft:
-            v = vecs[:n, i]
-            nv = np.linalg.norm(v)
-            if nv > 0.0 and np.linalg.norm(spec.m @ v) <= m_floor * nv:
-                continue
-        finite_idx.append(i)
-    discarded = 2 * n - len(finite_idx)
-    lams = np.array([sigma + 1.0 / mus[i] for i in finite_idx])
+    amus = np.abs(mus)
+    keep = amus >= tau_inf
+    for i in np.flatnonzero(keep & (amus < tau_soft)):
+        v = vecs[:n, i]
+        nv = np.linalg.norm(v)
+        if nv > 0.0 and np.linalg.norm(spec.m @ v) <= m_floor * nv:
+            keep[i] = False
+    finite_idx = np.flatnonzero(keep)
+    discarded = 2 * n - finite_idx.size
+    lams = sigma + 1.0 / mus[finite_idx]
 
+    clusters = _cluster_points(lams, zero_tol=1e-7 * spec.scale)
+    simple = np.array([c[0] for c in clusters if len(c) == 1], dtype=int)
+    simple_vecs, simple_resids = _simple_pairs(spec, eta, lams[simple],
+                                               vecs[:n, finite_idx[simple]])
     records = []
-    for members in _cluster_points(lams, zero_tol=1e-7 * spec.scale):
-        group = lams[members]
-        rep = complex(np.mean(group))
-        if abs(rep.imag) == 0.0:
-            rep = complex(rep.real, 0.0)
+    k = 0
+    for members in clusters:
         alg = len(members)
-        spread = float(np.max(np.abs(group - rep))) if alg > 1 else 0.0
         if alg == 1:
-            vec = vecs[:n, finite_idx[members[0]]]
-            nrm = np.linalg.norm(vec)
-            vec = vec / nrm if nrm > 0 else vec
-            if np.max(np.abs(vec.imag)) <= 1e-14 * max(1.0, np.max(np.abs(vec.real))):
-                vec = vec.real.astype(complex)
-            resid = float(np.linalg.norm(evaluate(spec, rep, eta) @ vec))
+            rep = _real_if_zero_imag(complex(lams[members[0]]))
+            spread = 0.0
             geo = 1
-            kvecs = vec.reshape(n, 1)
+            kvecs = simple_vecs[:, k:k + 1]
+            resid = float(simple_resids[k])
+            k += 1
         else:
+            group = lams[members]
+            rep = _real_if_zero_imag(complex(np.mean(group)))
+            spread = float(np.max(np.abs(group - rep)))
             lmat = evaluate(spec, rep, eta)
             u, s, vh = sla.svd(lmat, check_finite=False)
             tol = _kernel_tol(spec, rep, eta, spread, float(s[0]), n)
@@ -446,7 +504,7 @@ def spectrum(spec, eta, type_route="auto", shift=None):
         records.append(rec)
 
     records.sort(key=lambda r: (r.lam.real, r.lam.imag))
-    _fill_types(spec, eta, records, type_route)
+    _fill_types(spec, eta, records)
     return SpectrumResult(
         eta=eta,
         records=records,
@@ -480,12 +538,8 @@ def classify_type(spec, record, eta=1.0):
         raise InvalidInput("type classification requires the rank-one flag")
     if not spec.ker_ma_trivial:
         raise PreconditionKerMA("ker M ∩ ker A must be trivial")
-    lam = record.lam
     spread = getattr(record, "_spread", 0.0)
-    if abs(lam) <= 1e-7 * spec.scale:
-        m0 = _classify_stacked(spec, 0.0, 0.0, 0.0)
-    else:
-        m0 = _classify_stacked(spec, lam, eta, spread)
+    m0 = int(_stacked_type1(spec, [record.lam], eta, [spread])[0])
     t1 = min(m0, record.alg_mult)
     return t1, record.alg_mult - t1
 

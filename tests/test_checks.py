@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,13 @@ def test_run_sl_double_pipeline():
     rep = checks.run_sl(p)
     assert rep.all_pass, [
         (c.name, c.details) for c in rep.checks if c.status == "fail"]
+
+
+@pytest.mark.parametrize("n", [12, 20, 24])
+def test_run_sl_double_q4_type1_axes_symmetric(n):
+    # the reduced ladder types a decoupled value and its mirror alike
+    p = dataclasses.replace(fixtures.sl_double_q4(), n=n)
+    rep = checks.run_sl(p)
+    by_name = {c.name: c for c in rep.checks}
+    assert by_name["type1_on_axes_symmetric"].status == "pass", (
+        by_name["type1_on_axes_symmetric"].details)

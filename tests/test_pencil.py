@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gyropencil import fixtures
+from gyropencil import fixtures, linalg
 from gyropencil.errors import ConditionViolation, MassNotDefinite
 from gyropencil.pencil import (
-    PencilSpec, RankOneCoupling, choose_shift, classify_type, evaluate,
-    geometric_multiplicity, is_semisimple, nonreal_region,
-    nonsimple_real_interval, spectrum, validate_condition_I,
+    PencilSpec, RankOneCoupling, _cluster_points, _stacked_type1,
+    choose_shift, classify_type, evaluate, geometric_multiplicity,
+    is_semisimple, nonreal_region, nonsimple_real_interval, spectrum,
+    validate_condition_I,
 )
 
 import support
@@ -199,3 +203,109 @@ def test_infinite_eigenvalue_count_tracks_mass_rank():
     deg = support.poly_roots(coeffs).size
     assert sum(r.alg_mult for r in res.records) == deg
     assert res.discarded_infinite == 2 * 4 - deg
+
+
+def test_choose_shift_falls_back_to_extra_shifts():
+    # L(sigma) = sigma^2 I - diag(s_i^2) is singular at every primary shift
+    primary = np.array(linalg.SHIFT_CANDIDATES)
+    spec = PencilSpec(np.eye(5), np.zeros((5, 5)), np.diag(primary ** 2))
+    assert choose_shift(spec, 1.0) == 0.31830988618
+
+
+def _components_reference(lams, zero_tol):
+    """_cluster_points through scipy's connected_components."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    pts = np.asarray(lams)
+    mags = np.abs(pts)
+    near = np.abs(pts[:, None] - pts[None, :]) <= 1e-6 * np.maximum(
+        1.0, 0.5 * (mags[:, None] + mags[None, :]))
+    zmask = mags <= zero_tol
+    if zero_tol > 0.0 and np.count_nonzero(zmask) > 1:
+        near |= zmask[:, None] & zmask[None, :]
+    ncomp, labels = connected_components(csr_matrix(near), directed=False)
+    clusters = [[] for _ in range(ncomp)]
+    for i, lab in enumerate(labels):
+        clusters[lab].append(i)
+    return clusters
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                       st.integers(0, 3)), min_size=1, max_size=12),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1e-7, 1e-3]),
+)
+def test_cluster_points_matches_connected_components(centers, seed, zero_tol):
+    # each center spawns a chain of near copies, some of them linked only
+    # through a neighbour, plus points scattered inside the zero band
+    rng = np.random.default_rng(seed)
+    pts = []
+    for re, im, copies in centers:
+        z = complex(re, im)
+        pts.append(z)
+        for _ in range(copies):
+            z = z + complex(*rng.uniform(-7e-7, 7e-7, 2))
+            pts.append(z)
+    pts.extend(complex(*rng.uniform(-1.0, 1.0, 2)) * zero_tol
+               for _ in range(int(rng.integers(0, 4))))
+    pts = [pts[i] for i in rng.permutation(len(pts))]
+    assert _cluster_points(pts, zero_tol) == _components_reference(pts, zero_tol)
+
+
+def _rank_one_specs():
+    rng = np.random.default_rng(41)
+    specs = [fixtures.w1(), fixtures.w2(), fixtures.w3()]
+    specs += [support.rand_condition1_spec(rng, n_max=7) for _ in range(6)]
+    specs += [support.kernel_engineered_spec(rng, n_max=7)[0] for _ in range(4)]
+    return specs
+
+
+def test_stacked_type1_matches_per_record_svd():
+    eps = np.finfo(float).eps
+    for spec in _rank_one_specs():
+        n = spec.n
+        for eta in (0.3, 1.0):
+            res = spectrum(spec, eta)
+            lams = [r.lam for r in res.records]
+            spreads = [r._spread for r in res.records]
+            got = _stacked_type1(spec, lams, eta, spreads)
+            for rec, dim in zip(res.records, got):
+                lam, e, spread = rec.lam, eta, rec._spread
+                if abs(lam) <= 1e-7 * spec.scale:
+                    lam, e, spread = 0.0, 0.0, 0.0
+                lmat = evaluate(spec, lam, e)
+                svals = sla.svdvals(np.vstack([lmat, spec.g.astype(lmat.dtype)]))
+                pert = spread * (2.0 * abs(lam) * spec.norm_m + e * spec.norm_g)
+                pert += spread * spread * spec.norm_m
+                tol = max(2 * n * eps * svals[0], 3.0 * pert, 1e-13 * spec.scale)
+                assert dim == n - np.count_nonzero(svals > tol), (lam, eta)
+
+
+def test_batched_residuals_match_evaluate():
+    for spec in _rank_one_specs():
+        for eta in (0.3, 1.0):
+            res = spectrum(spec, eta)
+            for rec in res.records:
+                if rec.alg_mult > 1:
+                    continue
+                v = rec.vectors[:, 0]
+                ref = np.linalg.norm(evaluate(spec, rec.lam, eta) @ v)
+                bound = 1e-12 * spec.scale * (1.0 + abs(rec.lam) ** 2)
+                assert abs(rec.residual - ref) <= bound, rec.lam
+
+
+def test_find_matches_brute_force_min():
+    rng = np.random.default_rng(43)
+    for spec in _rank_one_specs():
+        res = spectrum(spec, 0.7)
+        targets = [r.lam for r in res.records]
+        targets += list(rng.normal(size=8) + 1j * rng.normal(size=8))
+        for lam in targets:
+            for tol in (None, 1e-3, 1.0):
+                best = min(res.records, key=lambda r: abs(r.lam - lam))
+                cut = 1e-6 * max(1.0, abs(lam)) if tol is None else tol
+                expect = best if abs(best.lam - lam) <= cut else None
+                assert res.find(lam, tol) is expect
