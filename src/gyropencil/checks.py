@@ -466,7 +466,7 @@ def check_type2_interlacing(spec, eta=1.0, result=None):
 def run_all(spec, eta=1.0, result=None, axis_etas=(0.3, 0.7, 1.0)):
     """Every applicable checker on one spec; gate violations downgrade."""
     report = VerificationReport()
-    cond = validate_condition_I(spec)
+    cond = spec.condition_report or validate_condition_I(spec)
     if not cond.all_pass:
         report.add(failed("condition_I", "failed: %s" % ", ".join(cond.failed())))
         return report

@@ -82,6 +82,8 @@ class PencilSpec:
         self.spec_norm = max(self.norm_m, self.norm_g, self.norm_a)
         self.scale = max(1.0, self.spec_norm)
         self._ker_ma = None
+        # the validation report, or None for a spec built with validate=False
+        self.condition_report = None
 
         if validate:
             report = validate_condition_I(self)
@@ -90,6 +92,7 @@ class PencilSpec:
                     "hypotheses violated: %s" % ", ".join(report.failed()),
                     report,
                 )
+            self.condition_report = report
 
     @property
     def ker_ma_trivial(self):

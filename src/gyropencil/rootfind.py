@@ -7,6 +7,11 @@ certifies multiplicities by isolating-square windings.  The module also
 hosts the resonant-potential verification bundle for the joined-string
 characteristic function: counts of the origin zero, the imaginary pairs,
 the complex quadruple, and the per-interval real-zero counts.
+
+Evaluator contract: f takes a complex ndarray of points and returns an
+array of the same shape.  Sibling contours are refined together, so one
+call carries the points of several windows.  f's own exceptions
+propagate; an output of another shape raises InvalidInput.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +34,6 @@ class RootWindow:
     re_max: float
     im_min: float
     im_max: float
-    boundary_samples: int = 256
 
     def __post_init__(self):
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
@@ -62,76 +66,136 @@ class _BoundaryDip(Exception):
     pass
 
 
+# Base samples per contour, for the winding and for find_zeros' fscale.
+BOUNDARY_SAMPLES = 256
+_BASE_TS = np.linspace(0.0, 4.0, BOUNDARY_SAMPLES, endpoint=False)
+_BASE_T1 = np.append(_BASE_TS[1:], 4.0)
+
+
 def _eval(f, zs):
+    """f at the points zs.  f maps a complex ndarray to one of its shape."""
     zs = np.asarray(zs, dtype=complex)
-    try:
-        vals = np.asarray(f(zs))
-        if vals.shape != zs.shape:
-            raise ValueError
-        return vals.astype(complex)
-    except Exception:
-        flat = [complex(f(z)) for z in zs.ravel()]
-        return np.asarray(flat, dtype=complex).reshape(zs.shape)
+    vals = np.asarray(f(zs))
+    if vals.shape != zs.shape:
+        raise InvalidInput("f returned shape %s for points of shape %s"
+                           % (vals.shape, zs.shape))
+    return np.asarray(vals, dtype=complex)
 
 
 def _fval(f, z):
     return _eval(f, np.asarray([z]))[0]
 
 
-def _corners(w):
-    return np.asarray([
+def _sides(windows):
+    """Start points and vectors of the windows' sides, flat (4 per window).
+
+    Each contour runs counterclockwise from (re_min, im_min).
+    """
+    corners = np.asarray([[
         complex(w.re_min, w.im_min),
         complex(w.re_max, w.im_min),
         complex(w.re_max, w.im_max),
         complex(w.re_min, w.im_max),
-    ])
+    ] for w in windows])
+    return corners.ravel(), (np.roll(corners, -1, axis=1) - corners).ravel()
 
 
-def _boundary_points(w, ts):
-    """Map parameters in [0,4) to contour points, counterclockwise."""
+def _boundary_points(sides, wid, ts):
+    """Map parameters (mod 4) to points on the contours of windows wid."""
+    start, vec = sides
     ts = np.asarray(ts, dtype=float) % 4.0
-    idx = np.floor(ts).astype(int) % 4
-    frac = ts - np.floor(ts)
-    corners = _corners(w)
-    start = corners[idx]
-    end = corners[(idx + 1) % 4]
-    return start + frac * (end - start)
+    side = np.floor(ts)
+    j = 4 * wid + side.astype(int) % 4
+    return start[j] + (ts - side) * vec[j]
 
 
-def _winding_once(f, w):
-    npts = max(64, int(w.boundary_samples))
-    ts = np.linspace(0.0, 4.0, npts, endpoint=False)
-    vals = _eval(f, _boundary_points(w, ts))
-    fmax = float(np.abs(vals).max())
-    if fmax == 0.0:
-        raise _BoundaryDip("f vanishes on the contour")
+def _interleave(a, b):
+    out = np.empty(2 * a.size, dtype=a.dtype)
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
+def _winding_many(f, windows, base=None):
+    """Winding numbers of f around each window, refined together.
+
+    Each window sees the samples a lone winding would: BOUNDARY_SAMPLES
+    base points (base, when given, holds f there for a single window),
+    then the midpoint of every segment whose phase step is at least pi/2,
+    round after round.  Every round sends all windows' new points to f in
+    one call.  Only open segments are kept; a settled segment's phase step
+    is added to its window's total.  When any contour meets a zero, all
+    windows still run to the end and the first such window's _BoundaryDip
+    is raised.
+    """
+    k = len(windows)
+    sides = _sides(windows)
+    # open segments (t0, t1) of window wid, with f's phase at both ends
+    wid = np.repeat(np.arange(k), BOUNDARY_SAMPLES)
+    t0 = np.tile(_BASE_TS, k)
+    t1 = np.tile(_BASE_T1, k)
+    if base is None:
+        base = _eval(f, _boundary_points(sides, wid, t0))
+    mag = np.abs(base).reshape(k, BOUNDARY_SAMPLES)
+    fmax = mag.max(axis=1)
+    fmin = mag.min(axis=1)
+    nsamp = np.full(k, BOUNDARY_SAMPLES)
+    phase = np.angle(base).reshape(k, BOUNDARY_SAMPLES)
+    p0 = phase.ravel()
+    p1 = np.roll(phase, -1, axis=1).ravel()
+    total = np.zeros(k)
+    counts = [None] * k
+    dips = {}
+    live = np.ones(k, dtype=bool)
+
+    def finish(mask, reason):
+        if mask.any():
+            for i in np.flatnonzero(mask):
+                dips[i] = reason
+            live[mask] = False
+
+    finish(fmax == 0.0, "f vanishes on the contour")
     # refine until consecutive phase jumps are all below pi/2
     for _ in range(64):
-        if float(np.abs(vals).min()) < 1e-12 * fmax:
-            raise _BoundaryDip("|f| dips to zero on the contour")
-        phase = np.angle(vals)
-        step = np.mod(np.roll(phase, -1) - phase + np.pi, 2.0 * np.pi) - np.pi
+        finish(live & (fmin < 1e-12 * fmax), "|f| dips to zero on the contour")
+        step = np.mod(p1 - p0 + np.pi, 2.0 * np.pi) - np.pi
         bad = np.abs(step) >= 0.5 * np.pi
+        good = ~bad
+        total += np.bincount(wid[good], step[good], minlength=k)
+        settled = live & (np.bincount(wid[bad], minlength=k) == 0)
+        for i in np.flatnonzero(settled):
+            counts[i] = int(round(float(total[i]) / (2.0 * np.pi)))
+        live &= ~settled
+        finish(live & (nsamp > 300000),
+               "phase refinement stalls; zero pinned to contour")
+        bad &= live[wid]
         if not bad.any():
-            return int(round(float(step.sum()) / (2.0 * np.pi)))
-        if ts.size > 300000:
-            raise _BoundaryDip("phase refinement stalls; zero pinned to contour")
-        tn = np.roll(ts, -1)
-        tn[-1] += 4.0
-        mids = 0.5 * (ts[bad] + tn[bad])
-        vals = np.concatenate([vals, _eval(f, _boundary_points(w, mids))])
-        ts = np.concatenate([ts, mids])
-        order = np.argsort(ts)
-        ts, vals = ts[order], vals[order]
-        fmax = max(fmax, float(np.abs(vals).max()))
-    raise _BoundaryDip("phase refinement did not settle")
+            break
+        wid, t0, t1, p0, p1 = wid[bad], t0[bad], t1[bad], p0[bad], p1[bad]
+        mids = 0.5 * (t0 + t1)
+        vals = _eval(f, _boundary_points(sides, wid, mids))
+        mag = np.abs(vals)
+        np.maximum.at(fmax, wid, mag)
+        np.minimum.at(fmin, wid, mag)
+        nsamp += np.bincount(wid, minlength=k)
+        pm = np.angle(vals)
+        # each open segment splits into (t0, mid) and (mid, t1)
+        wid = np.repeat(wid, 2)
+        t0, t1 = _interleave(t0, mids), _interleave(mids, t1)
+        p0, p1 = _interleave(p0, pm), _interleave(pm, p1)
+    finish(live, "phase refinement did not settle")
+    if dips:
+        raise _BoundaryDip(dips[min(dips)])
+    return counts
 
 
-def winding_count(f, w, max_retries=5):
+def winding_count(f, w, max_retries=5, base=None):
     """Number of zeros inside w, counted with multiplicity.
 
     A zero sitting on the contour is detected as an |f| dip; the window is
-    then expanded slightly and the count retried.
+    then expanded slightly and the count retried.  base, when given, holds
+    f at w's BOUNDARY_SAMPLES base points and stands in for them on the
+    first attempt.
     """
     size = max(w.re_max - w.re_min, w.im_max - w.im_min)
     last = None
@@ -139,10 +203,9 @@ def winding_count(f, w, max_retries=5):
         pad = 1e-6 * attempt * max(1.0, size)
         win = w if attempt == 0 else RootWindow(
             w.re_min - pad, w.re_max + pad, w.im_min - pad, w.im_max + pad,
-            w.boundary_samples,
         )
         try:
-            return _winding_once(f, win)
+            return _winding_many(f, [win], base if attempt == 0 else None)[0]
         except _BoundaryDip as exc:
             last = exc
     raise BoundaryZero("contour keeps passing through a zero: %s" % last)
@@ -158,12 +221,12 @@ def _quadrisect(f, w, fx, fy):
     xm = w.re_min + fx * (w.re_max - w.re_min)
     ym = w.im_min + fy * (w.im_max - w.im_min)
     quads = [
-        RootWindow(w.re_min, xm, w.im_min, ym, w.boundary_samples),
-        RootWindow(xm, w.re_max, w.im_min, ym, w.boundary_samples),
-        RootWindow(w.re_min, xm, ym, w.im_max, w.boundary_samples),
-        RootWindow(xm, w.re_max, ym, w.im_max, w.boundary_samples),
+        RootWindow(w.re_min, xm, w.im_min, ym),
+        RootWindow(xm, w.re_max, w.im_min, ym),
+        RootWindow(w.re_min, xm, ym, w.im_max),
+        RootWindow(xm, w.re_max, ym, w.im_max),
     ]
-    return [(q, winding_count(f, q, max_retries=0)) for q in quads]
+    return list(zip(quads, _winding_many(f, quads)))
 
 
 def _subdivide(f, w, wind, leaves, depth=0):
@@ -179,7 +242,7 @@ def _subdivide(f, w, wind, leaves, depth=0):
     for fx, fy in _SPLITS:
         try:
             quads = _quadrisect(f, w, fx, fy)
-        except BoundaryZero:
+        except _BoundaryDip:
             continue
         if sum(q for _, q in quads) != wind:
             continue
@@ -204,8 +267,8 @@ def _newton(f, leaf, outer, fscale, mult):
     slack = max(leaf.diameter, 1e-6 * (1.0 + abs(leaf.center)))
     for _ in range(60):
         h = 1e-6 * (1.0 + abs(z))
-        f0 = _fval(f, z)
-        d = (_fval(f, z + h) - _fval(f, z - h)) / (2.0 * h)
+        f0, fp, fm = _eval(f, [z, z + h, z - h])
+        d = (fp - fm) / (2.0 * h)
         if d == 0:
             break
         dz = mult * f0 / d
@@ -233,7 +296,7 @@ def _critical_point(f, leaf):
     slack = max(leaf.diameter, 1e-6 * (1.0 + abs(leaf.center)))
     for _ in range(40):
         h = 1e-6 * (1.0 + abs(z))
-        fm, f0, fp = _fval(f, z - h), _fval(f, z), _fval(f, z + h)
+        fm, f0, fp = _eval(f, [z - h, z, z + h])
         d1 = (fp - fm) / (2.0 * h)
         d2 = (fp - 2.0 * f0 + fm) / (h * h)
         if d2 == 0:
@@ -255,11 +318,11 @@ def find_zeros(f, w):
     around an isolating square, and their sum is checked against the outer
     winding count.
     """
-    outer = winding_count(f, w)
+    base = _eval(f, _boundary_points(_sides([w]), 0, _BASE_TS))
+    fscale = float(np.abs(base).max())
+    outer = winding_count(f, w, base=base)
     if outer == 0:
         return []
-    ts = np.linspace(0.0, 4.0, 256, endpoint=False)
-    fscale = float(np.abs(_eval(f, _boundary_points(w, ts))).max())
 
     leaves = []
     _subdivide(f, w, outer, leaves)
@@ -305,8 +368,7 @@ def find_zeros(f, w):
         dists = [abs(z - other[0]) for j, other in enumerate(merged) if j != i]
         r_iso = max(1e-7, 0.01 * min(dists)) if dists else max(1e-7, 0.01)
         square = RootWindow(z.real - r_iso, z.real + r_iso,
-                            z.imag - r_iso, z.imag + r_iso,
-                            w.boundary_samples)
+                            z.imag - r_iso, z.imag + r_iso)
         certified = winding_count(f, square, max_retries=3)
         if certified <= 0:
             certified = mult
@@ -340,12 +402,13 @@ class ResonantCountReport:
 
 def _counted_zeros(f, w, label, log):
     zeros = find_zeros(f, w)
-    outer = winding_count(f, w)
+    # find_zeros raises unless the multiplicities sum to the winding of w
+    total = int(sum(z.multiplicity for z in zeros))
     log.append({
         "label": label,
         "window": [w.re_min, w.re_max, w.im_min, w.im_max],
-        "winding": int(outer),
-        "mult_sum": int(sum(z.multiplicity for z in zeros)),
+        "winding": total,
+        "mult_sum": total,
     })
     return zeros
 

@@ -224,18 +224,19 @@ def shoot_charfn(lam, problem):
     hg = problem.a / (problem.n + 1)
     xq = hg * np.arange(1, problem.n + 2)
 
-    def qval(x):
-        return np.interp(x, xq, q, left=q[0], right=q[-1])
-
     nsteps = 4 * problem.n
     h = problem.a / nsteps
+    # step nodes by the same x += h accumulation the steps use
+    nodes = [0.0]
+    for _ in range(nsteps):
+        nodes.append(nodes[-1] + h)
+    nodes = np.asarray(nodes)
+    qn = np.interp(nodes, xq, q, left=q[0], right=q[-1]).tolist()
+    qh = np.interp(nodes[:-1] + 0.5 * h, xq, q, left=q[0], right=q[-1]).tolist()
     y = np.zeros_like(lam2)
     dy = np.ones_like(lam2)
-    x = 0.0
-    for _ in range(nsteps):
-        q1 = qval(x)
-        q2 = qval(x + 0.5 * h)
-        q4 = qval(x + h)
+    for i in range(nsteps):
+        q1, q2, q4 = qn[i], qh[i], qn[i + 1]
         k1y = dy
         k1d = (q1 - lam2) * y
         k2y = dy + 0.5 * h * k1d
@@ -246,6 +247,5 @@ def shoot_charfn(lam, problem):
         k4d = (q4 - lam2) * (y + h * k3y)
         y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         dy = dy + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        x += h
     out = dy + np.atleast_1d(lam) * problem.alpha * y
     return complex(out[0]) if scalar else out.reshape(np.shape(lam))

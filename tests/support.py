@@ -11,6 +11,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from gyropencil.pencil import PencilSpec, RankOneCoupling
+from gyropencil.rootfind import _BoundaryDip
 
 
 def perm_sign(perm):
@@ -157,3 +158,46 @@ def rand_definite_spec(rng, n_max=6):
     a = qmat @ np.diag(rng.uniform(-5.0, 5.0, size=n)) @ qmat.T
     a = 0.5 * (a + a.T)
     return PencilSpec(m, g, a)
+
+
+def winding_once(f, w, npts=256):
+    """One window's argument-principle winding, refined on its own.
+
+    The single-contour engine the batched rootfind._winding_many replaced:
+    it keeps every sample in one sorted array and recomputes all phase
+    steps each round.  Raises _BoundaryDip with the same reasons.
+    """
+    corners = np.asarray([complex(w.re_min, w.im_min), complex(w.re_max, w.im_min),
+                          complex(w.re_max, w.im_max), complex(w.re_min, w.im_max)])
+
+    def points(ts):
+        ts = np.asarray(ts, dtype=float) % 4.0
+        idx = np.floor(ts).astype(int) % 4
+        frac = ts - np.floor(ts)
+        start = corners[idx]
+        return start + frac * (corners[(idx + 1) % 4] - start)
+
+    ts = np.linspace(0.0, 4.0, npts, endpoint=False)
+    vals = np.asarray(f(points(ts)), dtype=complex)
+    fmax = float(np.abs(vals).max())
+    if fmax == 0.0:
+        raise _BoundaryDip("f vanishes on the contour")
+    for _ in range(64):
+        if float(np.abs(vals).min()) < 1e-12 * fmax:
+            raise _BoundaryDip("|f| dips to zero on the contour")
+        phase = np.angle(vals)
+        step = np.mod(np.roll(phase, -1) - phase + np.pi, 2.0 * np.pi) - np.pi
+        bad = np.abs(step) >= 0.5 * np.pi
+        if not bad.any():
+            return int(round(float(step.sum()) / (2.0 * np.pi)))
+        if ts.size > 300000:
+            raise _BoundaryDip("phase refinement stalls; zero pinned to contour")
+        tn = np.roll(ts, -1)
+        tn[-1] += 4.0
+        mids = 0.5 * (ts[bad] + tn[bad])
+        vals = np.concatenate([vals, np.asarray(f(points(mids)), dtype=complex)])
+        ts = np.concatenate([ts, mids])
+        order = np.argsort(ts)
+        ts, vals = ts[order], vals[order]
+        fmax = max(fmax, float(np.abs(vals).max()))
+    raise _BoundaryDip("phase refinement did not settle")

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gyropencil import rootfind
-from gyropencil.errors import PreconditionInteger
+from gyropencil import rootfind, sturm
+from gyropencil.errors import InvalidInput, PreconditionInteger
 from gyropencil.rootfind import RootWindow, find_zeros, winding_count
 
 import support
@@ -142,3 +142,115 @@ def test_resonance_precondition():
         rootfind.verify_resonant_counts(-1.0, np.pi, 1.0)
     with pytest.raises(PreconditionInteger):
         rootfind.verify_resonant_counts(4.0, 1.0, 1.0)
+
+
+def _recording(f):
+    """f plus the list of every point array it was asked for."""
+    seen = []
+
+    def g(z):
+        seen.append(np.array(z, dtype=complex).ravel())
+        return f(z)
+    return g, seen
+
+
+def _edge_point(w, param):
+    """The contour point at parameter param in [0, 4) of window w."""
+    return complex(rootfind._boundary_points(rootfind._sides([w]), 0, [param])[0])
+
+
+_win = st.tuples(st.floats(-1.5, 1.0), st.floats(0.2, 2.0),
+                 st.floats(-1.5, 1.0), st.floats(0.2, 2.0))
+# a zero: free in the plane, or on a window's contour (at a base sample
+# when the fraction is a multiple of 1/64, elsewhere otherwise)
+_zero = st.one_of(
+    st.tuples(st.just("free"), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.tuples(st.just("edge"), st.integers(0, 3), st.integers(0, 255)),
+    st.tuples(st.just("edge"), st.integers(0, 3), st.floats(0.0, 3.999)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_win, min_size=1, max_size=4),
+       st.lists(_zero, min_size=1, max_size=4))
+def test_winding_many_matches_one_window_at_a_time(wins, zero_specs):
+    windows = [RootWindow(r0, r0 + dr, i0, i0 + di) for r0, dr, i0, di in wins]
+    roots = []
+    for kind, u, v in zero_specs:
+        if kind == "free":
+            roots.append(complex(u, v))
+        else:
+            param = v / 64.0 if isinstance(v, int) else v
+            roots.append(_edge_point(windows[u % len(windows)], param))
+
+    def f(z):
+        out = np.ones_like(z)
+        for r in roots:
+            out = out * (z - r)
+        return out
+
+    g, got_pts = _recording(f)
+    try:
+        got = rootfind._winding_many(g, windows)
+    except rootfind._BoundaryDip as exc:
+        got = (type(exc), str(exc))
+
+    h, want_pts = _recording(f)
+    want, dip = [], None
+    for w in windows:
+        try:
+            want.append(support.winding_once(h, w))
+        except rootfind._BoundaryDip as exc:
+            dip = dip or (type(exc), str(exc))
+    assert got == (dip or want)
+    assert np.array_equal(np.sort(np.concatenate(got_pts)),
+                          np.sort(np.concatenate(want_pts)))
+
+
+def test_quadrisect_batches_sibling_windows():
+    g, seen = _recording(lambda z: (z - 0.3 - 0.2j) * (z + 0.4 + 0.5j))
+    quads = rootfind._quadrisect(g, RootWindow(-1.0, 1.0, -1.0, 1.0), 0.5, 0.5)
+    assert [n for _, n in quads] == [1, 0, 0, 1]
+    # one call carries all four children's base samples
+    assert seen[0].size == 4 * rootfind.BOUNDARY_SAMPLES
+
+
+def test_resonant_bundle_call_budget(monkeypatch):
+    # half the f calls of one-window-at-a-time winding (2472 for this bundle)
+    calls = []
+
+    def counted(lam, q, a, alpha):
+        calls.append(np.size(lam))
+        return sturm.omega(lam, q, a, alpha)
+
+    monkeypatch.setattr(rootfind, "omega", counted)
+    rep = rootfind.verify_resonant_counts(4.0, np.pi, 1.0)
+    assert rep.all_pass
+    assert len(calls) <= 1236, len(calls)
+
+
+def test_evaluator_errors_propagate():
+    class Broken(Exception):
+        pass
+
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        raise Broken("evaluator bug")
+
+    w = RootWindow(-1.0, 1.0, -1.0, 1.0)
+    with pytest.raises(Broken):
+        winding_count(f, w)
+    with pytest.raises(Broken):
+        find_zeros(f, w)
+    # no pointwise re-evaluation after the failure
+    assert len(calls) == 2
+
+
+def test_evaluator_shape_mismatch_is_invalid_input():
+    w = RootWindow(-1.0, 1.0, -1.0, 1.0)
+    with pytest.raises(InvalidInput):
+        winding_count(lambda z: complex(np.sum(z)), w)
+    with pytest.raises(InvalidInput):
+        find_zeros(lambda z: z[:-1], w)
