@@ -122,7 +122,6 @@ def smallest_singular_value(mat):
 class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
-    residual_max: float
 
 
 def sym_eigen(mat, name="matrix"):
@@ -132,8 +131,7 @@ def sym_eigen(mat, name="matrix"):
         vals, vecs = sla.eigh(mat, check_finite=False)
     except sla.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise NoConvergence("eigh failed: %s" % exc)
-    resid = max_abs(mat @ vecs - vecs * vals[None, :])
-    return EigenDecomposition(values=vals, vectors=vecs, residual_max=resid)
+    return EigenDecomposition(values=vals, vectors=vecs)
 
 
 def eigen_standard(mat):
@@ -144,11 +142,7 @@ def eigen_standard(mat):
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("eig failed: %s" % exc)
     order = np.lexsort((vals.imag, vals.real))
-    vals, vecs = vals[order], vecs[:, order]
-    fro = np.linalg.norm(mat)
-    resid = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
-    rmax = float(resid.max() / max(fro, np.finfo(float).tiny)) if vals.size else 0.0
-    return EigenDecomposition(values=vals, vectors=vecs, residual_max=rmax)
+    return EigenDecomposition(values=vals[order], vectors=vecs[:, order])
 
 
 def count_negative_eigs_pencil(a, m):

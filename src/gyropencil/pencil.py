@@ -2,11 +2,16 @@
 
 M and G are real symmetric positive semidefinite, A real symmetric, and the
 joint kernel of the three matrices is trivial.  The featured case carries a
-rank-one coupling G = b e e^T.  Spectra are computed through a shifted
-reversal of the pencil: substitute nu = lambda - sigma with L(sigma, eta)
-invertible, reverse mu = 1/nu, and solve the standard companion eigenproblem
-of the reversed polynomial.  Eigenvalues at infinity (singular M) show up as
-mu ~ 0 and are discarded but counted.
+rank-one coupling G = b e e^T.  spectrum() takes one of two routes:
+
+- M definite with an axis rank-one G (the modal route): the modes of
+  (A, M) are solved once per spec.  Modes without a component on the
+  coupling axis give the type I values +-sqrt(mu) directly; the coupled
+  modes alone go through a small companion eigenproblem that carries eta.
+- every other pencil (the companion route): substitute nu = lambda - sigma
+  with L(sigma, eta) invertible, reverse mu = 1/nu, and solve the standard
+  companion eigenproblem of the reversed polynomial.  Eigenvalues at
+  infinity (singular M) show up as mu ~ 0 and are discarded but counted.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     InvalidInput,
     MassNotDefinite,
+    NoConvergence,
     NotAnEigenvalue,
     PreconditionKerMA,
     ShiftExhausted,
@@ -69,8 +75,8 @@ class PencilSpec:
         self.m_kind = m_kind
         self.g_kind = g_kind or ("rank_one" if rank_one is not None else "dense")
 
-        m_eigs = sla.eigvalsh(self.m, check_finite=False)
-        g_eigs = sla.eigvalsh(self.g, check_finite=False)
+        m_eigs = sla.eigvalsh(0.5 * (self.m + self.m.T), check_finite=False)
+        g_eigs = sla.eigvalsh(0.5 * (self.g + self.g.T), check_finite=False)
         a_eigs = sla.eigvalsh(0.5 * (self.a + self.a.T), check_finite=False)
         self.m_mass = float(m_eigs[0])
         self.g_min = float(g_eigs[0])
@@ -82,6 +88,7 @@ class PencilSpec:
         self.spec_norm = max(self.norm_m, self.norm_g, self.norm_a)
         self.scale = max(1.0, self.spec_norm)
         self._ker_ma = None
+        self._modes = None
         # the validation report, or None for a spec built with validate=False
         self.condition_report = None
 
@@ -111,15 +118,13 @@ def validate_condition_I(spec):
     sym_m = linalg.symmetry_defect(spec.m) <= 1e-12 * max(1.0, linalg.max_abs(spec.m))
     sym_g = linalg.symmetry_defect(spec.g) <= 1e-12 * max(1.0, linalg.max_abs(spec.g))
     sym_a = linalg.symmetry_defect(spec.a) <= 1e-12 * max(1.0, linalg.max_abs(spec.a))
-    m_min = float(sla.eigvalsh(0.5 * (spec.m + spec.m.T), check_finite=False)[0])
-    g_min = float(sla.eigvalsh(0.5 * (spec.g + spec.g.T), check_finite=False)[0])
     clauses.append((
-        "m_symmetric_psd", sym_m and m_min >= -psd_tol_m,
-        "lambda_min(M)=%.3e" % m_min,
+        "m_symmetric_psd", sym_m and spec.m_mass >= -psd_tol_m,
+        "lambda_min(M)=%.3e" % spec.m_mass,
     ))
     clauses.append((
-        "g_symmetric_psd", sym_g and g_min >= -psd_tol_g,
-        "lambda_min(G)=%.3e" % g_min,
+        "g_symmetric_psd", sym_g and spec.g_min >= -psd_tol_g,
+        "lambda_min(G)=%.3e" % spec.g_min,
     ))
     clauses.append(("a_symmetric", sym_a,
                     "defect=%.3e" % linalg.symmetry_defect(spec.a)))
@@ -298,69 +303,6 @@ def _stacked_type1(spec, lams, eta, spreads):
     return dims
 
 
-class _ReducedLadder:
-    """Type-I detection for axis rank-one G via the reduced eigenproblem.
-
-    Type-I eigenvectors have last coordinate (the coupling axis) zero, so the
-    head block w solves A11 w = mu M11 w with mu = lambda^2, subject to the
-    deleted row closing: mu*(M[e,:] w) - A[e,:] w = 0.  Degenerate mu groups
-    pass as a block: the row condition is a single linear functional, so the
-    passing dimension is the group size minus one when the functional does
-    not vanish on the group span.
-    """
-
-    def __init__(self, spec, eta):
-        k = spec.rank_one.e_index
-        keep = [i for i in range(spec.n) if i != k]
-        self.ok = False
-        m11 = spec.m[np.ix_(keep, keep)]
-        if m11.size == 0:
-            return
-        if float(sla.eigvalsh(m11, check_finite=False)[0]) <= 1e-12 * max(1.0, spec.norm_m):
-            return
-        a11 = spec.a[np.ix_(keep, keep)]
-        self.mrow = spec.m[k, keep]
-        self.arow = spec.a[k, keep]
-        mus, w = sla.eigh(a11, m11, check_finite=False)
-        self.mus = mus
-        self.w = w
-        self.ok = True
-        self.mu_floor = 1e-9 * max(1.0, float(np.max(np.abs(mus))))
-
-    def type1_assignments(self):
-        """Yield (lam, dim) pairs; lam = +-sqrt(mu) with the zero collapsed."""
-        resid = self.mus * (self.mrow @ self.w) - self.arow @ self.w
-        wnorm = np.linalg.norm(self.w, axis=0)
-        rscale = (np.abs(self.mus) * np.linalg.norm(self.mrow)
-                  + np.linalg.norm(self.arow)) * wnorm
-        out = []
-        i = 0
-        nmu = len(self.mus)
-        while i < nmu:
-            j = i + 1
-            gtol = 1e-6 * max(1.0, abs(self.mus[i]))
-            while j < nmu and abs(self.mus[j] - self.mus[i]) <= gtol:
-                j += 1
-            group = range(i, j)
-            hard_fail = any(
-                abs(resid[t]) > 1e-8 * max(rscale[t], np.finfo(float).tiny)
-                for t in group
-            )
-            dim = (j - i) - (1 if hard_fail else 0)
-            if dim > 0:
-                mu = float(np.mean(self.mus[i:j]))
-                if abs(mu) <= self.mu_floor:
-                    out.append((0.0, dim))
-                elif mu > 0:
-                    out.append((np.sqrt(mu), dim))
-                    out.append((-np.sqrt(mu), dim))
-                else:
-                    out.append((1j * np.sqrt(-mu), dim))
-                    out.append((-1j * np.sqrt(-mu), dim))
-            i = j
-        return out
-
-
 def _real_if_zero_imag(lam):
     return complex(lam.real, 0.0) if abs(lam.imag) == 0.0 else lam
 
@@ -388,56 +330,105 @@ def _simple_pairs(spec, eta, lams, vecs):
     return vecs, np.linalg.norm(resid, axis=0)
 
 
-def _fill_types(spec, eta, records):
+def _fill_types(spec, eta, records, type1=None):
     """Type split of every record.
 
-    With M definite off the coupling axis the reduced ladder names the
-    type-I values; otherwise each record's kernel inside ker G comes from
-    the stacked rank.
+    type1 is the modal route's count of decoupled modes per record; without
+    it each record's kernel inside ker G comes from the stacked rank.
     """
-    classified = spec.rank_one is not None and spec.ker_ma_trivial
-    if not classified:
-        for rec in records:
-            rec.type1_mult = 0
-            rec.type2_mult = rec.alg_mult
-            rec.types_classified = False
-        return
     if not records:
         return
-
     lams = np.array([rec.lam for rec in records], dtype=complex)
-    ladder = _ReducedLadder(spec, eta)
-    if ladder.ok:
-        type1 = np.zeros(len(records), dtype=int)
-        for lam, dim in ladder.type1_assignments():
-            dist = np.abs(lams - lam)
-            best = int(np.argmin(dist))
-            if dist[best] <= 1e-6 * max(1.0, abs(lam)):
-                type1[best] += dim
-    else:
+    if type1 is None:
+        if spec.rank_one is None or not spec.ker_ma_trivial:
+            for rec in records:
+                rec.type1_mult = 0
+                rec.type2_mult = rec.alg_mult
+                rec.types_classified = False
+            return
         spreads = np.array([rec._spread for rec in records])
-        type1 = _stacked_type1(spec, lams, eta, spreads)
+        type1 = _stacked_type1(spec, lams, eta, spreads).tolist()
     zero = np.abs(lams) <= 1e-7 * spec.scale
-    for rec, t1, z in zip(records, type1.tolist(), zero.tolist()):
+    for rec, t1, z in zip(records, type1, zero.tolist()):
         rec.type1_mult = min(t1, rec.alg_mult)
         rec.type2_mult = rec.alg_mult - rec.type1_mult
         rec.zero_flagged = z
 
 
-def spectrum(spec, eta, shift=None):
-    """All finite eigenvalues of L(., eta) with multiplicities and types."""
-    if not (-1e-12 <= eta <= 1.0 + 1e-12):
-        raise InvalidInput("eta must lie in [0, 1], got %r" % (eta,))
-    eta = min(max(eta, 0.0), 1.0)
-    n = spec.n
-    if shift is None:
-        sigma = choose_shift(spec, eta)
-    else:
-        sigma = shift
-        thresh = 1e-8 * max(spec.spec_norm, np.finfo(float).tiny)
-        if linalg.smallest_singular_value(evaluate(spec, sigma, eta)) <= thresh:
-            raise ShiftExhausted("supplied shift leaves L(sigma, eta) singular")
+def _modes(spec):
+    """The eta-independent part of the modal route, solved on first use.
 
+    eigh(A, M) gives M-orthonormal modes phi with w = phi[e].  Inside each
+    group of degenerate mu whose members couple more than once, a
+    Householder reflection leaves one coupled vector, and the group's mu
+    become the Rayleigh quotients of the reflected vectors.  The reflection
+    mixes modes, so a group only holds mu equal up to rounding (relative
+    gap 1e-9): a wider group would move values by its spread and call a
+    coupled neighbour decoupled.  A mode is decoupled when
+    |w_k| <= 1e-8 max |w|; it gives +-sqrt(mu) with its own vector, or a
+    zero pair that counts once as type I when |mu| is below the floor.
+
+    Returns (values, vectors, type I weights) of the decoupled modes and
+    (mu, w, phi) of the coupled ones.
+    """
+    if spec._modes is not None:
+        return spec._modes
+    try:
+        mu, phi = sla.eigh(spec.a, spec.m, check_finite=False)
+    except sla.LinAlgError as exc:
+        raise NoConvergence("eigh(A, M) failed: %s" % exc)
+    w = phi[spec.rank_one.e_index].copy()
+    cut = 1e-8 * float(np.max(np.abs(w)))
+    i = 0
+    while i < mu.size:
+        j = i + 1
+        gtol = 1e-9 * max(1.0, abs(mu[i]))
+        while j < mu.size and abs(mu[j] - mu[i]) <= gtol:
+            j += 1
+        if np.count_nonzero(np.abs(w[i:j]) > cut) > 1:
+            head = np.copysign(np.linalg.norm(w[i:j]), w[i])
+            v = w[i:j].copy()
+            v[0] += head
+            house = np.eye(j - i) - (2.0 / (v @ v)) * np.outer(v, v)
+            phi[:, i:j] = phi[:, i:j] @ house
+            mu[i:j] = (house * house) @ mu[i:j]
+            w[i:j] = 0.0
+            w[i] = -head
+        i = j
+    dec = np.abs(w) <= 1e-8 * float(np.max(np.abs(w)))
+    zero = np.abs(mu[dec]) <= 1e-9 * max(1.0, float(np.max(np.abs(mu))))
+    root = np.where(zero, 0.0, np.sqrt(mu[dec].astype(complex)))
+    decoupled = (np.concatenate([root, 0.0 - root]), np.hstack([phi[:, dec]] * 2),
+                 np.concatenate([np.ones(root.size, dtype=int), (~zero).astype(int)]))
+    spec._modes = decoupled, (mu[~dec], w[~dec], phi[:, ~dec])
+    return spec._modes
+
+
+def _modal_values(spec, eta):
+    """All 2n values, their vectors and type I weights on the modal route.
+
+    The m coupled modes give their values through the 2m companion
+    [[0, I], [D_c, eta b w_c w_c^T]], with x = Phi_c y.
+    """
+    (lams_d, vecs_d, weights_d), (mu_c, w_c, phi_c) = _modes(spec)
+    m = mu_c.size
+    comp = np.zeros((2 * m, 2 * m))
+    comp[:m, m:] = np.eye(m)
+    comp[m:, :m] = np.diag(mu_c)
+    comp[m:, m:] = (eta * spec.rank_one.b) * np.outer(w_c, w_c)
+    try:
+        vals, y = np.linalg.eig(comp)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence("eig failed: %s" % exc)
+    return (np.concatenate([lams_d, vals]), np.hstack([vecs_d, phi_c @ y[:m]]),
+            np.concatenate([weights_d, np.zeros(2 * m, dtype=int)]))
+
+
+def _companion_values(spec, eta):
+    """Finite values, their vectors and the number of infinite ones from
+    the shifted, reversed companion of the whole pencil."""
+    n = spec.n
+    sigma = choose_shift(spec, eta)
     l0 = evaluate(spec, sigma, eta)
     p1 = 2.0 * sigma * spec.m - eta * spec.g
     p2 = spec.m
@@ -470,13 +461,27 @@ def spectrum(spec, eta, shift=None):
         if nv > 0.0 and np.linalg.norm(spec.m @ v) <= m_floor * nv:
             keep[i] = False
     finite_idx = np.flatnonzero(keep)
-    discarded = 2 * n - finite_idx.size
-    lams = sigma + 1.0 / mus[finite_idx]
+    return sigma + 1.0 / mus[finite_idx], vecs[:n, finite_idx], 2 * n - finite_idx.size
+
+
+def spectrum(spec, eta):
+    """All finite eigenvalues of L(., eta) with multiplicities and types."""
+    if not (-1e-12 <= eta <= 1.0 + 1e-12):
+        raise InvalidInput("eta must lie in [0, 1], got %r" % (eta,))
+    eta = min(max(eta, 0.0), 1.0)
+    n = spec.n
+    # the modal route: M definite (the nonreal_region test), axis rank-one G
+    if spec.rank_one is not None and spec.m_mass > 1e-10 * max(1.0, spec.norm_m):
+        lams, vecs, weights = _modal_values(spec, eta)
+        discarded = 0
+    else:
+        lams, vecs, discarded = _companion_values(spec, eta)
+        weights = None
 
     clusters = _cluster_points(lams, zero_tol=1e-7 * spec.scale)
     simple = np.array([c[0] for c in clusters if len(c) == 1], dtype=int)
     simple_vecs, simple_resids = _simple_pairs(spec, eta, lams[simple],
-                                               vecs[:n, finite_idx[simple]])
+                                               vecs[:, simple])
     records = []
     k = 0
     for members in clusters:
@@ -506,8 +511,12 @@ def spectrum(spec, eta, shift=None):
         rec._spread = spread
         records.append(rec)
 
+    type1 = None
+    if weights is not None:
+        counts = weights.tolist()
+        type1 = [sum(counts[i] for i in members) for members in clusters]
+    _fill_types(spec, eta, records, type1)
     records.sort(key=lambda r: (r.lam.real, r.lam.imag))
-    _fill_types(spec, eta, records)
     return SpectrumResult(
         eta=eta,
         records=records,

@@ -8,6 +8,7 @@ no code with the linearization path it cross-checks, which is the point.
 import itertools
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
 from gyropencil.pencil import PencilSpec, RankOneCoupling
@@ -201,3 +202,94 @@ def winding_once(f, w, npts=256):
         ts, vals = ts[order], vals[order]
         fmax = max(fmax, float(np.abs(vals).max()))
     raise _BoundaryDip("phase refinement did not settle")
+
+
+def mirror_spec(rng):
+    """Spec of r identical blocks joined to one shared node.
+
+    Each copy of the block (A1, M1) couples to the node through the same
+    vectors, so every mode of (A1, M1) gives an (r-1)-fold degenerate group
+    of modes that vanish on the node.  The coupling axis is the node (the
+    whole group decouples) or a coordinate of the first copy (with r = 3,
+    the group holds one coupled and one decoupled mode).
+    """
+    s = int(rng.integers(1, 4))
+    r = int(rng.integers(2, 4))
+    n = r * s + 1
+    a1 = rng.normal(size=(s, s))
+    a1 = a1 + a1.T
+    q = rng.normal(size=(s, s))
+    m1 = q @ q.T + 0.5 * np.eye(s)
+    c = rng.normal(size=s)
+    mv = 0.3 * rng.normal(size=s)
+    a = np.zeros((n, n))
+    m = np.zeros((n, n))
+    for k in range(r):
+        blk = slice(k * s, (k + 1) * s)
+        a[blk, blk] = a1
+        m[blk, blk] = m1
+        a[blk, -1] = a[-1, blk] = c
+        m[blk, -1] = m[-1, blk] = mv
+    a[-1, -1] = rng.normal()
+    # keeps the Schur complement of M on the node positive
+    m[-1, -1] = r * mv @ np.linalg.solve(m1, mv) + rng.uniform(0.5, 2.0)
+    b = float(rng.uniform(0.2, 2.0))
+    e_index = n - 1 if rng.integers(2) else int(rng.integers(s))
+    g = np.zeros((n, n))
+    g[e_index, e_index] = b
+    return PencilSpec(m, g, a, rank_one=RankOneCoupling(b=b, e_index=e_index))
+
+
+def linearization_records(spec, eta):
+    """Reference records (lam, alg, geo, type1) from scipy.linalg.eig.
+
+    Values and vectors come from the 2n block linearization
+    [[0, I], [A, eta G]] z = lambda [[I, 0], [0, M]] z, which needs M
+    definite; x is the top half of z.  Values are grouped with the 1e-6
+    single-linkage gap and zero band that spectrum uses, and lam is the
+    group mean.  Away from 0, geo is the rank of the group's x, and type1
+    adds up, over the distinct values of the group (equal to 1e-10), the
+    dimension of the span of their x inside e^perp: its rank, less one when
+    some x has a component on the coupling axis (cutoffs 1e-6 for the rank
+    and 1e-9 for the component, on unit columns).  Inside the zero band, where eig's vectors of the defective
+    zero need not span the kernel, lam = 0, geo = dim ker A and
+    type1 = dim(ker A ∩ ker G), from ranks at 1e-8 * scale.
+    """
+    from gyropencil.pencil import _cluster_points
+
+    n = spec.n
+    e_index = spec.rank_one.e_index
+    eye, zero = np.eye(n), np.zeros((n, n))
+    lhs = np.block([[zero, eye], [spec.a, eta * spec.g]])
+    rhs = np.block([[eye, zero], [zero, spec.m]])
+    vals, vecs = sla.eig(lhs, rhs)
+    x = vecs[:n] / np.linalg.norm(vecs[:n], axis=0)
+
+    def rank(cols):
+        svals = sla.svdvals(x[:, cols])
+        return int(np.count_nonzero(svals > 1e-6 * svals[0]))
+
+    def nullity(mat):
+        return n - int(np.count_nonzero(sla.svdvals(mat) > 1e-8 * spec.scale))
+
+    out = []
+    for members in _cluster_points(vals, zero_tol=1e-7 * spec.scale):
+        lam = complex(np.mean(vals[members]))
+        if abs(lam) <= 1e-7 * spec.scale:
+            lam = 0.0
+            geo = nullity(spec.a)
+            type1 = nullity(np.vstack([spec.a, spec.g]))
+        else:
+            distinct = []
+            for i in members:
+                for grp in distinct:
+                    if abs(vals[i] - vals[grp[0]]) <= 1e-10 * max(1.0, abs(vals[i])):
+                        grp.append(i)
+                        break
+                else:
+                    distinct.append([i])
+            geo = rank(members)
+            type1 = sum(rank(grp) - int(np.max(np.abs(x[e_index, grp])) > 1e-9)
+                        for grp in distinct)
+        out.append((lam, len(members), geo, min(type1, len(members))))
+    return out

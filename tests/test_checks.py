@@ -204,7 +204,7 @@ def test_run_sl_double_pipeline():
 
 @pytest.mark.parametrize("n", [12, 20, 24])
 def test_run_sl_double_q4_type1_axes_symmetric(n):
-    # the reduced ladder types a decoupled value and its mirror alike
+    # a decoupled value and its mirror get the same type split
     p = dataclasses.replace(fixtures.sl_double_q4(), n=n)
     rep = checks.run_sl(p)
     by_name = {c.name: c for c in rep.checks}

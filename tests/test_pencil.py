@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gyropencil import fixtures, linalg
+from gyropencil import checks, fixtures, linalg, sturm
 from gyropencil.errors import ConditionViolation, MassNotDefinite
 from gyropencil.pencil import (
     PencilSpec, RankOneCoupling, _cluster_points, _stacked_type1,
@@ -309,3 +311,133 @@ def test_find_matches_brute_force_min():
                 cut = 1e-6 * max(1.0, abs(lam)) if tol is None else tol
                 expect = best if abs(best.lam - lam) <= cut else None
                 assert res.find(lam, tol) is expect
+
+
+_GENERATORS = {
+    "random": lambda rng: support.rand_condition1_spec(rng),
+    "kernel": lambda rng: support.kernel_engineered_spec(rng)[0],
+    "mirror": support.mirror_spec,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_GENERATORS)), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_modal_route_matches_linearization(kind, seed, eta):
+    # M > 0 with an axis rank-one G: every record against scipy's eig of
+    # the whole 2n linearization, types included
+    spec = _GENERATORS[kind](np.random.default_rng(seed))
+    res = spectrum(spec, eta)
+    ref = support.linearization_records(spec, eta)
+    assert res.discarded_infinite == 0
+    assert len(res.records) == len(ref)
+    ref_lams = np.array([r[0] for r in ref])
+    for rec in res.records:
+        j = int(np.argmin(np.abs(ref_lams - rec.lam)))
+        assert abs(ref_lams[j] - rec.lam) <= 1e-9 * spec.scale, (rec.lam, ref[j])
+        got = (rec.alg_mult, rec.geo_mult, rec.type1_mult, rec.type2_mult)
+        lam, alg, geo, type1 = ref[j]
+        assert got == (alg, geo, type1, alg - type1), (rec.lam, got, ref[j])
+
+
+def _permuted_spec(spec, perm):
+    """The same pencil with coordinate i moved to position inv[i]."""
+    sub = np.ix_(perm, perm)
+    e_index = int(np.argsort(perm)[spec.rank_one.e_index])
+    return PencilSpec(spec.m[sub], spec.g[sub], spec.a[sub],
+                      rank_one=RankOneCoupling(b=spec.rank_one.b, e_index=e_index))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 12), st.sampled_from([4.0, 2.3]), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_double_string_spectrum_permutation_invariant(n, q, seed, eta):
+    prob = dataclasses.replace(fixtures.sl_double_q4(), n=n, q_value=q)
+    spec = sturm.discretize(prob)
+    perm = np.random.default_rng(seed).permutation(spec.n)
+    base = spectrum(spec, eta)
+    moved = spectrum(_permuted_spec(spec, perm), eta)
+    assert len(moved.records) == len(base.records)
+    for rec in base.records:
+        other = min(moved.records, key=lambda r: abs(r.lam - rec.lam))
+        assert abs(other.lam - rec.lam) <= 1e-9 * spec.scale, rec.lam
+        assert ((other.alg_mult, other.geo_mult, other.type1_mult, other.type2_mult)
+                == (rec.alg_mult, rec.geo_mult, rec.type1_mult, rec.type2_mult)), rec.lam
+
+
+def test_run_sl_solves_the_modes_once(monkeypatch):
+    # three spectra of one double string: one eigh(A, M), no full companion
+    calls = {"eigen_standard": 0, "eigh": 0}
+    eigen_standard, eigh = linalg.eigen_standard, sla.eigh
+
+    def counted_eigen_standard(mat):
+        calls["eigen_standard"] += 1
+        return eigen_standard(mat)
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigen_standard", counted_eigen_standard)
+    monkeypatch.setattr(sla, "eigh", counted_eigh)
+    prob = dataclasses.replace(fixtures.sl_double_q4(), n=12)
+    rep = checks.run_sl(prob)
+    assert rep.all_pass
+    assert calls == {"eigen_standard": 0, "eigh": 1}
+
+
+# (value, alg, geo, type1, type2) per record of W1 and W2 at eta = 0, 0.1,
+# ..., 1, recorded from the reduced-ladder typing these singular-M pencils
+# had before the stacked rank alone typed them
+_W1_RECORDS = [
+    [(-1.0, 1, 1, 1, 0), (1.0, 1, 1, 1, 0)],
+    [(-10.0, 1, 1, 0, 1), (-1.0, 1, 1, 1, 0), (1.0, 1, 1, 1, 0)],
+    [(-5.0, 1, 1, 0, 1), (-1.0, 1, 1, 1, 0), (1.0, 1, 1, 1, 0)],
+    [(-3.333333, 1, 1, 0, 1), (-1.0, 1, 1, 1, 0), (1.0, 1, 1, 1, 0)],
+    [(-2.5, 1, 1, 0, 1), (-1.0, 1, 1, 1, 0), (1.0, 1, 1, 1, 0)],
+    [(-2.0, 1, 1, 0, 1), (-1.0, 1, 1, 1, 0), (1.0, 1, 1, 1, 0)],
+    [(-1.666667, 1, 1, 0, 1), (-1.0, 1, 1, 1, 0), (1.0, 1, 1, 1, 0)],
+    [(-1.428571, 1, 1, 0, 1), (-1.0, 1, 1, 1, 0), (1.0, 1, 1, 1, 0)],
+    [(-1.25, 1, 1, 0, 1), (-1.0, 1, 1, 1, 0), (1.0, 1, 1, 1, 0)],
+    [(-1.111111, 1, 1, 0, 1), (-1.0, 1, 1, 1, 0), (1.0, 1, 1, 1, 0)],
+    [(-1.0, 2, 2, 1, 1), (1.0, 1, 1, 1, 0)],
+]
+_W2_RECORDS = [
+    [],
+    [(-2.154435, 1, 1, 0, 1), (1.077217 - 1.865795j, 1, 1, 0, 1),
+     (1.077217 + 1.865795j, 1, 1, 0, 1)],
+    [(-1.709976, 1, 1, 0, 1), (0.854988 - 1.480883j, 1, 1, 0, 1),
+     (0.854988 + 1.480883j, 1, 1, 0, 1)],
+    [(-1.493802, 1, 1, 0, 1), (0.746901 - 1.29367j, 1, 1, 0, 1),
+     (0.746901 + 1.29367j, 1, 1, 0, 1)],
+    [(-1.357209, 1, 1, 0, 1), (0.678604 - 1.175377j, 1, 1, 0, 1),
+     (0.678604 + 1.175377j, 1, 1, 0, 1)],
+    [(-1.259921, 1, 1, 0, 1), (0.629961 - 1.091124j, 1, 1, 0, 1),
+     (0.629961 + 1.091124j, 1, 1, 0, 1)],
+    [(-1.185631, 1, 1, 0, 1), (0.592816 - 1.026787j, 1, 1, 0, 1),
+     (0.592816 + 1.026787j, 1, 1, 0, 1)],
+    [(-1.126248, 1, 1, 0, 1), (0.563124 - 0.975359j, 1, 1, 0, 1),
+     (0.563124 + 0.975359j, 1, 1, 0, 1)],
+    [(-1.077217, 1, 1, 0, 1), (0.538609 - 0.932898j, 1, 1, 0, 1),
+     (0.538609 + 0.932898j, 1, 1, 0, 1)],
+    [(-1.035744, 1, 1, 0, 1), (0.517872 - 0.896981j, 1, 1, 0, 1),
+     (0.517872 + 0.896981j, 1, 1, 0, 1)],
+    [(-1.0, 1, 1, 0, 1), (0.5 - 0.866025j, 1, 1, 0, 1),
+     (0.5 + 0.866025j, 1, 1, 0, 1)],
+]
+
+
+@pytest.mark.parametrize("spec, expect", [(fixtures.w1(), _W1_RECORDS),
+                                          (fixtures.w2(), _W2_RECORDS)],
+                         ids=["W1", "W2"])
+def test_singular_mass_types_over_eta(spec, expect):
+    # singular M stays on the companion route; the stacked rank gives the
+    # types the reduced ladder gave
+    for k, records in enumerate(expect):
+        res = spectrum(spec, k / 10.0)
+        got = [(rec.lam, rec.alg_mult, rec.geo_mult, rec.type1_mult, rec.type2_mult)
+               for rec in res.records]
+        assert len(got) == len(records), k
+        for (lam, *mults), (ref, *ref_mults) in zip(got, records):
+            assert abs(lam - ref) <= 1e-6, (k, lam, ref)
+            assert mults == ref_mults, (k, lam)
