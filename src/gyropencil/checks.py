@@ -291,7 +291,7 @@ def _gate_type2(spec, eta):
         raise HypothesisViolated(
             "M+G must be uniformly positive (min eig %.3e)" % mg_min
         )
-    if spec.m_mass <= 1e-10 * max(1.0, spec.norm_m):
+    if not spec.m_definite:
         raise HypothesisViolated("count statements are gated on M > 0")
     if not 0.0 < eta <= 1.0:
         raise HypothesisViolated("statements hold for eta in (0, 1]")

@@ -525,7 +525,7 @@ def pair_spectrum(result, spec=None):
 
     advisory = True
     if spec is not None:
-        advisory = not (spec.m_mass > 1e-10 * max(1.0, spec.norm_m)
+        advisory = not (spec.m_definite
                         and spec.g_min > 1e-10 * max(1.0, spec.norm_g))
     return PairingReport(
         pairs=pairs,
@@ -551,7 +551,7 @@ def count_identity(spec):
     count is proved, and the rank-one coupling is deliberately not
     extrapolated here.
     """
-    if spec.m_mass <= 1e-10 * max(1.0, spec.norm_m):
+    if not spec.m_definite:
         raise HypothesisViolated("M must be positive definite")
     if spec.g_min <= 1e-10 * max(1.0, spec.norm_g):
         raise HypothesisViolated("G must be positive definite")

@@ -102,11 +102,20 @@ class PencilSpec:
             self.condition_report = report
 
     @property
+    def m_definite(self):
+        """True iff lambda_min(M) > 1e-10 max(1, |M|): M is definite."""
+        return self.m_mass > 1e-10 * max(1.0, self.norm_m)
+
+    @property
     def ker_ma_trivial(self):
-        """True iff ker M intersect ker A = {0} (rank of [M; A] is n)."""
+        """True iff ker M intersect ker A = {0} (rank of [M; A] is n).
+
+        True by construction when M is definite; the rank SVD runs only
+        otherwise.
+        """
         if self._ker_ma is None:
-            stacked = np.vstack([self.m, self.a])
-            self._ker_ma = linalg.rank_with_tol(stacked) == self.n
+            self._ker_ma = self.m_definite or (
+                linalg.rank_with_tol(np.vstack([self.m, self.a])) == self.n)
         return self._ker_ma
 
 
@@ -471,7 +480,7 @@ def spectrum(spec, eta):
     eta = min(max(eta, 0.0), 1.0)
     n = spec.n
     # the modal route: M definite (the nonreal_region test), axis rank-one G
-    if spec.rank_one is not None and spec.m_mass > 1e-10 * max(1.0, spec.norm_m):
+    if spec.rank_one is not None and spec.m_definite:
         lams, vecs, weights = _modal_values(spec, eta)
         discarded = 0
     else:
@@ -571,7 +580,7 @@ class Region:
 def nonreal_region(spec, eta):
     """Rectangle confining nonreal eigenvalues when M >= m I with m > 0."""
     m = spec.m_mass
-    if m <= 1e-10 * max(1.0, spec.norm_m):
+    if not spec.m_definite:
         raise MassNotDefinite("lambda_min(M) = %.3e" % m)
     return Region(re_max=eta * spec.g_top / (2.0 * m),
                   im_abs=float(np.sqrt(spec.beta / m)))
@@ -580,6 +589,6 @@ def nonreal_region(spec, eta):
 def nonsimple_real_interval(spec):
     """Interval [0, g_top/(2 m)] containing every nonsimple real eigenvalue."""
     m = spec.m_mass
-    if m <= 1e-10 * max(1.0, spec.norm_m):
+    if not spec.m_definite:
         raise MassNotDefinite("lambda_min(M) = %.3e" % m)
     return (0.0, spec.g_top / (2.0 * m))

@@ -9,9 +9,10 @@ characteristic function: counts of the origin zero, the imaginary pairs,
 the complex quadruple, and the per-interval real-zero counts.
 
 Evaluator contract: f takes a complex ndarray of points and returns an
-array of the same shape.  Sibling contours are refined together, so one
-call carries the points of several windows.  f's own exceptions
-propagate; an output of another shape raises InvalidInput.
+array of the same shape.  The search runs level by level, so one call may
+carry the contours of every cell of a subdivision level, or the Newton
+stencils of every leaf.  f's own exceptions propagate; an output of
+another shape raises InvalidInput.
 """
 
 from dataclasses import dataclass, field
@@ -82,10 +83,6 @@ def _eval(f, zs):
     return np.asarray(vals, dtype=complex)
 
 
-def _fval(f, z):
-    return _eval(f, np.asarray([z]))[0]
-
-
 def _sides(windows):
     """Start points and vectors of the windows' sides, flat (4 per window).
 
@@ -116,17 +113,17 @@ def _interleave(a, b):
     return out
 
 
-def _winding_many(f, windows, base=None):
+def _windings(f, windows, base=None):
     """Winding numbers of f around each window, refined together.
 
     Each window sees the samples a lone winding would: BOUNDARY_SAMPLES
-    base points (base, when given, holds f there for a single window),
+    base points (base, when given, holds f at every window's base points),
     then the midpoint of every segment whose phase step is at least pi/2,
     round after round.  Every round sends all windows' new points to f in
     one call.  Only open segments are kept; a settled segment's phase step
-    is added to its window's total.  When any contour meets a zero, all
-    windows still run to the end and the first such window's _BoundaryDip
-    is raised.
+    is added to its window's total.  Returns (counts, dips): when the
+    contour of window i meets a zero, counts[i] is None and dips[i] holds
+    the reason; otherwise dips[i] is None.
     """
     k = len(windows)
     sides = _sides(windows)
@@ -145,7 +142,7 @@ def _winding_many(f, windows, base=None):
     p1 = np.roll(phase, -1, axis=1).ravel()
     total = np.zeros(k)
     counts = [None] * k
-    dips = {}
+    dips = [None] * k
     live = np.ones(k, dtype=bool)
 
     def finish(mask, reason):
@@ -184,8 +181,52 @@ def _winding_many(f, windows, base=None):
         t0, t1 = _interleave(t0, mids), _interleave(mids, t1)
         p0, p1 = _interleave(p0, pm), _interleave(pm, p1)
     finish(live, "phase refinement did not settle")
-    if dips:
-        raise _BoundaryDip(dips[min(dips)])
+    return counts, dips
+
+
+def _winding_many(f, windows, base=None):
+    """The windings of _windings; when any contour meets a zero, the first
+    such window's _BoundaryDip is raised."""
+    counts, dips = _windings(f, windows, base)
+    for reason in dips:
+        if reason is not None:
+            raise _BoundaryDip(reason)
+    return counts
+
+
+def _padded(w, attempt):
+    """w expanded by 1e-6 * attempt of its size on every side."""
+    if attempt == 0:
+        return w
+    pad = 1e-6 * attempt * max(1.0, w.re_max - w.re_min, w.im_max - w.im_min)
+    return RootWindow(w.re_min - pad, w.re_max + pad,
+                      w.im_min - pad, w.im_max + pad)
+
+
+def _winding_counts(f, windows, max_retries=5, base=None):
+    """Number of zeros inside each window, counted with multiplicity.
+
+    A zero sitting on a contour is detected as an |f| dip; that window is
+    then expanded slightly and counted again, up to max_retries times, on
+    its own schedule.  Each attempt counts all windows still open in one
+    _windings batch.  base, when given, holds f at the windows' base points
+    and stands in for them on the first attempt.  The BoundaryZero raised
+    is that of the first window, in order, whose retries all dip.
+    """
+    counts = [None] * len(windows)
+    dips = [None] * len(windows)
+    todo = list(range(len(windows)))
+    for attempt in range(max_retries + 1):
+        if not todo:
+            break
+        got, dip = _windings(f, [_padded(windows[i], attempt) for i in todo],
+                             base if attempt == 0 else None)
+        for i, c, d in zip(todo, got, dip):
+            counts[i], dips[i] = c, d
+        todo = [i for i in todo if counts[i] is None]
+    for c, d in zip(counts, dips):
+        if c is None:
+            raise BoundaryZero("contour keeps passing through a zero: %s" % d)
     return counts
 
 
@@ -197,18 +238,7 @@ def winding_count(f, w, max_retries=5, base=None):
     f at w's BOUNDARY_SAMPLES base points and stands in for them on the
     first attempt.
     """
-    size = max(w.re_max - w.re_min, w.im_max - w.im_min)
-    last = None
-    for attempt in range(max_retries + 1):
-        pad = 1e-6 * attempt * max(1.0, size)
-        win = w if attempt == 0 else RootWindow(
-            w.re_min - pad, w.re_max + pad, w.im_min - pad, w.im_max + pad,
-        )
-        try:
-            return _winding_many(f, [win], base if attempt == 0 else None)[0]
-        except _BoundaryDip as exc:
-            last = exc
-    raise BoundaryZero("contour keeps passing through a zero: %s" % last)
+    return _winding_counts(f, [w], max_retries, base)[0]
 
 
 _SPLITS = (
@@ -217,86 +247,133 @@ _SPLITS = (
 )
 
 
-def _quadrisect(f, w, fx, fy):
+def _quads(w, fx, fy):
     xm = w.re_min + fx * (w.re_max - w.re_min)
     ym = w.im_min + fy * (w.im_max - w.im_min)
-    quads = [
+    return [
         RootWindow(w.re_min, xm, w.im_min, ym),
         RootWindow(xm, w.re_max, w.im_min, ym),
         RootWindow(w.re_min, xm, ym, w.im_max),
         RootWindow(xm, w.re_max, ym, w.im_max),
     ]
+
+
+def _quadrisect(f, w, fx, fy):
+    quads = _quads(w, fx, fy)
     return list(zip(quads, _winding_many(f, quads)))
 
 
-def _subdivide(f, w, wind, leaves, depth=0):
-    if wind == 0:
-        return
-    # Winding-1 cells keep shrinking until small relative to |center|:
-    # Newton started from the center of a large cell can walk into a
-    # neighboring basin, so isolation alone is not enough.
-    small = w.diameter <= max(0.02 * (1.0 + abs(w.center)), 1e-6)
-    if (wind == 1 and small) or w.diameter < 1e-8 or depth > 80:
-        leaves.append((w, wind))
-        return
-    for fx, fy in _SPLITS:
-        try:
-            quads = _quadrisect(f, w, fx, fy)
-        except _BoundaryDip:
-            continue
-        if sum(q for _, q in quads) != wind:
-            continue
-        for qw, qn in quads:
-            _subdivide(f, qw, qn, leaves, depth + 1)
-        return
-    if w.diameter < 1e-7 * (1.0 + abs(w.center)):
-        # A multiple zero split by rounding: the fragments are closer than
-        # the evaluation noise permits separating.  Keep them as one zero.
-        leaves.append((w, wind))
-        return
-    raise SubdivisionStall(
-        "no clean cut found for a cell of winding %d at diameter %.3e"
-        % (wind, w.diameter)
-    )
+def _subdivide(f, w, wind):
+    """Cells of w that isolate the zeros of f, as (cell, winding) pairs.
+
+    A cell is quadrisected by the first of the _SPLITS whose four children
+    show no |f| dip and add up to its winding.  Winding-1 cells keep
+    shrinking until small relative to |center|: Newton started from the
+    center of a large cell can walk into a neighboring basin, so isolation
+    alone is not enough.  The search runs level by level: one _windings
+    call carries the children of every pending cell, and a cell whose split
+    fails tries its next split in the next call.  Each cell keeps its
+    depth-first path (the child indices from w), so the leaves come back in
+    depth-first order, and the failure raised is the one depth-first search
+    meets first, the smallest path; cells past a known failure are dropped.
+    """
+    leaves = []     # (path, cell, winding)
+    pending = []    # (path, cell, winding, index into _SPLITS)
+    fails = []      # (path, SubdivisionStall)
+
+    def place(path, cell, n):
+        if n == 0:
+            return
+        small = cell.diameter <= max(0.02 * (1.0 + abs(cell.center)), 1e-6)
+        if (n == 1 and small) or cell.diameter < 1e-8 or len(path) > 80:
+            leaves.append((path, cell, n))
+        else:
+            pending.append((path, cell, n, 0))
+
+    place((), w, wind)
+    while pending:
+        batch = []
+        for path, cell, n, k in pending:
+            if k < len(_SPLITS):
+                batch.append((path, cell, n, k, _quads(cell, *_SPLITS[k])))
+            elif cell.diameter < 1e-7 * (1.0 + abs(cell.center)):
+                # A multiple zero split by rounding: the fragments are
+                # closer than the evaluation noise permits separating.
+                # Keep them as one zero.
+                leaves.append((path, cell, n))
+            else:
+                fails.append((path, SubdivisionStall(
+                    "no clean cut found for a cell of winding %d at "
+                    "diameter %.3e" % (n, cell.diameter))))
+        if fails:
+            first = min(path for path, _ in fails)
+            batch = [item for item in batch if item[0] < first]
+        if not batch:
+            break
+        counts, dips = _windings(f, [q for *_, quads in batch for q in quads])
+        pending = []
+        for j, (path, cell, n, k, quads) in enumerate(batch):
+            got = counts[4 * j:4 * j + 4]
+            dipped = any(d is not None for d in dips[4 * j:4 * j + 4])
+            if dipped or sum(got) != n:
+                pending.append((path, cell, n, k + 1))
+            else:
+                for c, (qw, qn) in enumerate(zip(quads, got)):
+                    place(path + (c,), qw, qn)
+    if fails:
+        raise min(fails, key=lambda item: item[0])[1]
+    leaves.sort(key=lambda leaf: leaf[0])
+    return [(cell, n) for _, cell, n in leaves]
 
 
-def _newton(f, leaf, outer, fscale, mult):
+def _newton(leaf, fscale):
+    """Newton's method from the center of a winding-1 leaf, as a task.
+
+    Yields the points it needs f at and receives f there (see _run_tasks);
+    returns [z, 1, refined, residual].
+    """
     z = leaf.center
     # Confined to the leaf (inflated by its own size): an iterate that
     # leaves it is heading for a different zero, not refining this one.
     slack = max(leaf.diameter, 1e-6 * (1.0 + abs(leaf.center)))
     for _ in range(60):
         h = 1e-6 * (1.0 + abs(z))
-        f0, fp, fm = _eval(f, [z, z + h, z - h])
+        f0, fp, fm = yield [z, z + h, z - h]
         d = (fp - fm) / (2.0 * h)
         if d == 0:
             break
-        dz = mult * f0 / d
+        dz = f0 / d
         zn = z - dz
         if not leaf.contains(zn, slack=slack):
-            return leaf.center, abs(_fval(f, leaf.center)), False
+            fc, = yield [leaf.center]
+            return [leaf.center, 1, False, abs(fc)]
         z = zn
         if abs(dz) <= 1e-13 * (1.0 + abs(z)):
             break
         if abs(f0) <= 1e-10 * fscale and abs(dz) <= 1e-9 * (1.0 + abs(z)):
             break
-    resid = abs(_fval(f, z))
-    return z, resid, resid <= 1e-10 * fscale
+    fz, = yield [z]
+    # residuals take the scalar abs: np.abs of an array can differ from it
+    # in the last bit
+    resid = abs(fz)
+    return [z, 1, resid <= 1e-10 * fscale, resid]
 
 
-def _critical_point(f, leaf):
-    """Newton on f' from the leaf center.
+def _critical_point(leaf):
+    """Newton on f' from the center of a winding-2 leaf, as a task.
 
     A double zero split by rounding into a tight pair straddles the
     critical point of f, which stays well above the noise floor even when
     f itself does not; the critical point is the pair's centroid to first
-    order, hence the accurate location of the double zero.
+    order, hence the accurate location of the double zero.  Returns
+    [z, 2, refined, residual].
     """
     z = leaf.center
+    ok = True
     slack = max(leaf.diameter, 1e-6 * (1.0 + abs(leaf.center)))
     for _ in range(40):
         h = 1e-6 * (1.0 + abs(z))
-        fm, f0, fp = _eval(f, [z - h, z, z + h])
+        fm, f0, fp = yield [z - h, z, z + h]
         d1 = (fp - fm) / (2.0 * h)
         d2 = (fp - 2.0 * f0 + fm) / (h * h)
         if d2 == 0:
@@ -304,40 +381,68 @@ def _critical_point(f, leaf):
         dz = d1 / d2
         zn = z - dz
         if not leaf.contains(zn, slack=slack):
-            return leaf.center, False
+            z, ok = leaf.center, False
+            break
         z = zn
         if abs(dz) <= 1e-12 * (1.0 + abs(z)):
-            return z, True
-    return z, True
+            break
+    fz, = yield [z]
+    return [z, 2, ok, abs(fz)]
 
 
-def find_zeros(f, w):
+def _center(leaf, wind):
+    """A leaf of winding 3 or more: its center, unrefined, as a task."""
+    fc, = yield [leaf.center]
+    return [leaf.center, wind, False, abs(fc)]
+
+
+def _run_tasks(f, tasks):
+    """Run generator tasks together; return their results in order.
+
+    A task yields a list of points and receives f at them.  Each round
+    sends the points of every unfinished task to f in one call.
+    """
+    results = [None] * len(tasks)
+    wants = [next(t) for t in tasks]
+    live = list(range(len(tasks)))
+    while live:
+        vals = _eval(f, [z for i in live for z in wants[i]])
+        pos = 0
+        still = []
+        for i in live:
+            got = vals[pos:pos + len(wants[i])]
+            pos += len(wants[i])
+            try:
+                wants[i] = tasks[i].send(got)
+                still.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+        live = still
+    return results
+
+
+def find_zeros(f, w, outer=None):
     """All zeros of f in w with certified multiplicities.
 
     The reported multiplicity of each zero is the winding number of f
     around an isolating square, and their sum is checked against the outer
-    winding count.
+    winding count.  outer, when given, is a list; the winding count of w
+    is appended to it.
     """
     base = _eval(f, _boundary_points(_sides([w]), 0, _BASE_TS))
     fscale = float(np.abs(base).max())
-    outer = winding_count(f, w, base=base)
-    if outer == 0:
+    wind = winding_count(f, w, base=base)
+    if outer is not None:
+        outer.append(wind)
+    if wind == 0:
         return []
 
-    leaves = []
-    _subdivide(f, w, outer, leaves)
-
-    raw = []
-    for leaf, wind in leaves:
-        if wind == 1:
-            z, resid, ok = _newton(f, leaf, w, fscale, mult=1)
-            raw.append([z, 1, ok, resid])
-        elif wind == 2:
-            z, ok = _critical_point(f, leaf)
-            raw.append([z, 2, ok, abs(_fval(f, z))])
-        else:
-            c = leaf.center
-            raw.append([c, wind, False, abs(_fval(f, c))])
+    raw = _run_tasks(f, [
+        _newton(leaf, fscale) if n == 1
+        else _critical_point(leaf) if n == 2
+        else _center(leaf, n)
+        for leaf, n in _subdivide(f, w, wind)
+    ])
 
     # Merge duplicates.  A multiple zero splits under rounding into a tight
     # cluster of radius about sqrt(eps)*scale, so cells resolve it as
@@ -361,27 +466,27 @@ def find_zeros(f, w):
             hit[3] = max(hit[3], resid)
     for item in merged:
         item[0] /= item[1]
-        item[3] = abs(_fval(f, item[0]))
+    for item, val in zip(merged, _eval(f, [item[0] for item in merged])):
+        item[3] = abs(val)
 
-    records = []
+    squares = []
     for i, (z, mult, ok, resid) in enumerate(merged):
         dists = [abs(z - other[0]) for j, other in enumerate(merged) if j != i]
         r_iso = max(1e-7, 0.01 * min(dists)) if dists else max(1e-7, 0.01)
-        square = RootWindow(z.real - r_iso, z.real + r_iso,
-                            z.imag - r_iso, z.imag + r_iso)
-        certified = winding_count(f, square, max_retries=3)
-        if certified <= 0:
-            certified = mult
-        records.append(ZeroRecord(
-            z=complex(z), multiplicity=int(certified),
-            refined=bool(ok), residual=float(resid),
-        ))
+        squares.append(RootWindow(z.real - r_iso, z.real + r_iso,
+                                  z.imag - r_iso, z.imag + r_iso))
+    certified = _winding_counts(f, squares, max_retries=3)
+    records = [
+        ZeroRecord(z=complex(z), multiplicity=int(c if c > 0 else mult),
+                   refined=bool(ok), residual=float(resid))
+        for (z, mult, ok, resid), c in zip(merged, certified)
+    ]
 
     total = sum(r.multiplicity for r in records)
-    if total != outer:
+    if total != wind:
         raise SubdivisionStall(
             "multiplicities sum to %d but the window holds %d zeros"
-            % (total, outer)
+            % (total, wind)
         )
     return records
 
@@ -401,14 +506,13 @@ class ResonantCountReport:
 
 
 def _counted_zeros(f, w, label, log):
-    zeros = find_zeros(f, w)
-    # find_zeros raises unless the multiplicities sum to the winding of w
-    total = int(sum(z.multiplicity for z in zeros))
+    outer = []
+    zeros = find_zeros(f, w, outer)
     log.append({
         "label": label,
         "window": [w.re_min, w.re_max, w.im_min, w.im_max],
-        "winding": total,
-        "mult_sum": total,
+        "winding": outer[0],
+        "mult_sum": int(sum(z.multiplicity for z in zeros)),
     })
     return zeros
 
@@ -507,10 +611,23 @@ def verify_resonant_counts(q, a, alpha):
             moduli.extend([m] * z.multiplicity)
     moduli.sort()
 
+    # the fixed windows of (d)-(g), counted in one batch and read in order
+    npairs = min(10, max(0, len(moduli) - 1))
+    pairs = [(moduli[i], moduli[i + 1]) for i in range(npairs)]
+    decoupled = [(np.sqrt((np.pi * j / a) ** 2 - q),
+                  np.sqrt((np.pi * (j + 1) / a) ** 2 - q))
+                 for j in range(n_res, n_res + 10)]
+    margin = 0.01
+    counts = iter(_winding_counts(f, (
+        [RootWindow(0.02, moduli[0] - 0.02, -0.05, 0.05)] if moduli else [])
+        + [RootWindow(m - 1e-4, m + 1e-4, -1e-4, 1e-4) for m in moduli[:10]]
+        + [RootWindow(lo, hi, -0.05, 0.05) for lo, hi in pairs]
+        + [RootWindow(lo + margin, hi - margin, -0.05, 0.05)
+           for lo, hi in decoupled]))
+
     # (d) no zeros between 0 and the smallest coupled modulus
     if moduli:
-        wgap = RootWindow(0.02, moduli[0] - 0.02, -0.05, 0.05)
-        gapcount = winding_count(f, wgap)
+        gapcount = next(counts)
         checks.append(
             passed("gap_above_zero_free", "(0, %.6g) clear" % moduli[0])
             if gapcount == 0 else
@@ -520,11 +637,7 @@ def verify_resonant_counts(q, a, alpha):
         checks.append(failed("gap_above_zero_free", "no coupled moduli found"))
 
     # (e) the moduli themselves are never zeros
-    bad = []
-    for m in moduli[:10]:
-        wm = RootWindow(m - 1e-4, m + 1e-4, -1e-4, 1e-4)
-        if winding_count(f, wm) != 0:
-            bad.append(complex(m))
+    bad = [complex(m) for m in moduli[:10] if next(counts) != 0]
     checks.append(
         failed("modulus_not_zero", "zeros at %r" % bad, bad)
         if bad else
@@ -532,13 +645,7 @@ def verify_resonant_counts(q, a, alpha):
     )
 
     # (f) two real zeros between consecutive coupled moduli
-    bad = []
-    npairs = min(10, max(0, len(moduli) - 1))
-    for i in range(npairs):
-        wint = RootWindow(moduli[i], moduli[i + 1], -0.05, 0.05)
-        c = winding_count(f, wint)
-        if c != 2:
-            bad.append((moduli[i], moduli[i + 1], c))
+    bad = [(lo, hi, c) for (lo, hi), c in zip(pairs, counts) if c != 2]
     checks.append(
         failed("paired_interval_count", "off counts: %r" % bad)
         if bad else
@@ -546,15 +653,7 @@ def verify_resonant_counts(q, a, alpha):
     )
 
     # (g) one zero between consecutive decoupled positives
-    bad = []
-    for j in range(n_res, n_res + 10):
-        lo = np.sqrt((np.pi * j / a) ** 2 - q)
-        hi = np.sqrt((np.pi * (j + 1) / a) ** 2 - q)
-        margin = 0.01
-        wint = RootWindow(lo + margin, hi - margin, -0.05, 0.05)
-        c = winding_count(f, wint)
-        if c != 1:
-            bad.append((lo, hi, c))
+    bad = [(lo, hi, c) for (lo, hi), c in zip(decoupled, counts) if c != 1]
     checks.append(
         failed("decoupled_gap_count", "off counts: %r" % bad)
         if bad else

@@ -12,7 +12,9 @@ import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
 from gyropencil.pencil import PencilSpec, RankOneCoupling
-from gyropencil.rootfind import _BoundaryDip
+from gyropencil import rootfind
+from gyropencil.errors import SubdivisionStall
+from gyropencil.rootfind import RootWindow, ZeroRecord, _BoundaryDip
 
 
 def perm_sign(perm):
@@ -202,6 +204,149 @@ def winding_once(f, w, npts=256):
         ts, vals = ts[order], vals[order]
         fmax = max(fmax, float(np.abs(vals).max()))
     raise _BoundaryDip("phase refinement did not settle")
+
+
+def _fval(f, z):
+    return rootfind._eval(f, np.asarray([z]))[0]
+
+
+def subdivide_dfs(f, w, wind, leaves, depth=0):
+    """Depth-first subdivision, one cell at a time.
+
+    The recursive engine the level-synchronous rootfind._subdivide
+    replaced: it appends (cell, winding) leaves in depth-first order and
+    raises the first SubdivisionStall it meets.
+    """
+    if wind == 0:
+        return
+    small = w.diameter <= max(0.02 * (1.0 + abs(w.center)), 1e-6)
+    if (wind == 1 and small) or w.diameter < 1e-8 or depth > 80:
+        leaves.append((w, wind))
+        return
+    for fx, fy in rootfind._SPLITS:
+        try:
+            quads = rootfind._quadrisect(f, w, fx, fy)
+        except _BoundaryDip:
+            continue
+        if sum(q for _, q in quads) != wind:
+            continue
+        for qw, qn in quads:
+            subdivide_dfs(f, qw, qn, leaves, depth + 1)
+        return
+    if w.diameter < 1e-7 * (1.0 + abs(w.center)):
+        leaves.append((w, wind))
+        return
+    raise SubdivisionStall(
+        "no clean cut found for a cell of winding %d at diameter %.3e"
+        % (wind, w.diameter)
+    )
+
+
+def newton_leaf(f, leaf, fscale, mult):
+    """Newton's method on one leaf, one 3-point stencil call per step."""
+    z = leaf.center
+    slack = max(leaf.diameter, 1e-6 * (1.0 + abs(leaf.center)))
+    for _ in range(60):
+        h = 1e-6 * (1.0 + abs(z))
+        f0, fp, fm = rootfind._eval(f, [z, z + h, z - h])
+        d = (fp - fm) / (2.0 * h)
+        if d == 0:
+            break
+        dz = mult * f0 / d
+        zn = z - dz
+        if not leaf.contains(zn, slack=slack):
+            return leaf.center, abs(_fval(f, leaf.center)), False
+        z = zn
+        if abs(dz) <= 1e-13 * (1.0 + abs(z)):
+            break
+        if abs(f0) <= 1e-10 * fscale and abs(dz) <= 1e-9 * (1.0 + abs(z)):
+            break
+    resid = abs(_fval(f, z))
+    return z, resid, resid <= 1e-10 * fscale
+
+
+def critical_point_leaf(f, leaf):
+    """Newton on f' for one leaf, one 3-point stencil call per step."""
+    z = leaf.center
+    slack = max(leaf.diameter, 1e-6 * (1.0 + abs(leaf.center)))
+    for _ in range(40):
+        h = 1e-6 * (1.0 + abs(z))
+        fm, f0, fp = rootfind._eval(f, [z - h, z, z + h])
+        d1 = (fp - fm) / (2.0 * h)
+        d2 = (fp - 2.0 * f0 + fm) / (h * h)
+        if d2 == 0:
+            break
+        dz = d1 / d2
+        zn = z - dz
+        if not leaf.contains(zn, slack=slack):
+            return leaf.center, False
+        z = zn
+        if abs(dz) <= 1e-12 * (1.0 + abs(z)):
+            return z, True
+    return z, True
+
+
+def find_zeros_dfs(f, w):
+    """rootfind.find_zeros as it ran before the level-synchronous engine:
+    depth-first subdivision, one leaf polished at a time, one evaluation
+    per merged zero and one winding_count per isolating square."""
+    base = rootfind._eval(f, rootfind._boundary_points(
+        rootfind._sides([w]), 0, rootfind._BASE_TS))
+    fscale = float(np.abs(base).max())
+    outer = rootfind.winding_count(f, w, base=base)
+    if outer == 0:
+        return []
+    leaves = []
+    subdivide_dfs(f, w, outer, leaves)
+    raw = []
+    for leaf, wind in leaves:
+        if wind == 1:
+            z, resid, ok = newton_leaf(f, leaf, fscale, mult=1)
+            raw.append([z, 1, ok, resid])
+        elif wind == 2:
+            z, ok = critical_point_leaf(f, leaf)
+            raw.append([z, 2, ok, abs(_fval(f, z))])
+        else:
+            c = leaf.center
+            raw.append([c, wind, False, abs(_fval(f, c))])
+    raw.sort(key=lambda r: (r[0].real, r[0].imag))
+    merged = []
+    for z, mult, ok, resid in raw:
+        hit = None
+        for item in merged:
+            if abs(item[0] / item[1] - z) <= 3e-7 * (1.0 + abs(z)):
+                hit = item
+                break
+        if hit is None:
+            merged.append([z * mult, mult, ok, resid])
+        else:
+            hit[0] += z * mult
+            hit[1] += mult
+            hit[2] = hit[2] and ok
+            hit[3] = max(hit[3], resid)
+    for item in merged:
+        item[0] /= item[1]
+        item[3] = abs(_fval(f, item[0]))
+    records = []
+    for i, (z, mult, ok, resid) in enumerate(merged):
+        dists = [abs(z - other[0]) for j, other in enumerate(merged) if j != i]
+        r_iso = max(1e-7, 0.01 * min(dists)) if dists else max(1e-7, 0.01)
+        square = RootWindow(z.real - r_iso, z.real + r_iso,
+                            z.imag - r_iso, z.imag + r_iso)
+        certified = rootfind.winding_count(f, square, max_retries=3)
+        if certified <= 0:
+            certified = mult
+        records.append(ZeroRecord(
+            z=complex(z), multiplicity=int(certified),
+            refined=bool(ok), residual=float(resid),
+        ))
+    total = sum(r.multiplicity for r in records)
+    if total != outer:
+        raise SubdivisionStall(
+            "multiplicities sum to %d but the window holds %d zeros"
+            % (total, outer)
+        )
+    return records
 
 
 def mirror_spec(rng):

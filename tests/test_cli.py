@@ -163,6 +163,33 @@ def test_roots_omega_bundle(capsys):
         assert entry["winding"] == entry["mult_sum"]
 
 
+_DIP = "error: contour keeps passing through a zero: |f| dips to zero on the contour\n"
+
+
+@pytest.mark.parametrize("q, a, alpha, err", [
+    ("16.0", "pi", "1.0", _DIP),
+    ("25.0", "pi", "1.0", _DIP),
+    ("4.703950536043968", "2.897", "0.958",
+     "error: no clean cut found for a cell of winding 2 at diameter 5.480e-07\n"),
+])
+def test_roots_omega_recorded_errors(capsys, q, a, alpha, err):
+    # the error raised first, as a depth-first search meets it
+    code, out, got = run_cli(
+        capsys, "roots", "--fn", "omega", "--q", q, "--a", a, "--alpha", alpha)
+    assert (code, out, got) == (1, "", err)
+
+
+def test_roots_omega_recorded_origin_defect(capsys):
+    # the origin double zero lands 3.7e-8 off 0, outside the 1e-8 check
+    code, out, _ = run_cli(
+        capsys, "roots", "--fn", "omega", "--q", "9.0", "--a", "pi",
+        "--alpha", "0.5")
+    assert code == 1
+    doc = json.loads(out)
+    assert [c["name"] for c in doc["checks"] if c["status"] != "pass"] == [
+        "origin_double_zero"]
+
+
 def test_roots_omega_nonresonant_rejected(capsys):
     code, _, err = run_cli(
         capsys, "roots", "--fn", "omega", "--q", "3", "--a", "pi")

@@ -340,6 +340,37 @@ def test_modal_route_matches_linearization(kind, seed, eta):
         assert got == (alg, geo, type1, alg - type1), (rec.lam, got, ref[j])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_GENERATORS) + ["definite"]),
+       st.integers(0, 2**32 - 1))
+def test_ker_ma_shortcut_matches_rank(kind, seed):
+    # M definite answers ker M ∩ ker A = {0} without the rank SVD
+    rng = np.random.default_rng(seed)
+    spec = (support.rand_definite_spec(rng) if kind == "definite"
+            else _GENERATORS[kind](rng))
+    assert spec.m_definite
+    rank = linalg.rank_with_tol(np.vstack([spec.m, spec.a]))
+    assert spec.ker_ma_trivial == (rank == spec.n)
+
+
+def test_ker_ma_rank_runs_only_for_singular_mass(monkeypatch):
+    for spec in (fixtures.w1(), fixtures.w2()):
+        assert not spec.m_definite
+        rank = linalg.rank_with_tol(np.vstack([spec.m, spec.a]))
+        assert spec.ker_ma_trivial == (rank == spec.n)
+    # a common kernel vector of M and A
+    spec = PencilSpec(np.diag([1.0, 0.0]), np.eye(2), np.diag([2.0, 0.0]),
+                      validate=False)
+    assert not spec.ker_ma_trivial
+
+    def no_rank(mat, tol=0.0):
+        raise AssertionError("rank SVD on a definite M")
+
+    spec = support.rand_definite_spec(np.random.default_rng(5))
+    monkeypatch.setattr(linalg, "rank_with_tol", no_rank)
+    assert spec.ker_ma_trivial
+
+
 def _permuted_spec(spec, perm):
     """The same pencil with coordinate i moved to position inv[i]."""
     sub = np.ix_(perm, perm)

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gyropencil import rootfind, sturm
-from gyropencil.errors import InvalidInput, PreconditionInteger
+from gyropencil.errors import (
+    GyropencilError, InvalidInput, PreconditionInteger, SubdivisionStall,
+)
 from gyropencil.rootfind import RootWindow, find_zeros, winding_count
 
 import support
@@ -122,6 +124,21 @@ def test_resonant_bundle_q4():
     assert support.max_pair_distance(zs, np.conj(zs)) <= 1e-9
     for entry in rep.conservation:
         assert entry["winding"] == entry["mult_sum"], entry
+    # the main window's winding against its 2x2 partition, cut off the
+    # real axis and away from every zero found
+    main, = [e for e in rep.conservation if e["label"] == "main"]
+    re_min, re_max, im_min, im_max = main["window"]
+    xcut, ycut = 2.71, 0.37
+    assert all(abs(z.z.real - xcut) > 0.05 and abs(z.z.imag - ycut) > 0.05
+               for z in rep.zeros_main)
+
+    def f(lam):
+        return sturm.omega(lam, 4.0, np.pi, 1.0)
+
+    parts = sum(winding_count(f, RootWindow(x0, x1, y0, y1))
+                for x0, x1 in ((re_min, xcut), (xcut, re_max))
+                for y0, y1 in ((im_min, ycut), (ycut, im_max)))
+    assert main["winding"] == parts > 0
 
 
 def test_resonant_bundle_q1():
@@ -229,6 +246,21 @@ def test_resonant_bundle_call_budget(monkeypatch):
     assert len(calls) <= 1236, len(calls)
 
 
+def test_resonant_bundle_level_call_budget(monkeypatch):
+    # a subdivision level, the leaves' stencils and the fixed windows each
+    # share one call (954 calls when cells and leaves went one at a time)
+    calls = []
+
+    def counted(lam, q, a, alpha):
+        calls.append(np.size(lam))
+        return sturm.omega(lam, q, a, alpha)
+
+    monkeypatch.setattr(rootfind, "omega", counted)
+    rep = rootfind.verify_resonant_counts(4.0, np.pi, 1.0)
+    assert rep.all_pass
+    assert len(calls) <= 350, len(calls)
+
+
 def test_evaluator_errors_propagate():
     class Broken(Exception):
         pass
@@ -254,3 +286,89 @@ def test_evaluator_shape_mismatch_is_invalid_input():
         winding_count(lambda z: complex(np.sum(z)), w)
     with pytest.raises(InvalidInput):
         find_zeros(lambda z: z[:-1], w)
+
+
+def _poly(roots):
+    """The monic polynomial with these roots, as an evaluator."""
+    def f(z):
+        out = np.ones_like(z)
+        for r in roots:
+            out = out * (z - r)
+        return out
+    return f
+
+
+def _cut_zero(w, axis, frac, pos):
+    """A point of w on the line that a split at frac cuts along axis
+    (0: re, 1: im), at relative position pos along that line."""
+    x = w.re_min + (frac if axis == 0 else pos) * (w.re_max - w.re_min)
+    y = w.im_min + (pos if axis == 0 else frac) * (w.im_max - w.im_min)
+    return complex(x, y)
+
+
+# a zero of multiplicity 1 or 2: free in the window, or on a cut line of
+# the first split (frac of w) or of a quarter's split (frac of w's lower
+# left quarter), so that splits dip and retry
+_poly_zero = st.tuples(
+    st.sampled_from(["free", "cut", "quarter"]),
+    st.integers(0, 1),
+    st.sampled_from([0.5, 0.513, 0.487]),
+    st.floats(0.05, 0.95),
+    st.floats(0.05, 0.95),
+    st.integers(1, 2),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_poly_zero, min_size=1, max_size=4),
+       st.floats(-1.0, 0.5), st.floats(-1.0, 0.5))
+def test_level_synchronous_search_matches_depth_first(zero_specs, x0, y0):
+    w = RootWindow(x0, x0 + 1.7, y0, y0 + 1.3)
+    quarter = rootfind._quads(w, 0.5, 0.5)[0]
+    roots = []
+    for kind, axis, frac, u, v, mult in zero_specs:
+        if kind == "free":
+            z = _cut_zero(w, 0, u, v)
+        else:
+            z = _cut_zero(w if kind == "cut" else quarter, axis, frac, u)
+        roots.extend([z] * mult)
+    f = _poly(roots)
+
+    def outcome(run):
+        try:
+            return run()
+        except GyropencilError as exc:
+            return type(exc), str(exc)
+
+    wind = winding_count(f, w)
+    want_leaves = []
+    want = outcome(lambda: support.subdivide_dfs(f, w, wind, want_leaves))
+    got = outcome(lambda: rootfind._subdivide(f, w, wind))
+    assert got == (want if want is not None else want_leaves)
+    assert outcome(lambda: find_zeros(f, w)) == outcome(
+        lambda: support.find_zeros_dfs(f, w))
+
+
+def test_subdivision_raises_the_first_stall_depth_first():
+    # Two cells stall: every split of the lower-left quarter of the
+    # lower-left quarter dips on a zero on its vertical cut lines (winding
+    # 5), every split of the upper-right quarter on its horizontal ones
+    # (winding 6).  The upper-right stall is found a round earlier, but
+    # depth-first search meets the lower-left one first, and so must the
+    # level-synchronous search.
+    w = RootWindow(-1.0, 1.0, -1.0, 1.0)
+    lower = RootWindow(-1.0, -0.5, -1.0, -0.5)
+    upper = RootWindow(0.0, 1.0, 0.0, 1.0)
+    roots = [_cut_zero(lower, 0, frac, 0.3)
+             for frac in (0.5, 0.513, 0.487, 0.531, 0.469)]
+    roots += [_cut_zero(upper, 1, frac, 0.3)
+              for frac in (0.5, 0.513, 0.487, 0.531, 0.469, 0.549)]
+    f = _poly(roots)
+
+    assert winding_count(f, w) == 11
+    with pytest.raises(SubdivisionStall) as exc:
+        support.subdivide_dfs(f, w, 11, [])
+    assert "winding 5" in str(exc.value)
+    with pytest.raises(SubdivisionStall) as got:
+        rootfind._subdivide(f, w, 11)
+    assert str(got.value) == str(exc.value)
