@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     EnumerationAmbiguous,
     HypothesisViolated,
@@ -21,6 +20,7 @@ from .errors import (
     PreconditionKerMA,
 )
 from .pencil import (
+    count_negative_modes,
     nonreal_region,
     nonsimple_real_interval,
     spectrum,
@@ -87,7 +87,7 @@ def check_halfplane(spec, result):
 def check_real_when_a_psd(spec, result):
     """A >= 0 forces a real spectrum; A > 0 additionally excludes 0."""
     name = "real_spectrum_when_a_psd"
-    amin = float(np.linalg.eigvalsh(spec.a)[0])
+    amin = spec.a_min
     floor = 1e-10 * max(1.0, spec.norm_a)
     if amin < -floor:
         return skipped(name, "A has a negative eigenvalue (%.3e)" % amin)
@@ -123,26 +123,14 @@ def check_negative_semisimple(spec, result):
     return passed("negative_eigenvalues_semisimple")
 
 
-def _kernel_dims(spec):
-    # physics-scale rank tolerances: the engineered kernels carried by the
-    # discretizations are exact only to ~1e-13 * norm, so the machine-eps
-    # default is too sharp here
-    na = max(spec.norm_a, np.finfo(float).tiny)
-    n_ker = spec.n - linalg.rank_with_tol(spec.a, tol=1e-8 * na)
-    stack = np.vstack([spec.a, spec.g])
-    p = spec.n - linalg.rank_with_tol(stack, tol=1e-8 * max(na, spec.norm_g))
-    return n_ker, p
-
-
 def check_zero_multiplicity(spec, result):
     """alg mult of 0 equals dim(ker A cap ker G) + dim ker A."""
     name = "zero_eigenvalue_multiplicity"
-    mg_min = float(np.linalg.eigvalsh(spec.m + spec.g)[0])
-    if mg_min < 1e-8:
+    if spec.mg_min < 1e-8:
         raise HypothesisViolated(
-            "M+G must be uniformly positive (min eig %.3e)" % mg_min
+            "M+G must be uniformly positive (min eig %.3e)" % spec.mg_min
         )
-    n_ker, p = _kernel_dims(spec)
+    n_ker, p = spec.kernel_dims
     rec = result.find(0.0, tol=1e-7 * result.scale)
     alg0 = rec.alg_mult if rec is not None else 0
     expect = p + n_ker
@@ -286,10 +274,9 @@ def _gate_type2(spec, eta):
         raise HypothesisViolated("rank-one coupling required")
     if not spec.ker_ma_trivial:
         raise PreconditionKerMA("ker M and ker A must intersect trivially")
-    mg_min = float(np.linalg.eigvalsh(spec.m + spec.g)[0])
-    if mg_min < 1e-8:
+    if spec.mg_min < 1e-8:
         raise HypothesisViolated(
-            "M+G must be uniformly positive (min eig %.3e)" % mg_min
+            "M+G must be uniformly positive (min eig %.3e)" % spec.mg_min
         )
     if not spec.m_definite:
         raise HypothesisViolated("count statements are gated on M > 0")
@@ -359,12 +346,12 @@ def type2_statistics(spec, eta=1.0, result=None):
         idx = int(np.searchsorted(moduli, v))
         counts[idx] += t2
 
-    n_ker, p = _kernel_dims(spec)
+    n_ker, p = spec.kernel_dims
     z2 = p < n_ker
     kappa_tilde = 0.5 * (
         counts[0] - (1 if z2 else 0) + sum(c - 1 for c in counts[1:])
     )
-    kappa_a = linalg.count_negative_eigs_pencil(spec.a, spec.m)
+    kappa_a = count_negative_modes(spec)
     return Type2Stats(
         eta=float(eta),
         moduli=moduli,

@@ -7,13 +7,18 @@ rank-one coupling G = b e e^T.  spectrum() takes one of two routes:
 - M definite with an axis rank-one G (the modal route): the modes of
   (A, M) are solved once per spec.  Modes without a component on the
   coupling axis give the type I values +-sqrt(mu) directly; the coupled
-  modes alone go through a small companion eigenproblem that carries eta.
+  values are the zeros of the secular function
+  f(lam) = 1 - eta b lam sum_k w_k^2 / (lam^2 - mu_k) times the pole
+  product, solved per eta (eigvals of a small companion below a size
+  crossover).  Inclusion discs around them certify the multiplicities, and
+  records take geo, types and vectors from the modal structure.
 - every other pencil (the companion route): substitute nu = lambda - sigma
   with L(sigma, eta) invertible, reverse mu = 1/nu, and solve the standard
   companion eigenproblem of the reversed polynomial.  Eigenvalues at
   infinity (singular M) show up as mu ~ 0 and are discarded but counted.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +59,25 @@ class ConditionReport:
         return [name for name, ok, _ in self.clauses if not ok]
 
 
+def _diagonal(mat):
+    """The diagonal of a real matrix whose off-diagonal entries are all
+    zero, else None."""
+    if np.iscomplexobj(mat):
+        return None
+    diag = np.diagonal(mat)
+    if np.count_nonzero(mat) != np.count_nonzero(diag):
+        return None
+    return diag.copy()
+
+
+def _eigvalsh(mat, diag):
+    """Ascending eigenvalues of the symmetric part of mat.  For a diagonal
+    matrix they are its sorted diagonal, which is what eigvalsh returns."""
+    if diag is not None:
+        return np.sort(diag)
+    return sla.eigvalsh(0.5 * (mat + mat.T), check_finite=False)
+
+
 class PencilSpec:
     """Validated triple (M, G, A) plus derived constants.
 
@@ -75,13 +99,18 @@ class PencilSpec:
         self.m_kind = m_kind
         self.g_kind = g_kind or ("rank_one" if rank_one is not None else "dense")
 
-        m_eigs = sla.eigvalsh(0.5 * (self.m + self.m.T), check_finite=False)
-        g_eigs = sla.eigvalsh(0.5 * (self.g + self.g.T), check_finite=False)
-        a_eigs = sla.eigvalsh(0.5 * (self.a + self.a.T), check_finite=False)
+        # None unless M is diagonal; then M V is a row scaling
+        self.m_diag = _diagonal(self.m)
+        # the rows of G that hold a nonzero entry
+        self.g_rows = np.flatnonzero(np.any(self.g != 0.0, axis=1))
+        m_eigs = _eigvalsh(self.m, self.m_diag)
+        g_eigs = _eigvalsh(self.g, _diagonal(self.g))
+        a_eigs = _eigvalsh(self.a, _diagonal(self.a))
         self.m_mass = float(m_eigs[0])
         self.g_min = float(g_eigs[0])
         self.g_top = float(g_eigs[-1])
-        self.beta = max(0.0, -float(a_eigs[0]))
+        self.a_min = float(a_eigs[0]) if self.n else 0.0
+        self.beta = max(0.0, -self.a_min)
         self.norm_m = float(np.max(np.abs(m_eigs))) if self.n else 0.0
         self.norm_g = float(np.max(np.abs(g_eigs))) if self.n else 0.0
         self.norm_a = float(np.max(np.abs(a_eigs))) if self.n else 0.0
@@ -100,6 +129,32 @@ class PencilSpec:
                     report,
                 )
             self.condition_report = report
+
+    @functools.cached_property
+    def residual_stack(self):
+        """[A; G's nonzero rows; M], with M left out when it is diagonal."""
+        parts = [self.a, self.g[self.g_rows]]
+        if self.m_diag is None:
+            parts.append(self.m)
+        return np.vstack(parts)
+
+    @functools.cached_property
+    def mg_min(self):
+        """lambda_min(M + G)."""
+        return float(np.linalg.eigvalsh(self.m + self.g)[0])
+
+    @functools.cached_property
+    def kernel_dims(self):
+        """(dim ker A, dim(ker A ∩ ker G)) at physics-scale rank tolerances.
+
+        The engineered kernels carried by the discretizations are exact
+        only to ~1e-13 * norm, so the machine-eps default is too sharp here.
+        """
+        na = max(self.norm_a, np.finfo(float).tiny)
+        n_ker = self.n - linalg.rank_with_tol(self.a, tol=1e-8 * na)
+        stack = np.vstack([self.a, self.g])
+        p = self.n - linalg.rank_with_tol(stack, tol=1e-8 * max(na, self.norm_g))
+        return n_ker, p
 
     @property
     def m_definite(self):
@@ -292,7 +347,7 @@ def _stacked_type1(spec, lams, eta, spreads):
     lams = np.where(zero, 0.0, lams)
     etas = np.where(zero, 0.0, eta)
     spreads = np.where(zero, 0.0, spreads)
-    g_rows = spec.g[np.any(spec.g != 0.0, axis=1)]
+    g_rows = spec.g[spec.g_rows]
     rows = n + g_rows.shape[0]
     chunk = max(1, _SVD_BATCH // max(1, rows * n))
     dims = np.zeros(lams.size, dtype=int)
@@ -320,22 +375,30 @@ def _simple_pairs(spec, eta, lams, vecs):
     """Unit eigenvectors and residuals ||L(lam, eta) v|| for simple values.
 
     Column j of vecs belongs to lams[j].  A vector whose imaginary part is
-    rounding noise is made exactly real.  The residuals come from M V, G V
-    and A V in one product, so they may differ from a per-value evaluate()
-    in the last bits.
+    rounding noise is made exactly real.  The residuals come from one
+    product with the stack [A; G's nonzero rows; M] (M left out when
+    diagonal), so they may differ from a per-value evaluate() in the last
+    bits.
     """
     nrm = np.linalg.norm(vecs, axis=0)
     vecs = vecs / np.where(nrm > 0.0, nrm, 1.0)
     noise = np.max(np.abs(vecs.imag), axis=0) <= 1e-14 * np.maximum(
         1.0, np.max(np.abs(vecs.real), axis=0))
     vecs[:, noise] = vecs[:, noise].real
-    n = spec.n
-    mga = np.vstack([spec.m, spec.g, spec.a])
-    prod = (mga @ vecs.real).astype(complex)
+    n, rows = spec.n, spec.g_rows
+    stack = spec.residual_stack
+    prod = stack @ vecs.real
     cplx = np.flatnonzero(~noise)
-    if cplx.size:
-        prod[:, cplx] += 1j * (mga @ vecs.imag[:, cplx])
-    resid = (lams * lams) * prod[:n] - (lams * eta) * prod[n:2 * n] - prod[2 * n:]
+    if cplx.size or np.any(lams.imag):
+        prod = prod.astype(complex)
+        if cplx.size:
+            prod[:, cplx] += 1j * (stack @ vecs.imag[:, cplx])
+        v = vecs
+    else:
+        lams, v = lams.real, vecs.real
+    mv = prod[n + rows.size:] if spec.m_diag is None else spec.m_diag[:, None] * v
+    resid = (lams * lams) * mv - prod[:n]
+    resid[rows] -= (lams * eta) * prod[n:n + rows.size]
     return vecs, np.linalg.norm(resid, axis=0)
 
 
@@ -364,6 +427,38 @@ def _fill_types(spec, eta, records, type1=None):
         rec.zero_flagged = z
 
 
+@dataclass
+class Modes:
+    """Modes of (A, M) for the modal route and what follows from them
+    alone, solved once per spec.
+
+    mu holds every mode's eigenvalue, and mu_max is max(1, max |mu|); cpl
+    indexes the coupled modes (components w_c on the coupling axis,
+    vectors phi_c), and q = (sqrt(mu_c), -sqrt(mu_c)) are the poles of
+    their secular function, with weights eta b q_weight and uncertainties
+    q_err.  Each decoupled mode gives a value per sign in d_val (a zero
+    pair for a zero mode).  d_group numbers the values outside the zero
+    band (indices d_out) by degenerate run and sign, and g_mean holds each
+    such group's mean.  d_col marks the values that bring their mode's
+    vector, the columns of d_vecs (a zero pair brings one).
+    """
+
+    mu: np.ndarray
+    mu_max: float
+    cpl: np.ndarray
+    w_c: np.ndarray
+    phi_c: np.ndarray
+    q: np.ndarray
+    q_weight: np.ndarray
+    q_err: np.ndarray
+    d_val: np.ndarray
+    d_out: np.ndarray
+    d_group: np.ndarray
+    g_mean: np.ndarray
+    d_col: np.ndarray
+    d_vecs: np.ndarray
+
+
 def _modes(spec):
     """The eta-independent part of the modal route, solved on first use.
 
@@ -374,11 +469,9 @@ def _modes(spec):
     mixes modes, so a group only holds mu equal up to rounding (relative
     gap 1e-9): a wider group would move values by its spread and call a
     coupled neighbour decoupled.  A mode is decoupled when
-    |w_k| <= 1e-8 max |w|; it gives +-sqrt(mu) with its own vector, or a
-    zero pair that counts once as type I when |mu| is below the floor.
-
-    Returns (values, vectors, type I weights) of the decoupled modes and
-    (mu, w, phi) of the coupled ones.
+    |w_k| <= 1e-8 max |w|.  The coupled mu are then distinct and their w
+    nonzero, so the coupled block is unreduced.  A decoupled mode with
+    |mu| <= 1e-9 max(1, max |mu|) is a zero mode.
     """
     if spec._modes is not None:
         return spec._modes
@@ -388,12 +481,14 @@ def _modes(spec):
         raise NoConvergence("eigh(A, M) failed: %s" % exc)
     w = phi[spec.rank_one.e_index].copy()
     cut = 1e-8 * float(np.max(np.abs(w)))
+    group = np.empty(mu.size, dtype=int)
     i = 0
     while i < mu.size:
         j = i + 1
         gtol = 1e-9 * max(1.0, abs(mu[i]))
         while j < mu.size and abs(mu[j] - mu[i]) <= gtol:
             j += 1
+        group[i:j] = i
         if np.count_nonzero(np.abs(w[i:j]) > cut) > 1:
             head = np.copysign(np.linalg.norm(w[i:j]), w[i])
             v = w[i:j].copy()
@@ -404,33 +499,429 @@ def _modes(spec):
             w[i:j] = 0.0
             w[i] = -head
         i = j
-    dec = np.abs(w) <= 1e-8 * float(np.max(np.abs(w)))
-    zero = np.abs(mu[dec]) <= 1e-9 * max(1.0, float(np.max(np.abs(mu))))
-    root = np.where(zero, 0.0, np.sqrt(mu[dec].astype(complex)))
-    decoupled = (np.concatenate([root, 0.0 - root]), np.hstack([phi[:, dec]] * 2),
-                 np.concatenate([np.ones(root.size, dtype=int), (~zero).astype(int)]))
-    spec._modes = decoupled, (mu[~dec], w[~dec], phi[:, ~dec])
+    mu_max = max(1.0, float(np.max(np.abs(mu))))
+    coupled = np.abs(w) > 1e-8 * float(np.max(np.abs(w)))
+    cpl = np.flatnonzero(coupled)
+    dec = np.flatnonzero(~coupled)
+    p = np.sqrt(mu[cpl].astype(complex))
+    root = np.sqrt(mu[dec].astype(complex))
+    root[np.abs(mu[dec]) <= 1e-9 * mu_max] = 0.0
+    d_val = np.concatenate([root, 0.0 - root])
+    d_mode = np.concatenate([dec, dec])
+    d_band = np.abs(d_val) <= 1e-7 * spec.scale
+    keys, d_group = np.unique(np.concatenate([group[dec], -1 - group[dec]])[~d_band],
+                              return_inverse=True)
+    out = d_val[~d_band]
+    g_mean = (np.bincount(d_group, out.real, keys.size)
+              + 1j * np.bincount(d_group, out.imag, keys.size)) / np.bincount(d_group)
+    # in the zero band a mode's second value brings no second vector
+    d_col = ~d_band | (np.arange(d_val.size) < dec.size)
+    w2 = 0.5 * w[cpl] ** 2
+    q = np.concatenate([p, -p])
+    spec._modes = Modes(mu=mu, mu_max=mu_max, cpl=cpl, w_c=w[cpl], phi_c=phi[:, cpl],
+                        q=q, q_weight=np.concatenate([w2, w2]),
+                        q_err=_pole_errors(q, mu_max), d_val=d_val,
+                        d_out=np.flatnonzero(~d_band), d_group=d_group, g_mean=g_mean,
+                        d_col=d_col, d_vecs=phi[:, d_mode[d_col]])
     return spec._modes
 
 
-def _modal_values(spec, eta):
-    """All 2n values, their vectors and type I weights on the modal route.
+def count_negative_modes(spec):
+    """kappa_A, the number of negative eigenvalues of lambda M - A, from the
+    cached modes (M definite, axis rank-one G); the threshold is
+    -1e-8 max(1, max |mu|)."""
+    md = _modes(spec)
+    return int(np.count_nonzero(md.mu < -1e-8 * md.mu_max))
 
-    The m coupled modes give their values through the 2m companion
-    [[0, I], [D_c, eta b w_c w_c^T]], with x = Phi_c y.
+
+# Coupled-mode count from which the secular solver gives the coupled values;
+# below it eigvals of the 2m companion costs less than the per-call overhead
+# of the vectorized iterations.  Per double-string spectrum, one BLAS thread:
+# eigvals 2.2 ms against 2.6 ms at m = 32, 4.5 ms against 3.5 ms at m = 40.
+_SECULAR_MIN_M = 36
+_SECULAR_MAXIT = 80
+
+
+def _poles(mu, w, c):
+    """Poles q = +-sqrt(mu) and weights c w^2 / 2 of the secular function
+    f(lam) = 1 - c lam sum_k w_k^2 / (lam^2 - mu_k) = 1 - sum_l cq_l / (lam - q_l)."""
+    p = np.sqrt(mu.astype(complex))
+    cq = 0.5 * c * w * w
+    return np.concatenate([p, -p]), np.concatenate([cq, cq])
+
+
+def _real_secular_roots(mu, w, c):
+    """One root of f in each gap between consecutive real poles and one
+    beyond the largest, by the safeguarded middle-way rational iteration of
+    LAPACK dlaed4 (Bunch, Nielsen & Sorensen 1978; Li 1993).
+
+    Each root is held as an offset tau from the pole it lies nearer to, so
+    roots that hug a pole keep their relative accuracy.  Modes with mu < 0
+    have no real pole and enter as a smooth term h.  Returns the roots,
+    ascending.
     """
-    (lams_d, vecs_d, weights_d), (mu_c, w_c, phi_c) = _modes(spec)
-    m = mu_c.size
+    pos = mu > 0.0
+    zero = mu == 0.0
+    sp = np.sqrt(mu[pos])
+    q = np.concatenate([-sp, np.zeros(np.count_nonzero(zero)), sp])
+    cq = np.concatenate([0.5 * c * w[pos] ** 2, c * w[zero] ** 2, 0.5 * c * w[pos] ** 2])
+    order = np.argsort(q)
+    q, cq = q[order], cq[order]
+    npole = q.size
+    if npole == 0:
+        return np.zeros(0)
+    neg = mu < 0.0
+    mu_n, cw_n = mu[neg], c * w[neg] ** 2
+    # gap g lies between poles g and g + 1; the last gap is (q_max, inf)
+    left = np.arange(npole)
+    right = np.minimum(left + 1, npole - 1)
+    last = left == npole - 1
+    total = c * float(w @ w)
+    half = np.where(last, total, 0.5 * (q[right] - q[left]))
+    lo = np.zeros(npole)
+    hi = np.where(last, 2.0 * total, half)
+    origin = left.copy()
+    tau = half.copy()
+    # an interior root lies left of the midpoint iff f(mid) > 0; else take it
+    # as an offset from the right pole
+    mid_f = _real_secular_eval(q, cq, mu_n, cw_n, origin, tau)[0]
+    flip = ~last & (mid_f < 0.0)
+    origin[flip] = right[flip]
+    tau[flip] = -half[flip]
+    lo[flip], hi[flip] = -half[flip], 0.0
+    done = ~last & (mid_f == 0.0)
+    for _ in range(_SECULAR_MAXIT):
+        act = np.flatnonzero(~done)
+        if act.size == 0:
+            break
+        o = origin[act]
+        f, dleft, dright, dsmooth, ferr = _real_secular_eval(
+            q, cq, mu_n, cw_n, o, tau[act], left[act])
+        t = tau[act]
+        conv = np.abs(f) <= ferr
+        below = f < 0.0
+        lo[act] = np.where(below, t, lo[act])
+        hi[act] = np.where(below, hi[act], t)
+        dk = q[left[act]] - q[o] - t
+        dk1 = q[right[act]] - q[o] - t
+        df = dleft + dright + dsmooth
+        # the smooth slope joins the side away from the origin pole
+        from_left = o == left[act]
+        dright = np.where(from_left, dright + dsmooth, dright)
+        dleft = np.where(from_left, dleft, dleft + dsmooth)
+        a = (dk + dk1) * f - dk * dk1 * df
+        b = dk * dk1 * f
+        cc = f - dk * dleft - dk1 * dright
+        # beyond the largest pole the model keeps the one pole on the left
+        one = last[act]
+        cc1 = f - dk * df
+        with np.errstate(divide="ignore", invalid="ignore"):
+            disc = np.sqrt(np.abs(a * a - 4.0 * b * cc))
+            qq = 0.5 * (a + np.copysign(disc, a))
+            x1 = np.where(cc != 0.0, qq / cc, b / a)
+            x2 = np.where(qq != 0.0, b / qq, x1)
+            x = np.where(np.abs(x1) <= np.abs(x2), x1, x2)
+            x = np.where(one, dk + dk * dk * df / cc1, x)
+            newton = -f / df
+        x = np.where(np.isfinite(x) & (f * x < 0.0), x, newton)
+        tn = t + x
+        lo_a, hi_a = lo[act], hi[act]
+        bad = ~np.isfinite(tn) | (tn <= lo_a) | (tn >= hi_a)
+        tn = np.where(bad, 0.5 * (lo_a + hi_a), tn)
+        width = hi_a - lo_a
+        small = width <= 4.0 * _EPS * np.maximum(np.abs(lo_a), np.abs(hi_a))
+        still = np.abs(tn - t) <= 2.0 * _EPS * np.abs(t)
+        tau[act] = np.where(conv, t, tn)
+        done[act] = conv | small | still
+    else:
+        if not done.all():
+            raise NoConvergence("secular iteration did not converge")
+    return np.sort(q[origin] + tau)
+
+
+def _real_secular_eval(q, cq, mu_n, cw_n, origin, tau, left=None):
+    """f at q[origin] + tau with the pole distances taken as offsets.
+
+    Without left, returns (f,).  With left, also the slopes of the pole
+    terms up to pole left and after it, the slope of the smooth term and a
+    rounding bound on f.
+    """
+    delta = (q[None, :] - q[origin][:, None]) - tau[:, None]
+    with np.errstate(divide="ignore"):
+        terms = cq / delta
+    lam = q[origin] + tau
+    if mu_n.size:
+        den = lam[:, None] ** 2 - mu_n
+        smooth = cw_n * lam[:, None] / den
+    else:
+        smooth = np.zeros((lam.size, 0))
+    f = 1.0 + terms.sum(axis=1) - smooth.sum(axis=1)
+    if left is None:
+        return (f,)
+    slopes = terms / delta
+    upto = np.arange(q.size)[None, :] <= left[:, None]
+    dleft = np.where(upto, slopes, 0.0).sum(axis=1)
+    dright = slopes.sum(axis=1) - dleft
+    if mu_n.size:
+        l2 = lam[:, None] ** 2
+        dsmooth = (cw_n * (l2 + mu_n) / (den * den)).sum(axis=1)
+    else:
+        dsmooth = np.zeros(lam.size)
+    ferr = 8.0 * _EPS * (1.0 + np.abs(terms).sum(axis=1) + np.abs(smooth).sum(axis=1))
+    ferr = ferr + _EPS * np.abs(tau) * (dleft + dright + np.abs(dsmooth))
+    return f, dleft, dright, dsmooth, ferr
+
+
+def _aberth(q, cq, fixed, guesses):
+    """The roots of P(z) = prod_l (z - q_l) f(z) other than the fixed ones,
+    by Aberth iteration from the guesses (Bini, Numer. Algorithms 1996).
+
+    A root stops moving once |f| is below its rounding bound or its
+    correction is below rounding.  Near-real results are made real and the
+    others paired with their conjugates, as the roots of a real polynomial.
+    """
+    u = np.asarray(guesses, dtype=complex).copy()
+    if u.size == 0:
+        return u
+    err = np.zeros(u.size)
+    done = np.zeros(u.size, dtype=bool)
+    for _ in range(4 * _SECULAR_MAXIT):
+        act = np.flatnonzero(~done)
+        if act.size == 0:
+            break
+        z = u[act]
+        d = z[:, None] - q[None, :]
+        t = cq / d
+        f = 1.0 - t.sum(axis=1)
+        df = (t / d).sum(axis=1)
+        ferr = 8.0 * _EPS * (1.0 + np.abs(t).sum(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logd = (1.0 / d).sum(axis=1) + df / f
+            other = z[:, None] - u[None, :]
+            other[np.arange(act.size), act] = np.inf
+            rep = (1.0 / other).sum(axis=1)
+            if fixed.size:
+                rep = rep + (1.0 / (z[:, None] - fixed[None, :])).sum(axis=1)
+            corr = 1.0 / (logd - rep)
+        conv = np.abs(f) <= ferr
+        if not np.all(np.isfinite(corr) | conv):
+            raise NoConvergence("Aberth iteration hit a pole")
+        u[act] = np.where(conv, z, z - corr)
+        err[act] = np.where(conv, ferr / np.maximum(np.abs(df), _EPS), np.abs(corr))
+        done[act] = conv | (np.abs(corr) <= 2.0 * _EPS * np.abs(z))
+    else:
+        if not done.all():
+            raise NoConvergence("Aberth iteration did not converge")
+    # a real polynomial: snap roots within their error of the axis, pair the rest
+    tol = 10.0 * err + 4.0 * _EPS * np.abs(u)
+    real = np.abs(u.imag) <= tol
+    u[real] = u[real].real
+    upper = np.flatnonzero(~real & (u.imag > 0.0))
+    lower = np.flatnonzero(~real & (u.imag < 0.0))
+    if upper.size == lower.size:
+        for i in upper:
+            j = lower[np.argmin(np.abs(u[lower] - np.conj(u[i])))]
+            mean = 0.5 * (u[i] + np.conj(u[j]))
+            u[i], u[j] = mean, np.conj(mean)
+    return u
+
+
+def _secular_values(mu, w, c):
+    """The 2m coupled values, the roots of prod_k (lam^2 - mu_k) f(lam).
+
+    At c = eta b = 0 they are the poles +-sqrt(mu).  Otherwise the real
+    roots that the poles bracket come from _real_secular_roots; a zero mu
+    adds the exact root 0; the rest (at most 2 kappa_c, kappa_c the count
+    of mu < 0) come from Aberth iteration started at the first-order
+    location q + cq of the imaginary poles q = +-i sqrt(-mu).
+    """
+    q, cq = _poles(mu, w, c)
+    if c == 0.0:
+        return q
+    fixed = _real_secular_roots(mu, w, c)
+    if np.any(mu == 0.0):
+        fixed = np.append(fixed, 0.0)
+    imag = np.flatnonzero(np.concatenate([mu < 0.0, mu < 0.0]))
+    # turned by the golden angle so no guess is another's conjugate: a
+    # conjugate pair of iterates cannot split into two real roots
+    turn = np.exp(1j * (0.5 + 2.399963 * np.arange(imag.size)))
+    rest = _aberth(q, cq, fixed, q[imag] + cq[imag] * turn)
+    return np.concatenate([fixed.astype(complex), rest])
+
+
+def _companion_eigvals(mu, w, c):
+    """The 2m coupled values from eigvals of [[0, I], [D, c w w^T]]."""
+    m = mu.size
     comp = np.zeros((2 * m, 2 * m))
     comp[:m, m:] = np.eye(m)
-    comp[m:, :m] = np.diag(mu_c)
-    comp[m:, m:] = (eta * spec.rank_one.b) * np.outer(w_c, w_c)
+    comp[m:, :m] = np.diag(mu)
+    comp[m:, m:] = c * np.outer(w, w)
     try:
-        vals, y = np.linalg.eig(comp)
+        return np.linalg.eigvals(comp)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence("eig failed: %s" % exc)
-    return (np.concatenate([lams_d, vals]), np.hstack([vecs_d, phi_c @ y[:m]]),
-            np.concatenate([weights_d, np.zeros(2 * m, dtype=int)]))
+        raise NoConvergence("eigvals failed: %s" % exc)
+
+
+def _inclusion_radii(z, q, cq, q_err):
+    """Centers and radii of discs around the approximations z of the roots
+    of P(z) = prod_l (z - q_l) f(z) whose union holds every root, a
+    connected component of k discs holding exactly k (Gerschgorin on the
+    Weierstrass corrections W_j = P(z_j) / prod_{i != j} (z_j - z_i);
+    Carstensen, Numer. Math. 1991).  The radius is n (|W_j| + its rounding
+    bound), and the center z_j.
+
+    The rounding bound on P(z_j) takes each distance z - q_l uncertain by
+    4 eps |z| plus q_err[l], the uncertainty of the pole (_pole_errors).
+    """
+    n = z.size
+    gaps = np.abs(z[:, None] - z[None, :])
+    if np.count_nonzero(gaps == 0.0) > n:
+        # Weierstrass corrections need distinct approximations: a run of
+        # equal ones (a multiple root hit exactly) is spread by sqrt(eps)
+        # about its value, where a multiple root's approximations settle
+        z = z.copy()
+        order = np.lexsort((z.imag, z.real))
+        zs = z[order]
+        start = 0
+        for i in range(1, n + 1):
+            if i == n or zs[i] != zs[start]:
+                if i - start > 1:
+                    step = np.sqrt(_EPS) * max(1.0, abs(zs[start]))
+                    z[order[start:i]] += step * (np.arange(i - start) - 0.5 * (i - start - 1))
+                start = i
+        gaps = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    d = z[:, None] - q
+    err = (4.0 * _EPS) * np.abs(z)[:, None] + q_err
+    ad = np.abs(d)
+    zero = ad == 0.0
+    if zero.any():
+        ad = np.where(zero, 1e-3 * err, ad)
+        d = np.where(zero, ad, d)
+    f = 1.0 - (cq / d).sum(axis=1)
+    bound = (1.0 + (cq / ad).sum(axis=1)) * (8.0 * _EPS + (err / ad).sum(axis=1))
+    logw = np.log(ad).sum(axis=1) - np.log(gaps).sum(axis=1)
+    return z, n * np.exp(logw) * (np.abs(f) + bound)
+
+
+def _pole_errors(q, mu_max):
+    """Uncertainty of the poles q = +-sqrt(mu): a few ulps of |q| plus the
+    backward error of mu in eigh(A, M), 4 eps max |mu|, carried to
+    sqrt(mu)."""
+    dmu = 4.0 * _EPS * mu_max
+    return 4.0 * _EPS * np.abs(q) + dmu / (np.abs(q) + np.sqrt(dmu))
+
+
+def _components(z, r):
+    """The connected components of the discs (z_j, r_j): each disc is
+    labelled with the smallest index in its component."""
+    near = np.abs(z[:, None] - z) <= r[:, None] + r
+    label = np.arange(z.size)
+    while True:
+        # each disc takes the smallest label among the discs it meets, then
+        # the label that label points to
+        new = np.where(near, label, z.size).min(axis=1, initial=z.size)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _relabel(label):
+    """label mapped onto 0, 1, ... in the order of its distinct values."""
+    used = np.bincount(label) > 0
+    return (np.cumsum(used) - 1)[label]
+
+
+def _modal_records(spec, eta):
+    """Every record of the modal route, its types and vectors by structure.
+
+    A degenerate group of decoupled modes is one record with
+    alg = geo = type1 = its size.  The coupled values come from eigvals of
+    the 2m companion below _SECULAR_MIN_M coupled modes and from the
+    secular equation above; a connected component of k inclusion discs is
+    one record with alg k and geo 1 (the coupled block is unreduced), and a
+    decoupled group whose mean lies in one of its discs joins it (and links
+    the components of all discs holding it).  Every value within 1e-7
+    scale of 0 forms one zero record.  A coupled record's vector is
+    Phi_c (lam^2 - D_c)^{-1} w_c; type1 counts the decoupled modes in a
+    record.  Returns the records and their type I counts.
+    """
+    md = _modes(spec)
+    mu_c, w_c = md.mu[md.cpl], md.w_c
+    c = eta * spec.rank_one.b
+    if md.cpl.size >= _SECULAR_MIN_M:
+        z = _secular_values(mu_c, w_c, c)
+    else:
+        z = _companion_eigvals(mu_c, w_c, c)
+    centers, radii = _inclusion_radii(z, md.q, c * md.q_weight, md.q_err)
+    nz = z.size
+
+    # labels: 0 for the zero band, then the components of the coupled discs
+    # outside it together with the decoupled group means as discs of radius
+    # 0, so a group joins the component of any disc holding its mean
+    label = np.zeros(nz + md.d_val.size, dtype=int)
+    out = np.flatnonzero(np.abs(z) > 1e-7 * spec.scale)
+    comp = 1 + _components(np.concatenate([centers[out], md.g_mean]),
+                           np.concatenate([radii[out], np.zeros(md.g_mean.size)]))
+    label[out] = comp[:out.size]
+    label[nz + md.d_out] = comp[out.size:][md.d_group]
+    label = _relabel(label)
+    nrec = int(label.max()) + 1
+    vals = np.concatenate([z, md.d_val])
+    alg = np.bincount(label, minlength=nrec)
+    spread = np.zeros(nrec)
+    rep = np.empty(nrec, dtype=complex)
+    rep[label] = vals
+    if nrec < vals.size:
+        # the mean of each record of several values; one value stays exact
+        multi = alg > 1
+        mean = (np.bincount(label, vals.real, nrec)
+                + 1j * np.bincount(label, vals.imag, nrec)) / alg
+        rep[multi] = mean[multi]
+        np.maximum.at(spread, label, np.abs(vals - rep[label]))
+
+    # kernel columns: one coupled vector per record holding a coupled value,
+    # then one per decoupled mode
+    crec = np.flatnonzero(np.bincount(label[:nz], minlength=nrec))
+    drec = label[nz:][md.d_col]
+    type1 = np.bincount(drec, minlength=nrec)
+    col_rec = np.concatenate([crec, drec])
+    col_lam = rep[col_rec]
+    p = md.q[:md.cpl.size]
+    lam = col_lam[:crec.size]
+    den = (lam[None, :] - p[:, None]) * (lam[None, :] + p[:, None])
+    hit = den == 0.0
+    if hit.any():
+        # a value on a pole (eta = 0): the kernel is that mode
+        pinned = hit.any(axis=0)
+        y = w_c[:, None] / np.where(hit, 1.0, den)
+        y[:, pinned] = hit[:, pinned]
+    else:
+        y = w_c[:, None] / den
+    cvecs = (md.phi_c @ y.real).astype(complex)
+    cplx = np.flatnonzero(y.imag.any(axis=0))
+    if cplx.size:
+        cvecs[:, cplx] += 1j * (md.phi_c @ y.imag[:, cplx])
+    vecs = np.hstack([cvecs, md.d_vecs])
+    vecs, resids = _simple_pairs(spec, eta, col_lam, vecs)
+    resid = np.zeros(nrec)
+    np.maximum.at(resid, col_rec, resids)
+    order = np.argsort(col_rec, kind="stable")
+    bounds = np.searchsorted(col_rec[order], np.arange(nrec + 1)).tolist()
+    vecs = vecs[:, order]
+
+    records = []
+    for k, (value, a, r, sp) in enumerate(zip(rep.tolist(), alg.tolist(), resid.tolist(),
+                                              spread.tolist())):
+        rec = EigenRecord(
+            lam=_real_if_zero_imag(value), alg_mult=a, geo_mult=bounds[k + 1] - bounds[k],
+            type1_mult=0, type2_mult=a, vectors=vecs[:, bounds[k]:bounds[k + 1]],
+            residual=r,
+        )
+        rec._spread = sp
+        records.append(rec)
+    return records, type1.tolist()
 
 
 def _companion_values(spec, eta):
@@ -473,20 +964,11 @@ def _companion_values(spec, eta):
     return sigma + 1.0 / mus[finite_idx], vecs[:n, finite_idx], 2 * n - finite_idx.size
 
 
-def spectrum(spec, eta):
-    """All finite eigenvalues of L(., eta) with multiplicities and types."""
-    if not (-1e-12 <= eta <= 1.0 + 1e-12):
-        raise InvalidInput("eta must lie in [0, 1], got %r" % (eta,))
-    eta = min(max(eta, 0.0), 1.0)
+def _cluster_records(spec, eta, lams, vecs):
+    """Records of the companion route: values within the 1e-6 gap (or all
+    inside the zero band) form one record whose geo and kernel basis come
+    from an SVD of L at the cluster mean."""
     n = spec.n
-    # the modal route: M definite (the nonreal_region test), axis rank-one G
-    if spec.rank_one is not None and spec.m_definite:
-        lams, vecs, weights = _modal_values(spec, eta)
-        discarded = 0
-    else:
-        lams, vecs, discarded = _companion_values(spec, eta)
-        weights = None
-
     clusters = _cluster_points(lams, zero_tol=1e-7 * spec.scale)
     simple = np.array([c[0] for c in clusters if len(c) == 1], dtype=int)
     simple_vecs, simple_resids = _simple_pairs(spec, eta, lams[simple],
@@ -519,11 +1001,22 @@ def spectrum(spec, eta):
         )
         rec._spread = spread
         records.append(rec)
+    return records
 
-    type1 = None
-    if weights is not None:
-        counts = weights.tolist()
-        type1 = [sum(counts[i] for i in members) for members in clusters]
+
+def spectrum(spec, eta):
+    """All finite eigenvalues of L(., eta) with multiplicities and types."""
+    if not (-1e-12 <= eta <= 1.0 + 1e-12):
+        raise InvalidInput("eta must lie in [0, 1], got %r" % (eta,))
+    eta = min(max(eta, 0.0), 1.0)
+    # the modal route: M definite (the nonreal_region test), axis rank-one G
+    if spec.rank_one is not None and spec.m_definite:
+        records, type1 = _modal_records(spec, eta)
+        discarded = 0
+    else:
+        lams, vecs, discarded = _companion_values(spec, eta)
+        records = _cluster_records(spec, eta, lams, vecs)
+        type1 = None
     _fill_types(spec, eta, records, type1)
     records.sort(key=lambda r: (r.lam.real, r.lam.imag))
     return SpectrumResult(

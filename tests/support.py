@@ -385,30 +385,62 @@ def mirror_spec(rng):
     return PencilSpec(m, g, a, rank_one=RankOneCoupling(b=b, e_index=e_index))
 
 
+def _error_bound_groups(vals, bounds, zero_tol):
+    """Single-linkage groups of values whose first-order error discs
+    |lam - vals[i]| <= bounds[i] meet, plus one group for every value
+    inside the zero band |lam| <= zero_tol."""
+    n = vals.size
+    near = np.abs(vals[:, None] - vals[None, :]) <= bounds[:, None] + bounds[None, :]
+    zero = np.abs(vals) <= zero_tol
+    near |= zero[:, None] & zero[None, :]
+    label = np.arange(n)
+    changed = True
+    while changed:
+        # propagate the smallest label along the links until it settles
+        new = np.min(np.where(near, label[None, :], n), axis=1)
+        changed = bool(np.any(new != label))
+        label = new
+    groups = {}
+    for i in range(n):
+        groups.setdefault(int(label[i]), []).append(i)
+    return list(groups.values())
+
+
 def linearization_records(spec, eta):
     """Reference records (lam, alg, geo, type1) from scipy.linalg.eig.
 
     Values and vectors come from the 2n block linearization
     [[0, I], [A, eta G]] z = lambda [[I, 0], [0, M]] z, which needs M
-    definite; x is the top half of z.  Values are grouped with the 1e-6
-    single-linkage gap and zero band that spectrum uses, and lam is the
-    group mean.  Away from 0, geo is the rank of the group's x, and type1
-    adds up, over the distinct values of the group (equal to 1e-10), the
-    dimension of the span of their x inside e^perp: its rank, less one when
-    some x has a component on the coupling axis (cutoffs 1e-6 for the rank
-    and 1e-9 for the component, on unit columns).  Inside the zero band, where eig's vectors of the defective
-    zero need not span the kernel, lam = 0, geo = dim ker A and
-    type1 = dim(ker A ∩ ker G), from ranks at 1e-8 * scale.
+    definite; x is the top half of z.  Values are grouped by their
+    first-order error bounds: with unit right and left vectors z_j, y_j,
+    value j is off by at most about
+    2n eps (|lhs| + |lam_j| |rhs|) / |y_j^H rhs z_j|, which is large for a
+    defective value, whose left and right vectors are nearly B-orthogonal
+    (the denominator is floored at sqrt(eps), the size it takes at the
+    split of a double value).
+    Values whose error discs meet form one group, and every value within
+    1e-7 scale of 0 joins one zero group; lam is the group mean.  Away from
+    0, geo is the rank of the group's x, and type1 adds up, over the
+    distinct values of the group (equal to 1e-10), the dimension of the span
+    of their x inside e^perp: its rank, less one when some x has a component
+    on the coupling axis (cutoffs 1e-6 for the rank and 1e-9 for the
+    component, on unit columns).  Inside the zero band, where eig's vectors
+    of the defective zero need not span the kernel, lam = 0, geo = dim ker A
+    and type1 = dim(ker A ∩ ker G), from ranks at 1e-8 * scale.
     """
-    from gyropencil.pencil import _cluster_points
-
     n = spec.n
     e_index = spec.rank_one.e_index
     eye, zero = np.eye(n), np.zeros((n, n))
     lhs = np.block([[zero, eye], [spec.a, eta * spec.g]])
     rhs = np.block([[eye, zero], [zero, spec.m]])
-    vals, vecs = sla.eig(lhs, rhs)
-    x = vecs[:n] / np.linalg.norm(vecs[:n], axis=0)
+    vals, left, right = sla.eig(lhs, rhs, left=True, right=True)
+    left = left / np.linalg.norm(left, axis=0)
+    right = right / np.linalg.norm(right, axis=0)
+    cond = np.abs(np.einsum("ij,ij->j", left.conj(), rhs @ right))
+    eps = np.finfo(float).eps
+    bounds = 2 * n * eps * (np.linalg.norm(lhs, 2) + np.abs(vals) * np.linalg.norm(rhs, 2))
+    bounds = bounds / np.maximum(cond, np.sqrt(eps))
+    x = right[:n] / np.linalg.norm(right[:n], axis=0)
 
     def rank(cols):
         svals = sla.svdvals(x[:, cols])
@@ -418,7 +450,7 @@ def linearization_records(spec, eta):
         return n - int(np.count_nonzero(sla.svdvals(mat) > 1e-8 * spec.scale))
 
     out = []
-    for members in _cluster_points(vals, zero_tol=1e-7 * spec.scale):
+    for members in _error_bound_groups(vals, bounds, 1e-7 * spec.scale):
         lam = complex(np.mean(vals[members]))
         if abs(lam) <= 1e-7 * spec.scale:
             lam = 0.0
@@ -438,3 +470,105 @@ def linearization_records(spec, eta):
                         for grp in distinct)
         out.append((lam, len(members), geo, min(type1, len(members))))
     return out
+
+
+def mp_records(spec, eta, dps=30):
+    """Reference records (lam, alg, geo, type1) at dps digits with mpmath.
+
+    The values are the eigenvalues of the 2n companion
+    [[0, I], [M^-1 A, eta M^-1 G]] from mp.eig.  At 30 digits a defective
+    double value splits by about 1e-15, so values closer than 1e-10
+    max(1, |lam|) form one group, and lam is its mean.  geo is the
+    nullity of L(lam, eta) and type1 that of [L(lam, eta); G], capped at
+    alg, both from mp singular values below 1e-15 scale.  Values within
+    1e-7 scale of 0 form one group at lam = 0, with geo = dim ker A and
+    type1 = dim(ker A ∩ ker G) at 1e-8 scale, as in the double precision
+    reference.  Shares no code with the program; mp.eig costs about 2 s at
+    26 x 26, so keep n small.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        n = spec.n
+        m = mpmath.matrix(spec.m.tolist())
+        a = mpmath.matrix(spec.a.tolist())
+        g = mpmath.matrix(spec.g.tolist())
+        comp = mpmath.zeros(2 * n, 2 * n)
+        minv = mpmath.inverse(m)
+        ma, mg = minv * a, minv * g
+        for i in range(n):
+            comp[i, n + i] = 1
+            for j in range(n):
+                comp[n + i, j] = ma[i, j]
+                comp[n + i, n + j] = eta * mg[i, j]
+        vals = [complex(v) for v in mpmath.eig(comp, left=False, right=False)]
+        ztol = 1e-7 * spec.scale
+
+        def nullity(mat, tol):
+            svals = mpmath.svd(mat, compute_uv=False)
+            return sum(1 for s in svals if s <= tol)
+
+        def stacked(top, bottom):
+            out = mpmath.zeros(top.rows + bottom.rows, top.cols)
+            for i in range(top.rows):
+                for j in range(top.cols):
+                    out[i, j] = top[i, j]
+            for i in range(bottom.rows):
+                for j in range(bottom.cols):
+                    out[top.rows + i, j] = bottom[i, j]
+            return out
+
+        groups = []
+        for v in sorted(vals, key=lambda z: (z.real, z.imag)):
+            for grp in groups:
+                if any(abs(v - u) <= 1e-10 * max(1.0, abs(v)) for u in grp) or (
+                        abs(v) <= ztol and abs(grp[0]) <= ztol):
+                    grp.append(v)
+                    break
+            else:
+                groups.append([v])
+        out = []
+        for grp in groups:
+            lam = sum(grp) / len(grp)
+            if abs(lam) <= ztol:
+                tol = 1e-8 * spec.scale
+                geo = nullity(a, tol)
+                type1 = nullity(stacked(a, g), tol)
+                lam = 0.0
+            else:
+                lm = mpmath.mpc(lam.real, lam.imag)
+                lmat = lm * lm * m - lm * eta * g - a
+                tol = 1e-15 * spec.scale
+                geo = nullity(lmat, tol)
+                type1 = nullity(stacked(lmat, g), tol)
+            out.append((complex(lam), len(grp), geo, min(type1, len(grp))))
+        return out
+
+
+def mp_secular_roots(mu, w, c, dps=50):
+    """The 2m roots of prod_k (lam^2 - mu_k) - c lam sum_k w_k^2
+    prod_{i != k} (lam^2 - mu_i) from mpmath.polyroots at dps digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        def mul(p, q):
+            out = [mpmath.mpf(0)] * (len(p) + len(q) - 1)
+            for i, x in enumerate(p):
+                for j, y in enumerate(q):
+                    out[i + j] += x * y
+            return out
+
+        # ascending coefficients
+        factors = [[-mpmath.mpf(float(x)), mpmath.mpf(0), mpmath.mpf(1)] for x in mu]
+        total = [mpmath.mpf(1)]
+        for fac in factors:
+            total = mul(total, fac)
+        for k in range(len(mu)):
+            part = [mpmath.mpf(0), -mpmath.mpf(float(c)) * mpmath.mpf(float(w[k])) ** 2]
+            for i, fac in enumerate(factors):
+                if i != k:
+                    part = mul(part, fac)
+            for i, x in enumerate(part):
+                total[i] += x
+        roots = mpmath.polyroots(total[::-1], maxsteps=400, extraprec=4 * dps)
+        return np.array([complex(r) for r in roots])

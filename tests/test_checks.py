@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gyropencil import checks, fixtures, sturm
+from gyropencil import checks, fixtures, linalg, sturm
 from gyropencil.errors import EnumerationAmbiguous, HypothesisViolated
 from gyropencil.pencil import (
     EigenRecord, PencilSpec, RankOneCoupling, SpectrumResult, spectrum,
@@ -210,3 +210,31 @@ def test_run_sl_double_q4_type1_axes_symmetric(n):
     by_name = {c.name: c for c in rep.checks}
     assert by_name["type1_on_axes_symmetric"].status == "pass", (
         by_name["type1_on_axes_symmetric"].details)
+
+
+def test_verify_computes_spec_invariants_once(monkeypatch):
+    # lambda_min(M + G), the two kernel dimensions and kappa_A are spec
+    # level: one eigvalsh(M + G), the validation rank plus two kernel
+    # ranks, and kappa_A from the cached modes
+    counts = {"eigvalsh": 0, "rank": 0}
+    eigvalsh, rank = np.linalg.eigvalsh, linalg.rank_with_tol
+
+    def counted_eigvalsh(*args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counted_rank(*args, **kwargs):
+        counts["rank"] += 1
+        return rank(*args, **kwargs)
+
+    def no_kappa(*args, **kwargs):
+        raise AssertionError("kappa_A through the Cholesky path")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(linalg, "rank_with_tol", counted_rank)
+    monkeypatch.setattr(linalg, "count_negative_eigs_pencil", no_kappa)
+    rep = checks.run_sl(dataclasses.replace(fixtures.sl_double_q4(), n=20))
+    assert rep.all_pass
+    by_name = {c.name: c for c in rep.checks}
+    assert by_name["type2_count_identity"].status == "pass"
+    assert counts == {"eigvalsh": 1, "rank": 3}

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gyropencil import checks, fixtures, linalg, sturm
+from gyropencil import checks, fixtures, linalg, pencil, sturm
 from gyropencil.errors import ConditionViolation, MassNotDefinite
 from gyropencil.pencil import (
     PencilSpec, RankOneCoupling, _cluster_points, _stacked_type1,
@@ -416,6 +416,25 @@ def test_run_sl_solves_the_modes_once(monkeypatch):
     assert rep.all_pass
     assert calls == {"eigen_standard": 0, "eigh": 1}
 
+    # above the crossover the coupled values come from the secular equation
+    # and the records from the modal structure: no dense eigensolve, no
+    # clustering and no kernel SVD
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError("%s on the modal route" % name)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eig", forbidden("eig"))
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden("eigvals"))
+    monkeypatch.setattr(sla, "svd", forbidden("svd"))
+    monkeypatch.setattr(pencil, "_cluster_points", forbidden("_cluster_points"))
+    prob = dataclasses.replace(fixtures.sl_double_q4(), n=40)
+    assert pencil._modes(sturm.discretize(prob)).cpl.size >= pencil._SECULAR_MIN_M
+    calls["eigh"] = 0
+    rep = checks.run_sl(prob)
+    assert rep.all_pass
+    assert calls == {"eigen_standard": 0, "eigh": 1}
+
 
 # (value, alg, geo, type1, type2) per record of W1 and W2 at eta = 0, 0.1,
 # ..., 1, recorded from the reduced-ladder typing these singular-M pencils
@@ -472,3 +491,46 @@ def test_singular_mass_types_over_eta(spec, expect):
         for (lam, *mults), (ref, *ref_mults) in zip(got, records):
             assert abs(lam - ref) <= 1e-6, (k, lam, ref)
             assert mults == ref_mults, (k, lam)
+
+
+def test_diagonal_matrix_eigenvalues_skip_eigvalsh(monkeypatch):
+    # eigvalsh of a diagonal matrix is exactly its sorted diagonal
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 7, 101, 161):
+        mat = np.diag(rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3))
+        diag = pencil._diagonal(mat)
+        assert np.array_equal(pencil._eigvalsh(mat, diag),
+                              sla.eigvalsh(mat, check_finite=False))
+    dense = np.eye(4)
+    dense[0, 3] = dense[3, 0] = 1e-300
+    assert pencil._diagonal(dense) is None
+    assert pencil._diagonal(np.eye(3, dtype=complex)) is None
+
+    # a double string: M and G are diagonal, so only A takes an eigvalsh
+    calls = []
+    eigvalsh = sla.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigvalsh", counted)
+    spec = sturm.discretize(dataclasses.replace(fixtures.sl_double_q4(), n=12))
+    assert len(calls) == 1
+    assert spec.m_diag is not None and spec.g_rows.tolist() == [spec.rank_one.e_index]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_GENERATORS) + ["single", "double"]),
+       st.integers(0, 2**32 - 1))
+def test_kappa_a_from_modes_matches_cholesky_count(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind in ("single", "double"):
+        q = tuple(float(x) for x in rng.uniform(-20.0, 20.0, size=12))
+        spec = sturm.discretize(sturm.SLProblem(
+            variant=kind, q_kind="sampled", q_values=q, a=np.pi,
+            alpha=float(rng.uniform(0.3, 2.0)), n=11))
+    else:
+        spec = _GENERATORS[kind](rng)
+    assert pencil.count_negative_modes(spec) == linalg.count_negative_eigs_pencil(
+        spec.a, spec.m)
