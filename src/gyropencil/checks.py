@@ -20,6 +20,7 @@ from .errors import (
     PreconditionKerMA,
 )
 from .pencil import (
+    _is_real,
     count_negative_modes,
     nonreal_region,
     nonsimple_real_interval,
@@ -27,10 +28,6 @@ from .pencil import (
     validate_condition_I,
 )
 from .report import VerificationReport, failed, passed, skipped
-
-
-def _is_real(lam):
-    return abs(lam.imag) <= 1e-7 * (1.0 + abs(lam.real))
 
 
 def _on_imag_axis(lam):
@@ -284,6 +281,42 @@ def _gate_type2(spec, eta):
         raise HypothesisViolated("statements hold for eta in (0, 1]")
 
 
+def _first_collision(moduli, positives, ctol):
+    """(positive, modulus) of the first pair with |v - m| <= ctol, None if
+    no pair is that close: moduli in ascending order, then positives in
+    the given order.  A sorted merge finds the candidates, in a window
+    wide enough that the exact test decides."""
+    if not moduli or not positives:
+        return None
+    vals = np.asarray(positives)
+    order = np.argsort(vals, kind="stable")
+    ordered = vals[order]
+    mods = np.asarray(moduli)
+    reach = 2.0 * ctol + 4.0 * np.finfo(float).eps * mods
+    lo = np.searchsorted(ordered, mods - reach, side="left")
+    hi = np.searchsorted(ordered, mods + reach, side="right")
+    for k in np.flatnonzero(hi > lo):
+        near = order[lo[k]:hi[k]]
+        near = near[np.abs(vals[near] - mods[k]) <= ctol]
+        if near.size:
+            return positives[near.min()], moduli[k]
+    return None
+
+
+def _min_separation(moduli, positives):
+    """min |v - m| over the moduli m and positives v, inf if either is
+    empty.  Rounding keeps |v - m| monotone on each side of m, so the
+    nearest positives below and above each modulus hold the minimum."""
+    if not moduli or not positives:
+        return np.inf
+    ordered = np.sort(positives)
+    mods = np.asarray(moduli)
+    k = np.searchsorted(ordered, mods)
+    above = ordered[np.minimum(k, ordered.size - 1)]
+    below = ordered[np.maximum(k - 1, 0)]
+    return float(min(np.abs(above - mods).min(), np.abs(below - mods).min()))
+
+
 def type2_statistics(spec, eta=1.0, result=None):
     """Assemble the interval/count data the interlacing statements refer to."""
     _gate_type2(spec, eta)
@@ -334,16 +367,15 @@ def type2_statistics(spec, eta=1.0, result=None):
             raise EnumerationAmbiguous(
                 "negative moduli %r and %r collide" % (moduli[i], moduli[i + 1])
             )
-    for m in moduli:
-        for v, _ in poss:
-            if abs(v - m) <= ctol:
-                raise EnumerationAmbiguous(
-                    "positive eigenvalue %r within tolerance of modulus %r" % (v, m)
-                )
+    hit = _first_collision(moduli, [v for v, _ in poss], ctol)
+    if hit is not None:
+        raise EnumerationAmbiguous(
+            "positive eigenvalue %r within tolerance of modulus %r" % hit
+        )
 
     counts = [0] * (len(moduli) + 1)
-    for v, t2 in poss:
-        idx = int(np.searchsorted(moduli, v))
+    where = np.searchsorted(moduli, [v for v, _ in poss]).tolist()
+    for idx, (_, t2) in zip(where, poss):
         counts[idx] += t2
 
     n_ker, p = spec.kernel_dims
@@ -404,14 +436,10 @@ def check_type2_interlacing(spec, eta=1.0, result=None):
 
     # statement 3 would have raised EnumerationAmbiguous during the stats
     # assembly on any modulus/eigenvalue collision
-    sep = np.inf
-    pos_vals = []
-    for rec in result.records:
-        if _is_real(rec.lam) and rec.type2_mult > 0 and rec.lam.real > 0:
-            pos_vals.append(rec.lam.real)
-    for m in stats.moduli:
-        for v in pos_vals:
-            sep = min(sep, abs(v - m))
+    sep = _min_separation(stats.moduli, [
+        rec.lam.real for rec in result.records
+        if _is_real(rec.lam) and rec.type2_mult > 0 and rec.lam.real > 0
+    ])
     detail = "min separation %.3e" % sep if np.isfinite(sep) else "vacuous"
     checks.append(passed("type2_modulus_not_eigenvalue", detail))
 

@@ -8,7 +8,7 @@ then localized by bisection.  Also hosts the eigenvalue derivative formula,
 the +- pairing of real eigenvalues, and the 2*kappa_A - kappa_c count.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +20,7 @@ from .errors import (
     MatchingAmbiguous,
     NotAnEigenvalue,
 )
-from .pencil import evaluate, spectrum
-
-
-def _is_real(lam):
-    return abs(lam.imag) <= 1e-7 * (1.0 + abs(lam.real))
+from .pencil import _is_real, evaluate, spectrum
 
 
 def lambda_derivative(spec, lam, y, eta):
@@ -59,6 +55,40 @@ def lambda_derivative(spec, lam, y, eta):
     return d
 
 
+def _cabs(z):
+    """|z| elementwise, rounded like Python's abs() of a complex: both
+    call the C library's hypot, which np.abs does not."""
+    return np.hypot(z.real, z.imag)
+
+
+def _velocities(spec, stack, lam, vecs, eta):
+    """lambda_derivative for many real eigenpairs at once.
+
+    lam holds real eigenvalues, the columns of vecs their eigenvectors, and
+    stack is [I; M; G; A].  Same residual test and denominator floor as
+    the scalar formula, with sums that may round differently.  Returns the
+    velocities, 0.0 where lambda_derivative raises, and the masks of its
+    NotAnEigenvalue and DenominatorVanishes cases.
+    """
+    prod = (stack @ vecs).reshape(4, spec.n, -1)
+    yy, myy, gyy = np.einsum("ij,kij->kj", vecs.conj(), prod[:3]).real
+    if not yy.all():
+        raise InvalidInput("eigenvector must be nonzero")
+    res = (lam * lam) * prod[1] - (lam * eta) * prod[2] - prod[3]
+    rr = np.einsum("ij,ij->j", res.conj(), res).real
+    not_eig = np.sqrt(rr / yy) > 1e-7 * (1.0 + lam ** 2) * spec.scale
+    two_lm = 2.0 * lam * myy
+    eta_g = eta * gyy
+    denom = two_lm - eta_g
+    floor = 1e-8 * np.maximum(np.maximum(np.abs(two_lm), np.abs(eta_g)),
+                              np.finfo(float).tiny)
+    vanish = (np.abs(denom) <= floor) & ~not_eig
+    bad = not_eig | vanish
+    vel = lam * gyy / np.where(bad, 1.0, denom)
+    vel[bad] = 0.0
+    return vel, not_eig, vanish
+
+
 @dataclass
 class Branch:
     ident: int
@@ -76,48 +106,96 @@ class CollisionEvent:
 
 @dataclass
 class TrajectorySet:
+    """Tracked branches over eta_grid, with the collision events.
+
+    diagnostics says what the track cost: spectra_solved (all spectra,
+    events included), grid_points, rejected_steps (one dict per refused
+    step: eta_from, eta_to, max_jump, half_gap), derivative_fallbacks (by
+    the exception lambda_derivative would raise) and event_spectra (the
+    spectra solved while localizing events).
+    """
     eta_grid: list
     branches: list
     events: list
+    diagnostics: dict = field(default_factory=dict)
 
 
-def _expand_slots(result):
-    """(value, vector) per eigenvalue counted with algebraic multiplicity."""
-    slots = []
-    for rec in result.records:
-        v = rec.vectors[:, 0] if rec.vectors.size else None
-        for _ in range(rec.alg_mult):
-            slots.append((rec.lam, v))
-    slots.sort(key=lambda s: (s[0].real, s[0].imag))
-    return slots
+class _Slots:
+    """One spectrum with each eigenvalue repeated alg_mult times and sorted
+    by (real, imag): the values as a list and an array, one eigenvector
+    column per slot (zero where the record has none), and which slots sit
+    beyond half the escape radius."""
+
+    def __init__(self, result, n, escape):
+        recs = sorted(result.records, key=lambda r: (r.lam.real, r.lam.imag))
+        slots = [r for r in recs for _ in range(r.alg_mult)]
+        zero = np.zeros(n)
+        self.lams = [r.lam for r in slots]
+        self.vals = np.array(self.lams, dtype=complex)
+        self.has_vec = np.array([r.vectors.size > 0 for r in slots], dtype=bool)
+        self.vecs = np.array([r.vectors[:, 0] if r.vectors.size else zero
+                              for r in slots], dtype=complex).reshape(-1, n).T
+        self.far = _cabs(self.vals) > 0.5 * escape
 
 
 def _min_distinct_gap(values):
-    vals = [v for v in values if v is not None]
-    distinct = []
-    for v in vals:
-        if all(abs(v - u) > 1e-9 * (1.0 + abs(v)) for u in distinct):
-            distinct.append(v)
-    if len(distinct) < 2:
+    """Smallest distance between distinct values.
+
+    Values are deduplicated greedily in order: one within 1e-9 relative
+    (to itself) of a value already kept is dropped.  inf when fewer than
+    two distinct values remain.
+    """
+    v = np.asarray(values, dtype=complex)
+    if v.size < 2:
         return np.inf
-    best = np.inf
-    for i in range(len(distinct)):
-        for j in range(i + 1, len(distinct)):
-            best = min(best, abs(distinct[i] - distinct[j]))
-    return best
+    dist = _cabs(v[:, None] - v)
+    dup = dist <= 1e-9 * (1.0 + _cabs(v))[:, None]
+    np.fill_diagonal(dist, np.inf)
+    if np.count_nonzero(dup) > v.size:
+        # dup[i, j], j < i: v_i repeats the earlier v_j
+        dup = np.tril(dup, -1)
+        keep = np.ones(v.size, dtype=bool)
+        for i in np.flatnonzero(dup.any(axis=1)):
+            keep[i] = not (dup[i] & keep).any()
+        if np.count_nonzero(keep) < 2:
+            return np.inf
+        dist = dist[np.ix_(keep, keep)]
+    return dist.min()
 
 
 class _Tracker:
     def __init__(self, spec):
         self.spec = spec
         self.cache = {}
+        self.slots = {}
         self.escape = 1e6 * max(1.0, spec.spec_norm)
+        self.stack = np.vstack((np.eye(spec.n), spec.m, spec.g, spec.a))
+        self.fallbacks = {"NotAnEigenvalue": 0, "DenominatorVanishes": 0}
 
     def spectrum_at(self, eta):
         key = float(eta)
         if key not in self.cache:
             self.cache[key] = spectrum(self.spec, key)
         return self.cache[key]
+
+    def slots_at(self, eta):
+        """The slots at eta, kept while a refused step may try eta again."""
+        key = float(eta)
+        if key not in self.slots:
+            self.slots[key] = _Slots(self.spectrum_at(key), self.spec.n,
+                                     self.escape)
+        return self.slots[key]
+
+    def velocities(self, slots, eta):
+        """d lambda / d eta per slot; 0.0 for nonreal slots, slots without
+        a vector and the fallbacks, which are counted."""
+        use = _is_real(slots.vals) & slots.has_vec
+        vel = np.zeros(slots.vals.size)
+        vel[use], not_eig, vanish = _velocities(
+            self.spec, self.stack, slots.vals.real[use], slots.vecs[:, use], eta)
+        self.fallbacks["NotAnEigenvalue"] += int(np.count_nonzero(not_eig))
+        self.fallbacks["DenominatorVanishes"] += int(np.count_nonzero(vanish))
+        return vel
 
     def nonreal_count(self, eta):
         res = self.spectrum_at(eta)
@@ -142,65 +220,52 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
 
     tracker = _Tracker(spec)
     targets = list(np.linspace(eta_from, eta_to, steps))
+    big = 1e3 * tracker.escape
 
     grid = [targets[0]]
-    slots = _expand_slots(tracker.spectrum_at(targets[0]))
-    branches = [Branch(ident=i, values=[s[0]]) for i, s in enumerate(slots)]
-    # per-branch current state: (value, vector) or None once escaped/dead
-    state = list(slots)
-    alive = list(range(len(slots)))
+    cur = _Slots(tracker.spectrum_at(targets[0]), spec.n, tracker.escape)
+    branches = [Branch(ident=i, values=[lam]) for i, lam in enumerate(cur.lams)]
+    # the branches alive at the current grid point are its slots: alive[k]
+    # holds slot perm[k], and alive stays sorted
+    alive = np.arange(len(cur.lams))
+    perm = alive
+    vel = None                  # per grid point, set on its first step
+    rejected = []
 
     work = list(reversed(targets[1:]))
     while work:
         t = work.pop()
         cur_eta = grid[-1]
         d_eta = t - cur_eta
-        res_t = tracker.spectrum_at(t)
-        slots_t = _expand_slots(res_t)
+        if vel is None:
+            vals, far = cur.vals[perm], cur.far[perm]
+            vel = tracker.velocities(cur, cur_eta)[perm]
+            gap = _min_distinct_gap(vals)
+        nxt = tracker.slots_at(t)
 
-        preds = []
-        for bi in alive:
-            lam, vec = state[bi]
-            pred = lam
-            if vec is not None and _is_real(lam):
-                try:
-                    der = lambda_derivative(spec, lam.real, vec, cur_eta)
-                    if isinstance(der, float):
-                        pred = lam + der * d_eta
-                except (DenominatorVanishes, NotAnEigenvalue):
-                    pred = lam
-            preds.append(pred)
+        nrow, ncol = vals.size, nxt.vals.size
+        cost = _cabs((vals + vel * d_eta)[:, None] - nxt.vals)
+        if nrow != ncol:
+            # virtual columns absorb escaping branches, virtual rows are
+            # births
+            dim = max(nrow, ncol)
+            pad = np.empty((dim, dim))
+            pad[:nrow, :ncol] = cost
+            pad[:nrow, ncol:] = np.where(far, 0.0, big)[:, None]
+            pad[nrow:, :ncol] = np.where(nxt.far, 0.0, big)
+            cost = pad
+        col = linear_sum_assignment(cost)[1][:nrow]
+        hit = col < ncol
+        matched = col[hit]
 
-        nrow, ncol = len(alive), len(slots_t)
-        dim = max(nrow, ncol)
-        big = 1e3 * tracker.escape
-        cost = np.full((dim, dim), 0.0)
-        for i in range(nrow):
-            for j in range(ncol):
-                cost[i, j] = abs(preds[i] - slots_t[j][0])
-        # virtual columns absorb escaping branches, virtual rows are births
-        for i in range(nrow):
-            for j in range(ncol, dim):
-                far = abs(state[alive[i]][0]) > 0.5 * tracker.escape
-                cost[i, j] = 0.0 if far else big
-        for i in range(nrow, dim):
-            for j in range(ncol):
-                far = abs(slots_t[j][0]) > 0.5 * tracker.escape
-                cost[i, j] = 0.0 if far else big
-
-        rows, cols = linear_sum_assignment(cost)
-        assign = dict(zip(rows, cols))
-
-        max_jump = 0.0
-        for i in range(nrow):
-            j = assign[i]
-            if j < ncol:
-                max_jump = max(max_jump, abs(state[alive[i]][0] - slots_t[j][0]))
-        gap = _min_distinct_gap([state[bi][0] for bi in alive])
-
+        jumps = _cabs(vals[hit] - nxt.vals[matched])
+        max_jump = jumps.max() if jumps.size else 0.0
         if max_jump > 0.5 * gap and abs(d_eta) > 1e-6:
             work.append(t)
             work.append(cur_eta + 0.5 * d_eta)
+            rejected.append({"eta_from": float(cur_eta), "eta_to": float(t),
+                             "max_jump": float(max_jump),
+                             "half_gap": float(0.5 * gap)})
             continue
         if abs(d_eta) <= 1e-6 and max_jump > 0.05 * max(1.0, spec.spec_norm):
             raise MatchingAmbiguous(
@@ -208,38 +273,41 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
             )
 
         grid.append(t)
-        new_alive = []
-        used_cols = set()
-        for i in range(nrow):
-            bi = alive[i]
-            j = assign[i]
-            if j < ncol:
-                lam, vec = slots_t[j]
-                branches[bi].values.append(lam)
-                state[bi] = (lam, vec)
-                new_alive.append(bi)
-                used_cols.add(j)
-            else:
-                branches[bi].values.append(None)
-                branches[bi].escaped = True
-                state[bi] = None
-        for j in range(ncol):
-            if j not in used_cols:
-                bi = len(branches)
+        for bi in alive[~hit].tolist():
+            branches[bi].values.append(None)
+            branches[bi].escaped = True
+        alive = alive[hit]
+        for bi, j in zip(alive.tolist(), matched.tolist()):
+            branches[bi].values.append(nxt.lams[j])
+        perm = matched
+        if matched.size < ncol:
+            free = np.ones(ncol, dtype=bool)
+            free[matched] = False
+            born = np.flatnonzero(free)
+            alive = np.concatenate((alive, len(branches) + np.arange(born.size)))
+            perm = np.concatenate((matched, born))
+            for j in born.tolist():
                 branches.append(Branch(
-                    ident=bi, values=[None] * (len(grid) - 1) + [slots_t[j][0]]
+                    ident=len(branches),
+                    values=[None] * (len(grid) - 1) + [nxt.lams[j]],
                 ))
-                state.append(slots_t[j])
-                new_alive.append(bi)
-        alive = sorted(new_alive)
-        # pad any branch that died before this refinement of state bookkeeping
-        for b in branches:
-            while len(b.values) < len(grid):
-                b.values.append(None)
+        cur = tracker.slots.pop(float(t))
+        vel = None
+    # branches that escaped stay gaps to the end
+    for b in branches:
+        b.values.extend([None] * (len(grid) - len(b.values)))
 
     tset = TrajectorySet(eta_grid=grid, branches=branches, events=[])
+    tracked = len(tracker.cache)
     _detect_events(spec, tracker, tset)
     classify_events(tset)
+    tset.diagnostics = {
+        "spectra_solved": len(tracker.cache),
+        "grid_points": len(grid),
+        "rejected_steps": rejected,
+        "derivative_fallbacks": dict(tracker.fallbacks),
+        "event_spectra": len(tracker.cache) - tracked,
+    }
     return tset
 
 
@@ -251,22 +319,46 @@ def _nonreal_col_count(tset, i):
     return sum(1 for v in _column(tset, i) if v is not None and not _is_real(v))
 
 
-def _coincidence_groups(values, tol_factor=1e-4):
+def _value_matrix(tset):
+    """Branch values as a (grid point x branch) array, 0 at the gaps, and
+    the mask of the present values."""
+    shape = (len(tset.eta_grid), len(tset.branches))
+    vals = np.zeros(shape, dtype=complex)
+    present = np.zeros(shape, dtype=bool)
+    for k, b in enumerate(tset.branches):
+        present[:, k] = [v is not None for v in b.values]
+        vals[present[:, k], k] = [v for v in b.values if v is not None]
+    return vals, present
+
+
+def _close_pairs(vals, present, tol_factor=1e-4):
+    """Per grid point: close[j, k] for j < k when branches j and k
+    coincide within tol_factor relative to value j, or None when no pair
+    does.  Grid points go in chunks to bound memory."""
+    npts, nb = vals.shape
+    upper = np.triu(np.ones((nb, nb), dtype=bool), 1)
+    tol = tol_factor * (1.0 + _cabs(vals))
+    chunk = max(1, 2 ** 18 // max(1, nb * nb))
+    for s in range(0, npts, chunk):
+        v, p, t = vals[s:s + chunk], present[s:s + chunk], tol[s:s + chunk]
+        close = _cabs(v[:, :, None] - v[:, None, :]) <= t[:, :, None]
+        close &= p[:, :, None] & p[:, None, :] & upper
+        for c, hit in zip(close, close.any(axis=(1, 2))):
+            yield c if hit else None
+
+
+def _coincidence_groups(close):
+    """Greedy groups at one grid point: each branch not yet grouped takes
+    every later ungrouped branch close to it; groups of one are dropped."""
     groups = []
-    seen = set()
-    for i, v in enumerate(values):
-        if v is None or i in seen:
+    seen = np.zeros(len(close), dtype=bool)
+    for i in np.flatnonzero(close.any(axis=1)):
+        if seen[i]:
             continue
-        grp = [i]
-        for j in range(i + 1, len(values)):
-            w = values[j]
-            if w is None or j in seen:
-                continue
-            if abs(v - w) <= tol_factor * (1.0 + abs(v)):
-                grp.append(j)
+        grp = [int(i)] + [int(j) for j in np.flatnonzero(close[i] & ~seen)]
         if len(grp) >= 2:
             groups.append(grp)
-            seen.update(grp)
+            seen[grp] = True
     return groups
 
 
@@ -275,10 +367,11 @@ def _detect_events(spec, tracker, tset):
     npts = len(grid)
     events = []
     claimed = []
+    vals, present = _value_matrix(tset)
 
     def separated(grp, i):
-        vals = [tset.branches[b].values[i] for b in grp]
-        ok = [v for v in vals if v is not None]
+        ok = [v for v in (tset.branches[b].values[i] for b in grp)
+              if v is not None]
         if len(ok) < 2:
             return True
         return _min_distinct_gap(ok) > 1e-3 * (1.0 + abs(ok[0]))
@@ -289,10 +382,9 @@ def _detect_events(spec, tracker, tset):
     # traversal are persistent multiple eigenvalues, not collisions.
     runs = {}                   # branch-id set -> [start_col, end_col]
     finished = []
-    for i in range(npts):
-        col = _column(tset, i)
+    for i, close in enumerate(_close_pairs(vals, present)):
         here = set()
-        for grp in _coincidence_groups(col):
+        for grp in _coincidence_groups(close) if close is not None else ():
             key = frozenset(tset.branches[b].ident for b in grp)
             here.add(key)
             if key in runs and runs[key][1] == i - 1:
@@ -324,11 +416,8 @@ def _detect_events(spec, tracker, tset):
                         max(grid[s - 1], grid[e + 1])))
 
     # route 2: the nonreal branch count changes between consecutive points
-    for i in range(npts - 1):
-        c0 = _nonreal_col_count(tset, i)
-        c1 = _nonreal_col_count(tset, i + 1)
-        if c0 == c1:
-            continue
+    counts = np.count_nonzero(present & ~_is_real(vals), axis=1)
+    for i in np.flatnonzero(counts[:-1] != counts[1:]):
         lo, hi = sorted((grid[i], grid[i + 1]))
         if any(a <= lo and hi <= b for a, b in claimed):
             continue
@@ -452,35 +541,13 @@ class PairingReport:
         return not self.unpaired_negatives
 
 
-def _kuhn_matching(negs, poss, feasible):
-    match_p = [-1] * len(poss)
-
-    def try_augment(i, visited):
-        for j in range(len(poss)):
-            if j in visited or not feasible(negs[i], poss[j]):
-                continue
-            visited.add(j)
-            if match_p[j] < 0 or try_augment(match_p[j], visited):
-                match_p[j] = i
-                return True
-        return False
-
-    matched = 0
-    for i in range(len(negs)):
-        if try_augment(i, set()):
-            matched += 1
-    pairs = {}
-    for j, i in enumerate(match_p):
-        if i >= 0:
-            pairs[i] = j
-    return matched, pairs
-
-
 def pair_spectrum(result, spec=None):
     """Pair each negative eigenvalue with a positive one of at least its size.
 
-    Greedy by ascending modulus of the negatives; a greedy failure is
-    re-checked by augmenting-path matching before being reported.
+    Greedy: the negatives in ascending modulus each take the smallest
+    positive p left with n + p >= -1e-8.  The feasible sets shrink as |n|
+    grows, so this is a maximum matching; when negatives stay unpaired, no
+    pairing does better, and the reported pairs are the greedy's.
     """
     ztol = 1e-8 * max(1.0, result.scale)
     negs, poss = [], []
@@ -493,35 +560,16 @@ def pair_spectrum(result, spec=None):
     negs.sort(key=abs)
     poss.sort()
 
-    def feasible(nval, pval):
-        return nval + pval >= -1e-8
-
     remaining = list(poss)
     pairs = []
     failed = []
     for nval in negs:
-        hit = None
-        for idx, pval in enumerate(remaining):
-            if feasible(nval, pval):
-                hit = idx
-                break
+        hit = next((idx for idx, pval in enumerate(remaining)
+                    if nval + pval >= -1e-8), None)
         if hit is None:
             failed.append(nval)
         else:
             pairs.append((nval, remaining.pop(hit)))
-    if failed:
-        matched, assign = _kuhn_matching(negs, poss, feasible)
-        if matched == len(negs):
-            used = set(assign.values())
-            pairs = [(negs[i], poss[j]) for i, j in sorted(assign.items())]
-            remaining = [p for j, p in enumerate(poss) if j not in used]
-            failed = []
-        else:
-            hit_idx = set(assign.keys())
-            failed = [negs[i] for i in range(len(negs)) if i not in hit_idx]
-            used = set(assign.values())
-            pairs = [(negs[i], poss[j]) for i, j in sorted(assign.items())]
-            remaining = [p for j, p in enumerate(poss) if j not in used]
 
     advisory = True
     if spec is not None:

@@ -371,6 +371,12 @@ def _real_if_zero_imag(lam):
     return complex(lam.real, 0.0) if abs(lam.imag) == 0.0 else lam
 
 
+def _is_real(lam):
+    """The relative realness test shared by the tracker and the checkers;
+    elementwise on complex arrays."""
+    return abs(lam.imag) <= 1e-7 * (1.0 + abs(lam.real))
+
+
 def _simple_pairs(spec, eta, lams, vecs):
     """Unit eigenvectors and residuals ||L(lam, eta) v|| for simple values.
 

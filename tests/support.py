@@ -104,6 +104,14 @@ def rand_condition1_spec(rng, n_max=8):
     return PencilSpec(m, g, a, rank_one=RankOneCoupling(b=b, e_index=e_index))
 
 
+def permuted_spec(spec, perm):
+    """The same rank-one pencil with coordinate i moved to position inv[i]."""
+    sub = np.ix_(perm, perm)
+    e_index = int(np.argsort(perm)[spec.rank_one.e_index])
+    return PencilSpec(spec.m[sub], spec.g[sub], spec.a[sub],
+                      rank_one=RankOneCoupling(b=spec.rank_one.b, e_index=e_index))
+
+
 def kernel_engineered_spec(rng, n_max=8):
     """Spec with prescribed dim ker A and prescribed p = dim(ker A ∩ e⊥).
 
@@ -572,3 +580,287 @@ def mp_secular_roots(mu, w, c, dps=50):
                 total[i] += x
         roots = mpmath.polyroots(total[::-1], maxsteps=400, extraprec=4 * dps)
         return np.array([complex(r) for r in roots])
+
+
+def _ref_is_real(lam):
+    return abs(lam.imag) <= 1e-7 * (1.0 + abs(lam.real))
+
+
+def _ref_expand_slots(result):
+    slots = []
+    for rec in result.records:
+        v = rec.vectors[:, 0] if rec.vectors.size else None
+        for _ in range(rec.alg_mult):
+            slots.append((rec.lam, v))
+    slots.sort(key=lambda s: (s[0].real, s[0].imag))
+    return slots
+
+
+def min_distinct_gap_loop(values):
+    """Greedy in-order dedup at 1e-9 relative, then the smallest pairwise
+    distance: the per-pair loop homotopy._min_distinct_gap replaced."""
+    vals = [v for v in values if v is not None]
+    distinct = []
+    for v in vals:
+        if all(abs(v - u) > 1e-9 * (1.0 + abs(v)) for u in distinct):
+            distinct.append(v)
+    if len(distinct) < 2:
+        return np.inf
+    best = np.inf
+    for i in range(len(distinct)):
+        for j in range(i + 1, len(distinct)):
+            best = min(best, abs(distinct[i] - distinct[j]))
+    return best
+
+
+def _ref_column(tset, i):
+    return [b.values[i] for b in tset.branches]
+
+
+def _ref_nonreal_count(tset, i):
+    return sum(1 for v in _ref_column(tset, i)
+               if v is not None and not _ref_is_real(v))
+
+
+def _ref_coincidence_groups(values, tol_factor=1e-4):
+    groups = []
+    seen = set()
+    for i, v in enumerate(values):
+        if v is None or i in seen:
+            continue
+        grp = [i]
+        for j in range(i + 1, len(values)):
+            w = values[j]
+            if w is None or j in seen:
+                continue
+            if abs(v - w) <= tol_factor * (1.0 + abs(v)):
+                grp.append(j)
+        if len(grp) >= 2:
+            groups.append(grp)
+            seen.update(grp)
+    return groups
+
+
+def track_reference(spec, eta_from=0.0, eta_to=1.0, steps=101):
+    """The branch tracker one branch and one step at a time.
+
+    The per-pair loops homotopy.track replaced with array work: one scalar
+    lambda_derivative per real branch per attempted step, a cost matrix
+    filled entry by entry, the gap recomputed on every attempt, and events
+    detected column by column from the branch lists.  Returns a
+    homotopy.TrajectorySet without diagnostics.
+    """
+    from scipy.optimize import linear_sum_assignment
+    from gyropencil import homotopy
+    from gyropencil.errors import (DenominatorVanishes, MatchingAmbiguous,
+                                   NotAnEigenvalue)
+    from gyropencil.pencil import spectrum
+
+    cache = {}
+
+    def spectrum_at(eta):
+        key = float(eta)
+        if key not in cache:
+            cache[key] = spectrum(spec, key)
+        return cache[key]
+
+    def nonreal_count(eta):
+        return sum(r.alg_mult for r in spectrum_at(eta).records
+                   if not _ref_is_real(r.lam))
+
+    escape = 1e6 * max(1.0, spec.spec_norm)
+    targets = list(np.linspace(eta_from, eta_to, steps))
+    grid = [targets[0]]
+    slots = _ref_expand_slots(spectrum_at(targets[0]))
+    branches = [homotopy.Branch(ident=i, values=[s[0]]) for i, s in enumerate(slots)]
+    state = list(slots)
+    alive = list(range(len(slots)))
+
+    work = list(reversed(targets[1:]))
+    while work:
+        t = work.pop()
+        cur_eta = grid[-1]
+        d_eta = t - cur_eta
+        slots_t = _ref_expand_slots(spectrum_at(t))
+        preds = []
+        for bi in alive:
+            lam, vec = state[bi]
+            pred = lam
+            if vec is not None and _ref_is_real(lam):
+                try:
+                    der = homotopy.lambda_derivative(spec, lam.real, vec, cur_eta)
+                    if isinstance(der, float):
+                        pred = lam + der * d_eta
+                except (DenominatorVanishes, NotAnEigenvalue):
+                    pred = lam
+            preds.append(pred)
+        nrow, ncol = len(alive), len(slots_t)
+        dim = max(nrow, ncol)
+        big = 1e3 * escape
+        cost = np.full((dim, dim), 0.0)
+        for i in range(nrow):
+            for j in range(ncol):
+                cost[i, j] = abs(preds[i] - slots_t[j][0])
+        for i in range(nrow):
+            for j in range(ncol, dim):
+                far = abs(state[alive[i]][0]) > 0.5 * escape
+                cost[i, j] = 0.0 if far else big
+        for i in range(nrow, dim):
+            for j in range(ncol):
+                far = abs(slots_t[j][0]) > 0.5 * escape
+                cost[i, j] = 0.0 if far else big
+        rows, cols = linear_sum_assignment(cost)
+        assign = dict(zip(rows, cols))
+        max_jump = 0.0
+        for i in range(nrow):
+            j = assign[i]
+            if j < ncol:
+                max_jump = max(max_jump, abs(state[alive[i]][0] - slots_t[j][0]))
+        gap = min_distinct_gap_loop([state[bi][0] for bi in alive])
+        if max_jump > 0.5 * gap and abs(d_eta) > 1e-6:
+            work.append(t)
+            work.append(cur_eta + 0.5 * d_eta)
+            continue
+        if abs(d_eta) <= 1e-6 and max_jump > 0.05 * max(1.0, spec.spec_norm):
+            raise MatchingAmbiguous(
+                "branch matching lost track near eta=%r" % (t,), eta=t)
+        grid.append(t)
+        new_alive = []
+        used_cols = set()
+        for i in range(nrow):
+            bi = alive[i]
+            j = assign[i]
+            if j < ncol:
+                lam, vec = slots_t[j]
+                branches[bi].values.append(lam)
+                state[bi] = (lam, vec)
+                new_alive.append(bi)
+                used_cols.add(j)
+            else:
+                branches[bi].values.append(None)
+                branches[bi].escaped = True
+                state[bi] = None
+        for j in range(ncol):
+            if j not in used_cols:
+                bi = len(branches)
+                branches.append(homotopy.Branch(
+                    ident=bi, values=[None] * (len(grid) - 1) + [slots_t[j][0]]))
+                state.append(slots_t[j])
+                new_alive.append(bi)
+        alive = sorted(new_alive)
+        for b in branches:
+            while len(b.values) < len(grid):
+                b.values.append(None)
+
+    tset = homotopy.TrajectorySet(eta_grid=grid, branches=branches, events=[])
+    npts = len(grid)
+    events = []
+    claimed = []
+
+    def separated(grp, i):
+        ok = [v for v in (tset.branches[b].values[i] for b in grp) if v is not None]
+        if len(ok) < 2:
+            return True
+        return min_distinct_gap_loop(ok) > 1e-3 * (1.0 + abs(ok[0]))
+
+    def refine_coincidence(eta_a, eta_b, lam):
+        def local_gap(eta):
+            close = sorted(spectrum_at(eta).records, key=lambda r: abs(r.lam - lam))[:2]
+            if len(close) < 2 or close[0].alg_mult > 1:
+                return 0.0
+            return abs(close[0].lam - close[1].lam)
+        a, b = eta_a, eta_b
+        for _ in range(80):
+            if abs(b - a) <= 1e-6:
+                break
+            m1 = a + (b - a) / 3.0
+            m2 = b - (b - a) / 3.0
+            if local_gap(m1) <= local_gap(m2):
+                b = m2
+            else:
+                a = m1
+        return 0.5 * (a + b)
+
+    def refine_count_change(i):
+        a, b = grid[i], grid[i + 1]
+        ca = nonreal_count(a)
+        while abs(b - a) > 1e-6:
+            mid = 0.5 * (a + b)
+            if nonreal_count(mid) == ca:
+                a = mid
+            else:
+                b = mid
+        eta_star = 0.5 * (a + b)
+        recs = spectrum_at(eta_star).records
+        best, lam_star = np.inf, 0.0 + 0.0j
+        for p in range(len(recs)):
+            if recs[p].alg_mult > 1:
+                if 0.0 < best:
+                    best, lam_star = 0.0, recs[p].lam
+                continue
+            for q_ in range(p + 1, len(recs)):
+                d = abs(recs[p].lam - recs[q_].lam)
+                if d < best:
+                    best = d
+                    lam_star = 0.5 * (recs[p].lam + recs[q_].lam)
+        if abs(lam_star.imag) <= 1e-4 * (1.0 + abs(lam_star)):
+            lam_star = complex(lam_star.real, 0.0)
+        col = _ref_column(tset, i)
+        order = sorted((k for k, v in enumerate(col) if v is not None),
+                       key=lambda k: abs(col[k] - lam_star))
+        return eta_star, lam_star, sorted(tset.branches[k].ident for k in order[:2])
+
+    runs = {}
+    finished = []
+    for i in range(npts):
+        here = set()
+        for grp in _ref_coincidence_groups(_ref_column(tset, i)):
+            key = frozenset(tset.branches[b].ident for b in grp)
+            here.add(key)
+            if key in runs and runs[key][1] == i - 1:
+                runs[key][1] = i
+            else:
+                if key in runs:
+                    finished.append((key, runs[key]))
+                runs[key] = [i, i]
+        for key in list(runs):
+            if key not in here and runs[key][1] < i:
+                finished.append((key, runs.pop(key)))
+    finished.extend(runs.items())
+    for key, (s, e) in finished:
+        if s == 0 or e == npts - 1:
+            continue
+        grp = [k for k, br in enumerate(tset.branches) if br.ident in key]
+        if not (separated(grp, s - 1) and separated(grp, e + 1)):
+            continue
+        mid = _ref_column(tset, (s + e) // 2)
+        lam = np.mean([mid[b] for b in grp if mid[b] is not None])
+        events.append(homotopy.CollisionEvent(
+            eta_star=refine_coincidence(grid[s - 1], grid[e + 1], lam),
+            lambda_star=complex(lam), kind=0, participants=sorted(key)))
+        claimed.append((min(grid[s - 1], grid[e + 1]), max(grid[s - 1], grid[e + 1])))
+    for i in range(npts - 1):
+        if _ref_nonreal_count(tset, i) == _ref_nonreal_count(tset, i + 1):
+            continue
+        lo, hi = sorted((grid[i], grid[i + 1]))
+        if any(a <= lo and hi <= b for a, b in claimed):
+            continue
+        eta_star, lam_star, parts = refine_count_change(i)
+        events.append(homotopy.CollisionEvent(
+            eta_star=eta_star, lambda_star=lam_star, kind=0, participants=parts))
+    events.sort(key=lambda e: e.eta_star)
+
+    gridarr = np.asarray(grid)
+    direction = 1.0 if gridarr[-1] >= gridarr[0] else -1.0
+    for ev in events:
+        signed = (gridarr - ev.eta_star) * direction
+        lo = np.nonzero(signed <= -1e-4)[0]
+        hi = np.nonzero(signed >= 1e-4)[0]
+        before = int(lo[-1]) if lo.size else 0
+        after = int(hi[0]) if hi.size else gridarr.size - 1
+        if before == after:
+            continue
+        delta = _ref_nonreal_count(tset, after) - _ref_nonreal_count(tset, before)
+        ev.kind = {0: 1, -2: 2, 2: 3}.get(delta, 0)
+    tset.events = events
+    return tset

@@ -155,6 +155,58 @@ def test_statistics_refuse_unresolvable_enumeration():
         checks.type2_statistics(spec, 1.0, result=fake)
 
 
+def _first_collision_loop(moduli, positives, ctol):
+    for m in moduli:
+        for v in positives:
+            if abs(v - m) <= ctol:
+                return v, m
+    return None
+
+
+def _min_separation_loop(moduli, positives):
+    sep = np.inf
+    for m in moduli:
+        for v in positives:
+            sep = min(sep, abs(v - m))
+    return sep
+
+
+def test_collision_scan_matches_loops():
+    rng = np.random.default_rng(83)
+    ctol = 1e-8
+    for _ in range(400):
+        k = int(rng.integers(0, 8))
+        moduli = sorted(set(rng.uniform(0.1, 50.0, size=k).round(int(rng.integers(1, 4)))))
+        pos = list(rng.uniform(0.0, 60.0, size=int(rng.integers(0, 10))))
+        # collisions: exact hits, offsets inside, on and just past ctol
+        for m in moduli:
+            if rng.random() < 0.4:
+                off = rng.choice([0.0, 0.5 * ctol, ctol, -ctol, 1.0000001 * ctol])
+                pos.insert(int(rng.integers(0, len(pos) + 1)), m + off)
+        assert checks._first_collision(moduli, pos, ctol) == \
+            _first_collision_loop(moduli, pos, ctol)
+        assert checks._min_separation(moduli, pos) == _min_separation_loop(moduli, pos)
+
+
+def test_statistics_collision_message_order():
+    # moduli 1 and 2 both collide; the message names the smaller modulus
+    # and, of its two colliders, the one listed first
+    spec = fixtures.w3()
+    dummy = np.zeros((2, 1), dtype=complex)
+
+    def rec(lam):
+        return EigenRecord(lam=complex(lam), alg_mult=1, geo_mult=1, type1_mult=0,
+                           type2_mult=1, vectors=dummy, residual=0.0)
+
+    recs = [rec(-2.0), rec(-1.0), rec(2.0 + 1e-9), rec(1.0 + 5e-9), rec(1.0 - 1e-9)]
+    fake = SpectrumResult(eta=1.0, records=recs, n_finite=5,
+                          discarded_infinite=0, scale=1.0)
+    with pytest.raises(EnumerationAmbiguous) as info:
+        checks.type2_statistics(spec, 1.0, result=fake)
+    assert str(info.value) == (
+        "positive eigenvalue %r within tolerance of modulus %r" % (1.0 + 5e-9, 1.0))
+
+
 def test_real_spectrum_when_a_psd():
     spec = PencilSpec(np.eye(2), np.diag([0.0, 1.0]), np.diag([1.0, 0.25]),
                       rank_one=RankOneCoupling(b=1.0, e_index=1))

@@ -371,14 +371,6 @@ def test_ker_ma_rank_runs_only_for_singular_mass(monkeypatch):
     assert spec.ker_ma_trivial
 
 
-def _permuted_spec(spec, perm):
-    """The same pencil with coordinate i moved to position inv[i]."""
-    sub = np.ix_(perm, perm)
-    e_index = int(np.argsort(perm)[spec.rank_one.e_index])
-    return PencilSpec(spec.m[sub], spec.g[sub], spec.a[sub],
-                      rank_one=RankOneCoupling(b=spec.rank_one.b, e_index=e_index))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 12), st.sampled_from([4.0, 2.3]), st.integers(0, 2**32 - 1),
        st.sampled_from([0.0, 0.3, 0.7, 1.0]))
@@ -387,7 +379,7 @@ def test_double_string_spectrum_permutation_invariant(n, q, seed, eta):
     spec = sturm.discretize(prob)
     perm = np.random.default_rng(seed).permutation(spec.n)
     base = spectrum(spec, eta)
-    moved = spectrum(_permuted_spec(spec, perm), eta)
+    moved = spectrum(support.permuted_spec(spec, perm), eta)
     assert len(moved.records) == len(base.records)
     for rec in base.records:
         other = min(moved.records, key=lambda r: abs(r.lam - rec.lam))
