@@ -17,23 +17,15 @@ import numpy as np
 
 from . import checks, homotopy, rootfind, serialize, sturm
 from .errors import (
-    BoundaryZero,
     ConditionViolation,
-    DegeneratePencil,
     GyropencilError,
     InvalidInput,
-    MatchingAmbiguous,
-    NoConvergence,
     PreconditionInteger,
-    ShiftExhausted,
-    SubdivisionStall,
 )
 from .pencil import spectrum
 from .rootfind import RootWindow
 
 _INVALID = (InvalidInput, ConditionViolation, PreconditionInteger)
-_NONCONVERGED = (MatchingAmbiguous, BoundaryZero, NoConvergence,
-                 SubdivisionStall, ShiftExhausted, DegeneratePencil)
 
 
 def _length(text):
@@ -213,9 +205,6 @@ def main(argv=None):
     except _INVALID as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except _NONCONVERGED as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except GyropencilError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

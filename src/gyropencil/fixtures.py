@@ -21,7 +21,7 @@ def w1():
     a = np.eye(2)
     return PencilSpec(
         m, g, a, rank_one=RankOneCoupling(b=1.0, e_index=1),
-        m_kind="identity_block", g_kind="rank_one",
+        m_kind="identity_block",
     )
 
 
@@ -32,7 +32,7 @@ def w2():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     return PencilSpec(
         m, g, a, rank_one=RankOneCoupling(b=1.0, e_index=1),
-        m_kind="identity_block", g_kind="rank_one",
+        m_kind="identity_block",
     )
 
 
@@ -43,7 +43,7 @@ def w3():
     a = np.diag([1.0, -0.09])
     return PencilSpec(
         m, g, a, rank_one=RankOneCoupling(b=1.0, e_index=1),
-        m_kind="identity_block", g_kind="rank_one",
+        m_kind="identity_block",
     )
 
 

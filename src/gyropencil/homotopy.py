@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     DenominatorVanishes,
     HypothesisViolated,
@@ -20,7 +19,7 @@ from .errors import (
     MatchingAmbiguous,
     NotAnEigenvalue,
 )
-from .pencil import _is_real, evaluate, spectrum
+from .pencil import _is_real, count_negative_modes, evaluate, spectrum
 
 
 def lambda_derivative(spec, lam, y, eta):
@@ -472,10 +471,8 @@ def _refine_count_change(spec, tracker, tset, i):
     recs = res.records
     for p in range(len(recs)):
         if recs[p].alg_mult > 1:
-            d = 0.0
-            pair = (recs[p].lam, recs[p].lam)
-            if d < best:
-                best, lam_star = d, recs[p].lam
+            if best > 0.0:
+                best, lam_star = 0.0, recs[p].lam
             continue
         for q_ in range(p + 1, len(recs)):
             d = abs(recs[p].lam - recs[q_].lam)
@@ -604,7 +601,7 @@ def count_identity(spec):
     if spec.g_min <= 1e-10 * max(1.0, spec.norm_g):
         raise HypothesisViolated("G must be positive definite")
     result = spectrum(spec, 1.0)
-    kappa_a = linalg.count_negative_eigs_pencil(spec.a, spec.m)
+    kappa_a = count_negative_modes(spec)
     kappa_c = sum(r.alg_mult for r in result.records if not _is_real(r.lam))
     pairing = pair_spectrum(result, spec)
     unpaired = len(pairing.unpaired_positives)

@@ -86,8 +86,7 @@ class PencilSpec:
     thresholds dimensionless.
     """
 
-    def __init__(self, m, g, a, rank_one=None, validate=True,
-                 m_kind="dense", g_kind=None):
+    def __init__(self, m, g, a, rank_one=None, validate=True, m_kind="dense"):
         self.m = linalg.as_matrix(m, "M")
         self.g = linalg.as_matrix(g, "G")
         self.a = linalg.as_matrix(a, "A")
@@ -95,9 +94,8 @@ class PencilSpec:
             raise DimensionMismatch("M, G, A must share one shape")
         self.n = self.m.shape[0]
         self.rank_one = rank_one
-        # serialization hints only; no semantic content
+        # serialization hint only; no semantic content
         self.m_kind = m_kind
-        self.g_kind = g_kind or ("rank_one" if rank_one is not None else "dense")
 
         # None unless M is diagonal; then M V is a row scaling
         self.m_diag = _diagonal(self.m)
@@ -263,10 +261,24 @@ class SpectrumResult:
         return all(r.types_classified for r in self.records)
 
 
+# Deterministic shift ladder for regularizing L(sigma, eta), tried in order.
+# Irrational-looking values make accidental eigenvalue hits unlikely.
+_SHIFTS = (
+    0.0,
+    0.123456789,
+    -0.987654321,
+    1.414213562,
+    -2.718281828,
+    0.31830988618,
+    -1.77245385090,
+    2.50662827463,
+)
+
+
 def choose_shift(spec, eta):
     """First candidate shift keeping L(sigma, eta) comfortably invertible."""
     thresh = 1e-8 * max(spec.spec_norm, np.finfo(float).tiny)
-    for sigma in linalg.SHIFT_CANDIDATES + linalg._EXTRA_SHIFTS:
+    for sigma in _SHIFTS:
         if linalg.smallest_singular_value(evaluate(spec, sigma, eta)) > thresh:
             return sigma
     raise ShiftExhausted(
@@ -533,11 +545,17 @@ def _modes(spec):
 
 
 def count_negative_modes(spec):
-    """kappa_A, the number of negative eigenvalues of lambda M - A, from the
-    cached modes (M definite, axis rank-one G); the threshold is
-    -1e-8 max(1, max |mu|)."""
-    md = _modes(spec)
-    return int(np.count_nonzero(md.mu < -1e-8 * md.mu_max))
+    """kappa_A, the number of negative eigenvalues of lambda M - A for M
+    definite; the threshold is -1e-8 max(1, max |mu|).  An axis rank-one
+    spec reads mu from its cached modes, any other from one eigvalsh(A, M)."""
+    if spec.rank_one is not None:
+        mu = _modes(spec).mu
+    else:
+        try:
+            mu = sla.eigvalsh(spec.a, spec.m, check_finite=False)
+        except sla.LinAlgError as exc:
+            raise NoConvergence("eigvalsh(A, M) failed: %s" % exc)
+    return int(np.count_nonzero(mu < -1e-8 * max(1.0, float(np.max(np.abs(mu))))))
 
 
 # Coupled-mode count from which the secular solver gives the coupled values;

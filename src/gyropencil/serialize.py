@@ -38,8 +38,7 @@ def pencil_to_dict(spec):
                   "data": int(round(float(np.trace(spec.m))))}
     else:
         d["M"] = {"kind": "dense", "data": _matrix_list(spec.m)}
-    g_kind = spec.g_kind or ("rank_one" if spec.rank_one else "dense")
-    if g_kind == "rank_one":
+    if spec.rank_one is not None:
         d["G"] = {"kind": "rank_one",
                   "b": float(spec.rank_one.b),
                   "e_index": int(spec.rank_one.e_index)}
@@ -99,7 +98,7 @@ def pencil_from_dict(d, validate=True):
 
     return PencilSpec(
         m, g, a, rank_one=rank_one, validate=validate,
-        m_kind=mspec["kind"], g_kind=gspec["kind"],
+        m_kind=mspec["kind"],
     )
 
 

@@ -94,7 +94,7 @@ def discretize_single(problem):
     return PencilSpec(
         m_h, g_h, a_h,
         rank_one=RankOneCoupling(b=problem.alpha, e_index=n1 - 1),
-        m_kind="diag", g_kind="rank_one",
+        m_kind="diag",
     )
 
 
@@ -147,7 +147,7 @@ def discretize_double(problem):
     return PencilSpec(
         m_h, g_h, a_h,
         rank_one=RankOneCoupling(b=problem.alpha, e_index=shared),
-        m_kind="diag", g_kind="rank_one",
+        m_kind="diag",
     )
 
 

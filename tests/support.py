@@ -171,6 +171,16 @@ def rand_definite_spec(rng, n_max=6):
     return PencilSpec(m, g, a)
 
 
+def cholesky_kappa(spec):
+    """kappa_A by congruence through the Cholesky factor M = C C^T: the
+    eigenvalues of C^-1 A C^-T below -1e-8 max(1, max |.|)."""
+    chol = np.linalg.cholesky(spec.m)
+    half = sla.solve_triangular(chol, spec.a, lower=True)
+    reduced = sla.solve_triangular(chol, half.T, lower=True)
+    vals = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
+    return int(np.count_nonzero(vals < -1e-8 * max(1.0, float(np.max(np.abs(vals))))))
+
+
 def winding_once(f, w, npts=256):
     """One window's argument-principle winding, refined on its own.
 

@@ -21,7 +21,6 @@ def test_pencil_round_trip_fixtures():
         assert np.allclose(back.g, spec.g)
         assert np.allclose(back.a, spec.a)
         assert back.m_kind == spec.m_kind
-        assert back.g_kind == spec.g_kind
         assert (back.rank_one is None) == (spec.rank_one is None)
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from gyropencil import sturm
 from gyropencil.errors import InvalidInput
-from gyropencil.pencil import spectrum, validate_condition_I
-from gyropencil.linalg import count_negative_eigs_pencil, smallest_singular_value
+from gyropencil.pencil import count_negative_modes, spectrum, validate_condition_I
+from gyropencil.linalg import smallest_singular_value
 
 import support
 
@@ -81,7 +81,7 @@ def test_dirichlet_neumann_count_positive_potential():
     p = sturm.SLProblem(variant="single", q_kind="const", q_value=4.0,
                         a=np.pi, alpha=1.0, n=400)
     spec = sturm.discretize(p)
-    assert count_negative_eigs_pencil(spec.a, spec.m) == 0
+    assert count_negative_modes(spec) == 0
 
 
 def test_double_shape():
