@@ -16,6 +16,8 @@ rank-one coupling G = b e e^T.  spectrum() takes one of two routes:
   with L(sigma, eta) invertible, reverse mu = 1/nu, and solve the standard
   companion eigenproblem of the reversed polynomial.  Eigenvalues at
   infinity (singular M) show up as mu ~ 0 and are discarded but counted.
+  A record's type I part is the part of its kernel vectors without a
+  component on the coupling axis.
 """
 
 import functools
@@ -190,8 +192,11 @@ def validate_condition_I(spec):
     ))
     clauses.append(("a_symmetric", sym_a,
                     "defect=%.3e" % linalg.symmetry_defect(spec.a)))
-    stacked = np.vstack([spec.m, spec.g, spec.a])
-    joint = linalg.rank_with_tol(stacked) == spec.n
+    # for symmetric M > 0, sigma_min([M; G; A]) >= lambda_min(M); above the
+    # bound it clears rank_with_tol's cutoff 3n eps sigma_max twice over
+    bound = 6 * spec.n * _EPS * np.sqrt(spec.norm_m ** 2 + spec.norm_g ** 2 + spec.norm_a ** 2)
+    joint = (sym_m and sym_g and sym_a and spec.m_mass > bound) or (
+        linalg.rank_with_tol(np.vstack([spec.m, spec.g, spec.a])) == spec.n)
     clauses.append(("joint_kernel_trivial", joint, "rank[M;G;A] vs n=%d" % spec.n))
     if spec.rank_one is not None:
         b = spec.rank_one.b
@@ -230,6 +235,9 @@ class SpectrumResult:
     n_finite: int
     discarded_infinite: int
     scale: float
+    # route ("modal", "companion"), shift (companion only), discarded_infinite
+    # and type1_from ("modes", "kernel_vectors", "unclassified")
+    diagnostics: dict = field(default_factory=dict, compare=False)
     # record values for find(), built on first use; records do not change
     # once the result is returned
     _lams: np.ndarray = field(default=None, init=False, repr=False, compare=False)
@@ -341,44 +349,6 @@ def _kernel_tol(spec, rep, eta, spread, svals_max, nrows):
                       1e-13 * spec.scale)
 
 
-# entries per batched SVD stack: at most 32 MB real, 64 MB complex
-_SVD_BATCH = 1 << 22
-
-
-def _stacked_type1(spec, lams, eta, spreads):
-    """dim(ker L(lam, eta) ∩ ker G) per value, from the rank of L over G.
-
-    At lam = 0 (within 1e-7 * scale) the eta-independent kernel is
-    ker A ∩ ker G.  G's all-zero rows are dropped, which leaves the
-    singular values unchanged; real and nonreal values go through separate
-    batched SVDs so the real ones stay in real arithmetic.
-    """
-    n = spec.n
-    lams = np.asarray(lams, dtype=complex)
-    zero = np.abs(lams) <= 1e-7 * spec.scale
-    lams = np.where(zero, 0.0, lams)
-    etas = np.where(zero, 0.0, eta)
-    spreads = np.where(zero, 0.0, spreads)
-    g_rows = spec.g[spec.g_rows]
-    rows = n + g_rows.shape[0]
-    chunk = max(1, _SVD_BATCH // max(1, rows * n))
-    dims = np.zeros(lams.size, dtype=int)
-    real = lams.imag == 0.0
-    for sel, vals in ((np.flatnonzero(real), lams.real), (np.flatnonzero(~real), lams)):
-        for start in range(0, sel.size, chunk):
-            idx = sel[start:start + chunk]
-            lam = vals[idx]
-            eta_lam = lam * etas[idx]
-            stack = np.empty((idx.size, rows, n), dtype=lam.dtype)
-            stack[:, :n] = ((lam * lam)[:, None, None] * spec.m
-                            - eta_lam[:, None, None] * spec.g - spec.a)
-            stack[:, n:] = g_rows
-            svals = np.linalg.svd(stack, compute_uv=False)
-            tol = _kernel_tol(spec, lam, etas[idx], spreads[idx], svals[:, 0], 2 * n)
-            dims[idx] = n - np.count_nonzero(svals > tol[:, None], axis=1)
-    return dims
-
-
 def _real_if_zero_imag(lam):
     return complex(lam.real, 0.0) if abs(lam.imag) == 0.0 else lam
 
@@ -420,29 +390,40 @@ def _simple_pairs(spec, eta, lams, vecs):
     return vecs, np.linalg.norm(resid, axis=0)
 
 
-def _fill_types(spec, eta, records, type1=None):
-    """Type split of every record.
+def _vector_type1(spec, eta, records):
+    """dim(ker L(lam, eta) ∩ ker G) per record, from its kernel basis V
+    (orthonormal columns) and residual rho = max ||L V c|| over unit c.
 
-    type1 is the modal route's count of decoupled modes per record; without
-    it each record's kernel inside ker G comes from the stacked rank.
+    The geo - 1 directions V c with (V c)_e = 0 keep the residual of the
+    stack [L; b e^T] below rho, so type1 = geo iff hypot(rho, b ||V[e, :]||)
+    <= tol, else geo - 1: the nullity of the stack whenever geo is right
+    (Courant-Fischer).  tol is _kernel_tol with the bound hypot(|lam|^2 ||M||
+    + |lam| eta ||G|| + ||A||, b) on the stack's norm.  A basis is off ker G
+    by about eps / gap next to a close value, so a record whose hypot lies
+    below 1e-6 * that bound takes the stack's nullity itself, as does a
+    record at lam = 0 (within 1e-7 * scale), whose kernel is ker A ∩ ker G.
     """
     if not records:
-        return
+        return []
+    b, e, n = spec.rank_one.b, spec.rank_one.e_index, spec.n
     lams = np.array([rec.lam for rec in records], dtype=complex)
-    if type1 is None:
-        if spec.rank_one is None or not spec.ker_ma_trivial:
-            for rec in records:
-                rec.type1_mult = 0
-                rec.type2_mult = rec.alg_mult
-                rec.types_classified = False
-            return
-        spreads = np.array([rec._spread for rec in records])
-        type1 = _stacked_type1(spec, lams, eta, spreads).tolist()
-    zero = np.abs(lams) <= 1e-7 * spec.scale
-    for rec, t1, z in zip(records, type1, zero.tolist()):
-        rec.type1_mult = min(t1, rec.alg_mult)
-        rec.type2_mult = rec.alg_mult - rec.type1_mult
-        rec.zero_flagged = z
+    geo = np.array([rec.geo_mult for rec in records])
+    rho = np.array([rec.residual for rec in records])
+    spreads = np.array([getattr(rec, "_spread", 0.0) for rec in records])
+    axis = np.abs(np.concatenate([rec.vectors[e] for rec in records])) ** 2
+    dist = np.hypot(rho, b * np.sqrt(np.add.reduceat(axis, np.cumsum(geo) - geo)))
+    alam = np.abs(lams)
+    smax = np.hypot(alam * alam * spec.norm_m + alam * eta * spec.norm_g + spec.norm_a, b)
+    tol = _kernel_tol(spec, lams, eta, spreads, smax, 2 * n)
+    type1 = geo - (dist > tol)
+    zero = alam <= 1e-7 * spec.scale
+    for i in np.flatnonzero(zero | ((dist > tol) & (dist <= 1e-6 * smax))):
+        lam, e_i, sp = (0.0, 0.0, 0.0) if zero[i] else (lams[i], eta, spreads[i])
+        lam = lam if lam.imag else lam.real
+        svals = sla.svdvals(np.vstack([evaluate(spec, lam, e_i), spec.g[spec.g_rows]]),
+                            check_finite=False)
+        type1[i] = n - np.count_nonzero(svals > _kernel_tol(spec, lam, e_i, sp, svals[0], 2 * n))
+    return type1.tolist()
 
 
 @dataclass
@@ -949,8 +930,8 @@ def _modal_records(spec, eta):
 
 
 def _companion_values(spec, eta):
-    """Finite values, their vectors and the number of infinite ones from
-    the shifted, reversed companion of the whole pencil."""
+    """The shift, the finite values, their vectors and the number of
+    infinite ones, from the shifted, reversed companion of the pencil."""
     n = spec.n
     sigma = choose_shift(spec, eta)
     l0 = evaluate(spec, sigma, eta)
@@ -985,7 +966,7 @@ def _companion_values(spec, eta):
         if nv > 0.0 and np.linalg.norm(spec.m @ v) <= m_floor * nv:
             keep[i] = False
     finite_idx = np.flatnonzero(keep)
-    return sigma + 1.0 / mus[finite_idx], vecs[:n, finite_idx], 2 * n - finite_idx.size
+    return sigma, sigma + 1.0 / mus[finite_idx], vecs[:n, finite_idx], 2 * n - finite_idx.size
 
 
 def _cluster_records(spec, eta, lams, vecs):
@@ -1036,12 +1017,22 @@ def spectrum(spec, eta):
     # the modal route: M definite (the nonreal_region test), axis rank-one G
     if spec.rank_one is not None and spec.m_definite:
         records, type1 = _modal_records(spec, eta)
-        discarded = 0
+        discarded, classified = 0, True
+        diagnostics = {"route": "modal", "type1_from": "modes"}
     else:
-        lams, vecs, discarded = _companion_values(spec, eta)
+        sigma, lams, vecs, discarded = _companion_values(spec, eta)
         records = _cluster_records(spec, eta, lams, vecs)
-        type1 = None
-    _fill_types(spec, eta, records, type1)
+        classified = spec.rank_one is not None and spec.ker_ma_trivial
+        type1 = _vector_type1(spec, eta, records) if classified else [0] * len(records)
+        diagnostics = {"route": "companion", "shift": sigma, "type1_from":
+                       "kernel_vectors" if classified else "unclassified"}
+    diagnostics["discarded_infinite"] = int(discarded)
+    # without an axis rank-one G and ker M ∩ ker A = {0}, all type II
+    for rec, t1 in zip(records, type1):
+        rec.type1_mult = min(t1, rec.alg_mult)
+        rec.type2_mult = rec.alg_mult - rec.type1_mult
+        rec.zero_flagged = classified and abs(rec.lam) <= 1e-7 * spec.scale
+        rec.types_classified = classified
     records.sort(key=lambda r: (r.lam.real, r.lam.imag))
     return SpectrumResult(
         eta=eta,
@@ -1049,6 +1040,7 @@ def spectrum(spec, eta):
         n_finite=int(sum(r.alg_mult for r in records)),
         discarded_infinite=int(discarded),
         scale=spec.scale,
+        diagnostics=diagnostics,
     )
 
 
@@ -1066,19 +1058,18 @@ def is_semisimple(spec, lam, eta):
 
 
 def classify_type(spec, record, eta=1.0):
-    """(type1_mult, type2_mult) for one eigenvalue record.
+    """(type1_mult, type2_mult) for a record of spectrum(spec, eta).
 
-    type1_mult = dim(ker L(lam) ∩ ker G), which is independent of eta; for
-    lam = 0 the split is reported but the identity with the persistent
+    type1_mult = dim(ker L(lam) ∩ ker G), which is independent of eta, from
+    the record's orthonormal kernel vectors and residual (_vector_type1).
+    For lam = 0 the split is reported but the identity with the persistent
     multiplicity is not asserted (the record should carry zero_flagged).
     """
     if spec.rank_one is None:
         raise InvalidInput("type classification requires the rank-one flag")
     if not spec.ker_ma_trivial:
         raise PreconditionKerMA("ker M ∩ ker A must be trivial")
-    spread = getattr(record, "_spread", 0.0)
-    m0 = int(_stacked_type1(spec, [record.lam], eta, [spread])[0])
-    t1 = min(m0, record.alg_mult)
+    t1 = min(_vector_type1(spec, eta, [record])[0], record.alg_mult)
     return t1, record.alg_mult - t1
 
 

@@ -403,6 +403,92 @@ def mirror_spec(rng):
     return PencilSpec(m, g, a, rank_one=RankOneCoupling(b=b, e_index=e_index))
 
 
+def stacked_type1(spec, lams, eta, spreads):
+    """dim(ker L(lam, eta) ∩ ker G) per value, from the rank of the stack
+    [L(lam, eta); G]: its singular values above
+    max(2n eps sigma_max, 3 pert, 1e-13 scale), pert the change of L over
+    the record's spread.  At lam = 0 (within 1e-7 * scale) the
+    eta-independent kernel is ker A ∩ ker G.  One batched SVD per call.
+    """
+    n = spec.n
+    lams = np.asarray(lams, dtype=complex)
+    zero = np.abs(lams) <= 1e-7 * spec.scale
+    lams = np.where(zero, 0.0, lams)
+    etas = np.where(zero, 0.0, eta)
+    spreads = np.where(zero, 0.0, spreads)
+    stack = np.empty((lams.size, 2 * n, n), dtype=complex)
+    stack[:, :n] = ((lams * lams)[:, None, None] * spec.m
+                    - (lams * etas)[:, None, None] * spec.g - spec.a)
+    stack[:, n:] = spec.g
+    svals = np.linalg.svd(stack, compute_uv=False)
+    alam = np.abs(lams)
+    pert = spreads * (2.0 * alam * spec.norm_m + etas * spec.norm_g)
+    pert = pert + spreads * spreads * spec.norm_m
+    tol = np.maximum(np.maximum(2 * n * np.finfo(float).eps * svals[:, 0], 3.0 * pert),
+                     1e-13 * spec.scale)
+    return n - np.count_nonzero(svals > tol[:, None], axis=1)
+
+
+def identity_block_spec(rng, n_max=8):
+    """The benchmark's singular-M rank-one pencil: M = diag(I_k, 0), an
+    axis rank-one G on a massless coordinate and a random symmetric A with
+    a +-1 diagonal shift."""
+    n = int(rng.integers(2, n_max + 1))
+    k = n - max(1, n // 4)
+    a = rng.normal(size=(n, n)) / np.sqrt(n)
+    a = 0.5 * (a + a.T)
+    a[np.arange(n), np.arange(n)] += rng.choice([-1.0, 1.0], n)
+    m = np.diag(np.where(np.arange(n) < k, 1.0, 0.0))
+    b = float(rng.uniform(0.5, 2.0))
+    e_index = int(rng.integers(k, n))
+    g = np.zeros((n, n))
+    g[e_index, e_index] = b
+    return PencilSpec(m, g, a, rank_one=RankOneCoupling(b=b, e_index=e_index))
+
+
+def mirror_singular_spec(rng):
+    """r = 2 or 3 copies of a block with massless coordinates, joined at one
+    node that carries the coupling.
+
+    The modes odd under swapping two copies vanish on the node, so every
+    finite value of the block pencil (A1, M1) is an (r - 1)-fold type I
+    value; the node is massless or massive.
+    """
+    s = int(rng.integers(2, 4))
+    r = int(rng.integers(2, 4))
+    n = r * s + 1
+    a1 = rng.normal(size=(s, s))
+    a1 = a1 + a1.T
+    m1 = np.diag(rng.uniform(0.5, 2.0, s) * (rng.permutation(s) > 0))
+    c = rng.normal(size=s)
+    a = np.zeros((n, n))
+    m = np.zeros((n, n))
+    for k in range(r):
+        blk = slice(k * s, (k + 1) * s)
+        a[blk, blk] = a1
+        m[blk, blk] = m1
+        a[blk, -1] = a[-1, blk] = c
+    a[-1, -1] = rng.normal()
+    m[-1, -1] = float(rng.choice([0.0, rng.uniform(0.5, 2.0)]))
+    b = float(rng.uniform(0.2, 2.0))
+    g = np.zeros((n, n))
+    g[-1, -1] = b
+    return PencilSpec(m, g, a, rank_one=RankOneCoupling(b=b, e_index=n - 1))
+
+
+def with_decoupled_copies(spec, lam0, copies):
+    """spec joined, by direct sum, with `copies` 1 x 1 blocks
+    lambda^2 - lam0^2 that G does not touch: lam0 (real) gains `copies`
+    type I multiplicity at every eta."""
+    n = spec.n + copies
+    m, g, a = (np.zeros((n, n)) for _ in range(3))
+    for big, small in ((m, spec.m), (g, spec.g), (a, spec.a)):
+        big[:spec.n, :spec.n] = small
+    m[spec.n:, spec.n:] = np.eye(copies)
+    a[spec.n:, spec.n:] = lam0 * lam0 * np.eye(copies)
+    return PencilSpec(m, g, a, rank_one=spec.rank_one)
+
+
 def _error_bound_groups(vals, bounds, zero_tol):
     """Single-linkage groups of values whose first-order error discs
     |lam - vals[i]| <= bounds[i] meet, plus one group for every value

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gyropencil import checks, fixtures, linalg, pencil, sturm
 from gyropencil.errors import ConditionViolation, MassNotDefinite
 from gyropencil.pencil import (
-    PencilSpec, RankOneCoupling, _cluster_points, _stacked_type1,
+    PencilSpec, RankOneCoupling, _cluster_points,
     choose_shift, classify_type, evaluate, geometric_multiplicity,
     is_semisimple, nonreal_region, nonsimple_real_interval, spectrum,
     validate_condition_I,
@@ -266,6 +266,9 @@ def _rank_one_specs():
 
 
 def test_stacked_type1_matches_per_record_svd():
+    # every record's type I count against the nullity of the stack
+    # [L(lam); G] from one SVD per record; support.stacked_type1, the
+    # batched form of the same oracle, must agree with it
     eps = np.finfo(float).eps
     for spec in _rank_one_specs():
         n = spec.n
@@ -273,8 +276,8 @@ def test_stacked_type1_matches_per_record_svd():
             res = spectrum(spec, eta)
             lams = [r.lam for r in res.records]
             spreads = [r._spread for r in res.records]
-            got = _stacked_type1(spec, lams, eta, spreads)
-            for rec, dim in zip(res.records, got):
+            batched = support.stacked_type1(spec, lams, eta, spreads)
+            for rec, dim in zip(res.records, batched):
                 lam, e, spread = rec.lam, eta, rec._spread
                 if abs(lam) <= 1e-7 * spec.scale:
                     lam, e, spread = 0.0, 0.0, 0.0
@@ -283,7 +286,117 @@ def test_stacked_type1_matches_per_record_svd():
                 pert = spread * (2.0 * abs(lam) * spec.norm_m + e * spec.norm_g)
                 pert += spread * spread * spec.norm_m
                 tol = max(2 * n * eps * svals[0], 3.0 * pert, 1e-13 * spec.scale)
-                assert dim == n - np.count_nonzero(svals > tol), (lam, eta)
+                oracle = n - np.count_nonzero(svals > tol)
+                assert dim == oracle, (lam, eta)
+                assert rec.type1_mult == min(oracle, rec.alg_mult), (lam, eta)
+                assert classify_type(spec, rec, eta) == (rec.type1_mult, rec.type2_mult)
+
+
+def _coincident(spec, eta, copies, rel=0.0):
+    """spec with `copies` decoupled 1 x 1 blocks at one of its real finite
+    values at eta (from scipy's eig of the linearization) moved by a
+    relative rel: at rel = 0 the value gains type I multiplicity `copies`.
+    None if no real value lies apart from the others."""
+    n = spec.n
+    eye, zero = np.eye(n), np.zeros((n, n))
+    vals = sla.eig(np.block([[zero, eye], [spec.a, eta * spec.g]]),
+                   np.block([[eye, zero], [zero, spec.m]]), right=False)
+    vals = vals[np.isfinite(vals)]
+    for lam in vals:
+        gap = np.sort(np.abs(vals - lam))[1] if vals.size > 1 else np.inf
+        if abs(lam.imag) <= 1e-12 and 0.05 <= abs(lam) <= 20.0 and gap > 1e-3:
+            return support.with_decoupled_copies(spec, float(lam.real) * (1.0 + rel), copies)
+    return None
+
+
+_SINGULAR = {
+    "identity_block": support.identity_block_spec,
+    "mirror": support.mirror_singular_spec,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_SINGULAR)), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(0, 2),
+       st.sampled_from([0.0, 1e-5, 1e-3]))
+def test_vector_type1_matches_stacked_rank(kind, seed, eta, copies, rel):
+    # singular M: the companion route reads the type split from each
+    # record's kernel vectors; it must give the stacked rank's count.
+    # copies > 0 adds decoupled copies of a real value (a type I value on
+    # a type II value, or a double type I value) or, with rel > 0, next to
+    # it, where the computed vectors are off ker G by about eps / gap
+    spec = _SINGULAR[kind](np.random.default_rng(seed))
+    if copies:
+        spec = _coincident(spec, eta, copies, rel) or spec
+    assert not spec.m_definite
+    res = spectrum(spec, eta)
+    assert res.diagnostics["type1_from"] == "kernel_vectors"
+    lams = [r.lam for r in res.records]
+    ref = support.stacked_type1(spec, lams, eta, [r._spread for r in res.records])
+    for rec, dim in zip(res.records, ref):
+        assert rec.type1_mult == min(dim, rec.alg_mult), (rec.lam, rec.alg_mult, dim)
+        assert classify_type(spec, rec, eta) == (rec.type1_mult, rec.type2_mult)
+
+
+def test_vector_type1_multi_member_records():
+    # a type I value on a type II value and a double type I value, each one
+    # record of two members, plus the double type I values of a
+    # three-copy mirror; and a type I value a relative 1e-4 from a type II
+    # value, whose computed vector is off ker G by about 1e-12 and which
+    # the rule alone would call type II (the stacked nullity decides it)
+    seen = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for kind, copies, rel in (("identity_block", 1, 0.0), ("identity_block", 2, 0.0),
+                                  ("mirror", 0, 0.0), ("identity_block", 1, 1e-4)):
+            spec = _SINGULAR[kind](rng)
+            spec = _coincident(spec, 0.7, copies, rel) if copies else spec
+            if spec is None:
+                continue
+            res = spectrum(spec, 0.7)
+            ref = support.stacked_type1(spec, [r.lam for r in res.records], 0.7,
+                                        [r._spread for r in res.records])
+            for rec, dim in zip(res.records, ref):
+                assert rec.type1_mult == min(dim, rec.alg_mult), (seed, kind, rec.lam)
+                if rec.alg_mult > 1:
+                    seen.add((rec.alg_mult, rec.geo_mult, rec.type1_mult))
+    assert {(2, 2, 1), (2, 2, 2)} <= seen, seen
+
+
+def test_companion_types_take_no_stacked_svd(monkeypatch):
+    # the type split on the companion route reads the records' own kernel
+    # vectors: no SVD of a stack of per-record matrices
+    svd = np.linalg.svd
+
+    def flat_only(a, *args, **kwargs):
+        if np.ndim(a) > 2:
+            raise AssertionError("batched SVD of shape %s" % (np.shape(a),))
+        return svd(a, *args, **kwargs)
+
+    rng = np.random.default_rng(3)
+    specs = [fixtures.w1(), support.identity_block_spec(rng, n_max=12),
+             support.mirror_singular_spec(rng)]
+    monkeypatch.setattr(np.linalg, "svd", flat_only)
+    for spec in specs:
+        res = spectrum(spec, 0.8)
+        assert res.diagnostics["type1_from"] == "kernel_vectors"
+        assert checks.run_all(spec, eta=0.8).all_pass
+
+
+def test_spectrum_diagnostics():
+    res = spectrum(fixtures.w1(), 1.0)
+    assert res.diagnostics == {"route": "companion", "shift": choose_shift(fixtures.w1(), 1.0),
+                               "type1_from": "kernel_vectors", "discarded_infinite": 1}
+    prob = dataclasses.replace(fixtures.sl_double_q4(), n=12)
+    res = spectrum(sturm.discretize(prob), 1.0)
+    assert res.diagnostics == {"route": "modal", "type1_from": "modes",
+                               "discarded_infinite": 0}
+    # a dense G is typed by nothing
+    spec = PencilSpec(np.diag([1.0, 0.0]), np.eye(2), np.eye(2))
+    assert spectrum(spec, 0.5).diagnostics["type1_from"] == "unclassified"
+    # the side channel takes no part in comparisons
+    other = dataclasses.replace(res, diagnostics={})
+    assert other == res
 
 
 def test_batched_residuals_match_evaluate():
@@ -369,6 +482,26 @@ def test_ker_ma_rank_runs_only_for_singular_mass(monkeypatch):
     spec = support.rand_definite_spec(np.random.default_rng(5))
     monkeypatch.setattr(linalg, "rank_with_tol", no_rank)
     assert spec.ker_ma_trivial
+
+
+def test_joint_kernel_svd_skipped_only_above_margin(monkeypatch):
+    # conftest checks the clause against the SVD on every spec a test
+    # builds; here: which specs take the SVD
+    shapes = []
+    rank = linalg.rank_with_tol
+
+    def counted(mat, tol=0.0):
+        shapes.append(np.shape(mat))
+        return rank(mat, tol)
+
+    monkeypatch.setattr(linalg, "rank_with_tol", counted)
+    spec = support.rand_definite_spec(np.random.default_rng(7))
+    assert spec.condition_report.all_pass and shapes == []
+    # lambda_min(M) = 1e-9 ||M|| and ||A|| = 1e12 ||M||: M is definite, but
+    # lambda_min(M) does not clear 6n eps ||[M; G; A]||, so the SVD decides
+    spec = PencilSpec(np.diag([1.0, 1e-9]), np.zeros((2, 2)), np.diag([1e12, -1e12]))
+    assert spec.m_definite and spec.condition_report.all_pass
+    assert shapes == [(6, 2)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -473,8 +606,8 @@ _W2_RECORDS = [
                                           (fixtures.w2(), _W2_RECORDS)],
                          ids=["W1", "W2"])
 def test_singular_mass_types_over_eta(spec, expect):
-    # singular M stays on the companion route; the stacked rank gives the
-    # types the reduced ladder gave
+    # singular M stays on the companion route; the records' kernel vectors
+    # give the types the reduced ladder gave
     for k, records in enumerate(expect):
         res = spectrum(spec, k / 10.0)
         got = [(rec.lam, rec.alg_mult, rec.geo_mult, rec.type1_mult, rec.type2_mult)
