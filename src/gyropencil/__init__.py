@@ -25,7 +25,6 @@ from .checks import (
 from .errors import (
     BoundaryZero,
     ConditionViolation,
-    DegeneratePencil,
     DenominatorVanishes,
     DimensionMismatch,
     EnumerationAmbiguous,
@@ -36,11 +35,9 @@ from .errors import (
     MatchingAmbiguous,
     NoConvergence,
     NotAnEigenvalue,
-    NotSymmetric,
     PreconditionInteger,
     PreconditionKerMA,
     ShiftExhausted,
-    SingularMatrix,
     SubdivisionStall,
 )
 from .homotopy import (

@@ -9,20 +9,8 @@ class DimensionMismatch(GyropencilError):
     pass
 
 
-class SingularMatrix(GyropencilError):
-    pass
-
-
-class NotSymmetric(GyropencilError):
-    pass
-
-
 class NoConvergence(GyropencilError):
     pass
-
-
-class DegeneratePencil(GyropencilError):
-    """det(lambda*M - A) vanishes identically; no shift regularizes it."""
 
 
 class ConditionViolation(GyropencilError):

@@ -8,7 +8,6 @@ surface.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionMismatch, NoConvergence
 
@@ -47,6 +46,7 @@ def rank_with_tol(mat, tol=0.0):
     mat = np.asarray(mat)
     if mat.size == 0:
         return 0
+    import scipy.linalg as sla
     svals = sla.svdvals(mat)
     if svals.size == 0:
         return 0
@@ -59,6 +59,7 @@ def smallest_singular_value(mat):
     mat = np.asarray(mat)
     if mat.size == 0:
         return 0.0
+    import scipy.linalg as sla
     svals = sla.svdvals(mat)
     return float(svals[-1])
 

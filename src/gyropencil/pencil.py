@@ -24,7 +24,8 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+# scipy.linalg (about 0.25 s to import) is imported inside the functions
+# that use it, so commands that never solve a spectrum do not load it
 
 from . import linalg
 from .errors import (
@@ -77,6 +78,7 @@ def _eigvalsh(mat, diag):
     matrix they are its sorted diagonal, which is what eigvalsh returns."""
     if diag is not None:
         return np.sort(diag)
+    import scipy.linalg as sla
     return sla.eigvalsh(0.5 * (mat + mat.T), check_finite=False)
 
 
@@ -417,6 +419,7 @@ def _vector_type1(spec, eta, records):
     tol = _kernel_tol(spec, lams, eta, spreads, smax, 2 * n)
     type1 = geo - (dist > tol)
     zero = alam <= 1e-7 * spec.scale
+    import scipy.linalg as sla
     for i in np.flatnonzero(zero | ((dist > tol) & (dist <= 1e-6 * smax))):
         lam, e_i, sp = (0.0, 0.0, 0.0) if zero[i] else (lams[i], eta, spreads[i])
         lam = lam if lam.imag else lam.real
@@ -474,9 +477,10 @@ def _modes(spec):
     """
     if spec._modes is not None:
         return spec._modes
+    import scipy.linalg as sla
     try:
         mu, phi = sla.eigh(spec.a, spec.m, check_finite=False)
-    except sla.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise NoConvergence("eigh(A, M) failed: %s" % exc)
     w = phi[spec.rank_one.e_index].copy()
     cut = 1e-8 * float(np.max(np.abs(w)))
@@ -532,9 +536,10 @@ def count_negative_modes(spec):
     if spec.rank_one is not None:
         mu = _modes(spec).mu
     else:
+        import scipy.linalg as sla
         try:
             mu = sla.eigvalsh(spec.a, spec.m, check_finite=False)
-        except sla.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise NoConvergence("eigvalsh(A, M) failed: %s" % exc)
     return int(np.count_nonzero(mu < -1e-8 * max(1.0, float(np.max(np.abs(mu))))))
 
@@ -937,6 +942,7 @@ def _companion_values(spec, eta):
     l0 = evaluate(spec, sigma, eta)
     p1 = 2.0 * sigma * spec.m - eta * spec.g
     p2 = spec.m
+    import scipy.linalg as sla
     lu, piv = sla.lu_factor(l0, check_finite=False)
     # one refinement pass; the companion blocks must be accurate enough that
     # defective clusters split below the clustering gap
@@ -973,6 +979,7 @@ def _cluster_records(spec, eta, lams, vecs):
     """Records of the companion route: values within the 1e-6 gap (or all
     inside the zero band) form one record whose geo and kernel basis come
     from an SVD of L at the cluster mean."""
+    import scipy.linalg as sla
     n = spec.n
     clusters = _cluster_points(lams, zero_tol=1e-7 * spec.scale)
     simple = np.array([c[0] for c in clusters if len(c) == 1], dtype=int)

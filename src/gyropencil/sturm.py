@@ -171,12 +171,12 @@ def omega(lam, q, a, alpha):
     w = z2 * (a * a)
     small = np.abs(w) < 1e-12
     k = np.sqrt(np.where(small, 1.0, z2))
-    s = np.where(small,
-                 a * (1.0 - w / 6.0 + w * w / 120.0),
-                 np.sin(k * a) / k)
-    c = np.where(small,
-                 1.0 - w / 2.0 + w * w / 24.0,
-                 np.cos(k * a))
+    s = np.sin(k * a) / k
+    c = np.cos(k * a)
+    if small.any():
+        ws = w[small]
+        s[small] = a * (1.0 - ws / 6.0 + ws * ws / 120.0)
+        c[small] = 1.0 - ws / 2.0 + ws * ws / 24.0
     out = s * (2.0 * c + alpha * z * s)
     return complex(out[0]) if scalar else out.reshape(lam_arr.shape)
 
@@ -206,6 +206,12 @@ def type1_lambdas(q, a, j_max):
     return values, degenerate
 
 
+# elements (steps x points) evaluated per block of the shooting product:
+# enough steps per numpy call to amortize its overhead for small batches,
+# few enough that the block's temporaries stay small
+_BLOCK_ELEMENTS = 4096
+
+
 def shoot_charfn(lam, problem):
     """Characteristic value s'(a) + lam alpha s(a) by fixed-step RK4.
 
@@ -213,12 +219,24 @@ def shoot_charfn(lam, problem):
     is polynomial in lam^2 per step, hence entire in lam.  alpha = 0 is
     permitted here (pure Neumann-type characteristic value).  lam may be a
     scalar or an array.
+
+    One RK4 step of (y, y')' = [[0, 1], [q - t, 0]] (y, y'), t = lam^2, is
+    the 2x2 matrix T_i(t) whose entries are quadratics in t.  Their
+    coefficients are set up once per call; the steps then go in blocks of
+    about _BLOCK_ELEMENTS steps x points, each block's matrices multiplied
+    out by a balanced pairwise tree (later step on the left) and applied
+    to (y, y').  A block takes four numpy calls for its matrices, three per
+    tree level and two to apply; a call on P points takes ceil(4n / B)
+    blocks of B = max(1, _BLOCK_ELEMENTS // P) steps, where a step-by-step
+    loop makes about 30 calls per step.  The values are the RK4 map's,
+    equal to that loop up to rounding.
     """
     if problem.variant != "single":
         raise InvalidInput("shooting is defined for the single variant")
     lam = np.asarray(lam, dtype=complex)
     scalar = lam.ndim == 0
-    lam2 = np.atleast_1d(lam) ** 2
+    lam1 = lam.ravel()
+    lam2 = lam1 ** 2
 
     q = effective_q(problem)
     hg = problem.a / (problem.n + 1)
@@ -226,26 +244,51 @@ def shoot_charfn(lam, problem):
 
     nsteps = 4 * problem.n
     h = problem.a / nsteps
-    # step nodes by the same x += h accumulation the steps use
-    nodes = [0.0]
-    for _ in range(nsteps):
-        nodes.append(nodes[-1] + h)
-    nodes = np.asarray(nodes)
-    qn = np.interp(nodes, xq, q, left=q[0], right=q[-1]).tolist()
-    qh = np.interp(nodes[:-1] + 0.5 * h, xq, q, left=q[0], right=q[-1]).tolist()
-    y = np.zeros_like(lam2)
-    dy = np.ones_like(lam2)
-    for i in range(nsteps):
-        q1, q2, q4 = qn[i], qh[i], qn[i + 1]
-        k1y = dy
-        k1d = (q1 - lam2) * y
-        k2y = dy + 0.5 * h * k1d
-        k2d = (q2 - lam2) * (y + 0.5 * h * k1y)
-        k3y = dy + 0.5 * h * k2d
-        k3d = (q2 - lam2) * (y + 0.5 * h * k2y)
-        k4y = dy + h * k3d
-        k4d = (q4 - lam2) * (y + h * k3y)
-        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        dy = dy + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-    out = dy + np.atleast_1d(lam) * problem.alpha * y
-    return complex(out[0]) if scalar else out.reshape(np.shape(lam))
+    # step nodes by x += h accumulation (cumsum adds in sequence)
+    nodes = np.concatenate([[0.0], np.cumsum(np.full(nsteps, h))])
+    qn = np.interp(nodes, xq, q, left=q[0], right=q[-1])
+    q2 = np.interp(nodes[:-1] + 0.5 * h, xq, q, left=q[0], right=q[-1])
+    q1, q4 = qn[:-1], qn[1:]
+
+    # coef[p, r, c, i]: coefficient of t^p in entry (r, c) of T_i, complex
+    # so the in-place updates of the complex block need no casts
+    h2 = h * h
+    coef = np.zeros((3, 2, 2, nsteps), dtype=complex)
+    coef[0, 0, 0] = 1.0 + h2 / 6.0 * (q1 + 2.0 * q2 + h2 * q1 * q2 / 4.0)
+    coef[1, 0, 0] = -h2 / 6.0 * (3.0 + h2 * (q1 + q2) / 4.0)
+    coef[2, 0, 0] = h2 * h2 / 24.0
+    coef[0, 0, 1] = h + h * h2 * q2 / 6.0
+    coef[1, 0, 1] = -h * h2 / 6.0
+    coef[0, 1, 0] = h / 6.0 * (q1 + 4.0 * q2 + q4 + h2 * q2 * (q1 + q4) / 2.0)
+    coef[1, 1, 0] = -h / 6.0 * (6.0 + h2 * (q1 + 2.0 * q2 + q4) / 2.0)
+    coef[2, 1, 0] = h * h2 / 6.0
+    coef[0, 1, 1] = 1.0 + h2 / 6.0 * (2.0 * q2 + q4 + h2 * q2 * q4 / 4.0)
+    coef[1, 1, 1] = -h2 / 6.0 * (3.0 + h2 * (q2 + q4) / 4.0)
+    coef[2, 1, 1] = h2 * h2 / 24.0
+
+    npts = lam2.size
+    block = max(1, _BLOCK_ELEMENTS // max(1, npts))
+    # the step matrices of a block are written into one buffer, and the
+    # state is updated in place: fresh temporaries of this size each step
+    # cost more in page faults than the arithmetic
+    work = np.empty((2, 2, block, npts), dtype=complex)
+    v = np.zeros((2, npts), dtype=complex)
+    v[1] = 1.0
+    for start in range(0, nsteps, block):
+        c = coef[:, :, :, start:start + block, None]
+        m = work[:, :, :c.shape[3]]
+        np.multiply(c[2], lam2, out=m)
+        m += c[1]
+        m *= lam2
+        m += c[0]
+        while m.shape[2] > 1:
+            k = m.shape[2] // 2
+            later, earlier = m[:, :, 1:2 * k:2], m[:, :, 0:2 * k:2]
+            prod = later[:, :1] * earlier[0] + later[:, 1:] * earlier[1]
+            m = np.concatenate([prod, m[:, :, 2 * k:]], axis=2) if 2 * k < m.shape[2] else prod
+        # v[i] = sum_j m[i, j] v[j]
+        m = m[:, :, 0]
+        m *= v
+        np.add(m[:, 0], m[:, 1], out=v)
+    out = v[1] + lam1 * problem.alpha * v[0]
+    return complex(out[0]) if scalar else out.reshape(lam.shape)

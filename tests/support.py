@@ -15,6 +15,7 @@ from gyropencil.pencil import PencilSpec, RankOneCoupling
 from gyropencil import rootfind
 from gyropencil.errors import SubdivisionStall
 from gyropencil.rootfind import RootWindow, ZeroRecord, _BoundaryDip
+from gyropencil.sturm import effective_q
 
 
 def perm_sign(perm):
@@ -960,3 +961,41 @@ def track_reference(spec, eta_from=0.0, eta_to=1.0, steps=101):
         ev.kind = {0: 1, -2: 2, 2: 3}.get(delta, 0)
     tset.events = events
     return tset
+
+
+def shoot_rk4_reference(lam, problem):
+    """The step-by-step RK4 loop that `sturm.shoot_charfn` evaluates as a
+    product of step matrices: s'(a) + lam alpha s(a), 4n steps."""
+    lam = np.asarray(lam, dtype=complex)
+    scalar = lam.ndim == 0
+    lam2 = np.atleast_1d(lam) ** 2
+
+    q = effective_q(problem)
+    hg = problem.a / (problem.n + 1)
+    xq = hg * np.arange(1, problem.n + 2)
+
+    nsteps = 4 * problem.n
+    h = problem.a / nsteps
+    # step nodes by the same x += h accumulation the steps use
+    nodes = [0.0]
+    for _ in range(nsteps):
+        nodes.append(nodes[-1] + h)
+    nodes = np.asarray(nodes)
+    qn = np.interp(nodes, xq, q, left=q[0], right=q[-1]).tolist()
+    qh = np.interp(nodes[:-1] + 0.5 * h, xq, q, left=q[0], right=q[-1]).tolist()
+    y = np.zeros_like(lam2)
+    dy = np.ones_like(lam2)
+    for i in range(nsteps):
+        q1, q2, q4 = qn[i], qh[i], qn[i + 1]
+        k1y = dy
+        k1d = (q1 - lam2) * y
+        k2y = dy + 0.5 * h * k1d
+        k2d = (q2 - lam2) * (y + 0.5 * h * k1y)
+        k3y = dy + 0.5 * h * k2d
+        k3d = (q2 - lam2) * (y + 0.5 * h * k2y)
+        k4y = dy + h * k3d
+        k4d = (q4 - lam2) * (y + h * k3y)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        dy = dy + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+    out = dy + np.atleast_1d(lam) * problem.alpha * y
+    return complex(out[0]) if scalar else out.reshape(np.shape(lam))

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -236,3 +238,24 @@ def test_output_flag_writes_file(capsys, tmp_path, fixture_dir):
     with open(path) as fh:
         doc = json.load(fh)
     assert len(doc["eigenvalues"]) == 3
+
+
+def test_roots_does_not_load_scipy():
+    # scipy.linalg is imported by the functions that solve spectra, so the
+    # CLI import and a roots run leave scipy unloaded
+    code = (
+        "import contextlib, io, sys\n"
+        "import gyropencil.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['roots', '--fn', 'omega', '--q', '4', '--a', 'pi',\n"
+        "                   '--window=-0.5,0.5,-0.5,0.5'])\n"
+        "    rc += cli.main(['roots', '--fn', 'shoot', '--q', '0', '--a', '1',\n"
+        "                    '--n', '12', '--window', '0.5,3.0,-0.5,0.5'])\n"
+        "print(rc, 'scipy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]

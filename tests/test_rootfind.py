@@ -124,21 +124,27 @@ def test_resonant_bundle_q4():
     assert support.max_pair_distance(zs, np.conj(zs)) <= 1e-9
     for entry in rep.conservation:
         assert entry["winding"] == entry["mult_sum"], entry
-    # the main window's winding against its 2x2 partition, cut off the
-    # real axis and away from every zero found
-    main, = [e for e in rep.conservation if e["label"] == "main"]
-    re_min, re_max, im_min, im_max = main["window"]
-    xcut, ycut = 2.71, 0.37
-    assert all(abs(z.z.real - xcut) > 0.05 and abs(z.z.imag - ycut) > 0.05
-               for z in rep.zeros_main)
 
+    # each entry's winding against the sum over a 2x2 partition of its
+    # window: winding_count on four smaller contours, cut in the widest gap
+    # between the window's zeros so no cut line passes near one
     def f(lam):
         return sturm.omega(lam, 4.0, np.pi, 1.0)
 
-    parts = sum(winding_count(f, RootWindow(x0, x1, y0, y1))
-                for x0, x1 in ((re_min, xcut), (xcut, re_max))
-                for y0, y1 in ((im_min, ycut), (ycut, im_max)))
-    assert main["winding"] == parts > 0
+    def widest_gap_mid(lo, hi, coords):
+        edges = sorted([lo, hi] + [c for c in coords if lo < c < hi])
+        return max((b - a, 0.5 * (a + b)) for a, b in zip(edges, edges[1:]))[1]
+
+    for entry in rep.conservation:
+        w = RootWindow(*entry["window"])
+        zs = [z.z for z in (rep.zeros_main if entry["label"] == "main"
+                            else find_zeros(f, w))]
+        xcut = widest_gap_mid(w.re_min, w.re_max, [z.real for z in zs])
+        ycut = widest_gap_mid(w.im_min, w.im_max, [z.imag for z in zs])
+        parts = [winding_count(f, RootWindow(x0, x1, y0, y1))
+                 for x0, x1 in ((w.re_min, xcut), (xcut, w.re_max))
+                 for y0, y1 in ((w.im_min, ycut), (ycut, w.im_max))]
+        assert entry["winding"] == sum(parts) > 0, (entry, parts)
 
 
 def test_resonant_bundle_q1():

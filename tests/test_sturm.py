@@ -166,6 +166,52 @@ def test_shoot_alpha_zero_neumann_zeros():
         assert abs(sturm.shoot_charfn(lam, p)) <= 1e-8
 
 
+def _shoot_problems(n):
+    rng = np.random.default_rng(n)
+    qs = tuple(rng.uniform(-10.0, 10.0, size=n + 1))
+    return [
+        sturm.SLProblem(variant="single", q_kind="const", q_value=-4.0,
+                        a=np.pi, alpha=1.0, n=n),
+        sturm.SLProblem(variant="single", q_kind="sampled", q_values=qs,
+                        a=1.7, alpha=0.8, n=n),
+        sturm.SLProblem(variant="single", q_kind="const", q_value=2.0,
+                        a=2.0, alpha=0.0, n=n),
+    ]
+
+
+@pytest.mark.parametrize("n", [12, 150, 2000])
+def test_shoot_matches_rk4_loop(n):
+    # the transfer-matrix product against the step-by-step RK4 loop, over
+    # batch sizes that give one block of many steps down to one step per
+    # block; the loop's values do not depend on the batch, so one
+    # reference call covers every batch
+    rng = np.random.default_rng(n + 1)
+    sizes = (0, 1, 8, 300, 3000)
+    pts = rng.uniform(-8.0, 8.0, sum(sizes) + 13) + 1j * rng.uniform(-2.0, 2.0, sum(sizes) + 13)
+    for p in _shoot_problems(n):
+        want = support.shoot_rk4_reference(pts, p)
+        tol = 1e-11 * np.maximum(1.0, np.abs(want))
+        start = 0
+        for size in sizes:
+            got = sturm.shoot_charfn(pts[start:start + size], p)
+            assert got.shape == (size,)
+            assert np.all(np.abs(got - want[start:start + size]) <= tol[start:start + size])
+            start += size
+        got = sturm.shoot_charfn(pts[start:start + 12].reshape(3, 4), p)
+        assert got.shape == (3, 4)
+        assert np.all(np.abs(got.ravel() - want[start:start + 12]) <= tol[start:start + 12])
+        got = sturm.shoot_charfn(pts[-1], p)
+        assert type(got) is complex
+        assert abs(got - want[-1]) <= tol[-1]
+
+
+def test_shoot_empty_batch():
+    p = _shoot_problems(12)[1]
+    with np.errstate(all="raise"):
+        got = sturm.shoot_charfn(np.zeros(0, dtype=complex), p)
+    assert got.shape == (0,) and got.dtype == complex
+
+
 def test_single_eigenvalue_convergence_order():
     # first few discrete eigenvalues approach tan(lambda) = -1 roots
     # at second order in h
