@@ -20,6 +20,7 @@ from .errors import (
     PreconditionKerMA,
 )
 from .pencil import (
+    _ZERO_BAND,
     _is_real,
     count_negative_modes,
     nonreal_region,
@@ -62,7 +63,7 @@ def check_halfplane(spec, result):
     When G is positive definite and eta > 0 the location is strict
     (open right half-plane).
     """
-    strict = (spec.g_min > 1e-10 * max(1.0, spec.norm_g)) and result.eta > 0
+    strict = spec.g_definite and result.eta > 0
     bad = []
     for rec in result.records:
         if _is_real(rec.lam):
@@ -96,7 +97,7 @@ def check_real_when_a_psd(spec, result):
     if bad:
         return failed(name, "nonreal eigenvalues although A >= 0", bad)
     if amin > floor:
-        zero = result.find(0.0, tol=1e-7 * result.scale)
+        zero = result.find(0.0, tol=_ZERO_BAND * result.scale)
         if zero is not None:
             return failed(name, "0 in the spectrum although A > 0", [zero.lam])
     return passed(name, "lambda_min(A) = %.3e" % amin)
@@ -128,7 +129,7 @@ def check_zero_multiplicity(spec, result):
             "M+G must be uniformly positive (min eig %.3e)" % spec.mg_min
         )
     n_ker, p = spec.kernel_dims
-    rec = result.find(0.0, tol=1e-7 * result.scale)
+    rec = result.find(0.0, tol=_ZERO_BAND * result.scale)
     alg0 = rec.alg_mult if rec is not None else 0
     expect = p + n_ker
     detail = "alg(0)=%d, p=%d, dim ker A=%d" % (alg0, p, n_ker)
@@ -325,7 +326,7 @@ def type2_statistics(spec, eta=1.0, result=None):
     if not result.types_classified:
         raise HypothesisViolated("type classification unavailable")
 
-    ztol = 1e-7 * result.scale
+    ztol = _ZERO_BAND * result.scale
     zero_alg = 0
     imag_t1 = 0
     nonreal_t2 = 0
@@ -542,7 +543,7 @@ def run_sl(problem, eta=1.0, axis_etas=(0.3, 0.7, 1.0)):
         else:
             bad = [
                 rec.lam for rec in result.records
-                if abs(rec.lam) > 1e-7 * result.scale and rec.type1_mult > 0
+                if abs(rec.lam) > _ZERO_BAND * result.scale and rec.type1_mult > 0
             ]
             if bad:
                 report.add(failed(

@@ -570,8 +570,7 @@ def pair_spectrum(result, spec=None):
 
     advisory = True
     if spec is not None:
-        advisory = not (spec.m_definite
-                        and spec.g_min > 1e-10 * max(1.0, spec.norm_g))
+        advisory = not (spec.m_definite and spec.g_definite)
     return PairingReport(
         pairs=pairs,
         unpaired_positives=remaining,
@@ -598,7 +597,7 @@ def count_identity(spec):
     """
     if not spec.m_definite:
         raise HypothesisViolated("M must be positive definite")
-    if spec.g_min <= 1e-10 * max(1.0, spec.norm_g):
+    if not spec.g_definite:
         raise HypothesisViolated("G must be positive definite")
     result = spectrum(spec, 1.0)
     kappa_a = count_negative_modes(spec)

@@ -18,6 +18,11 @@ rank-one coupling G = b e e^T.  spectrum() takes one of two routes:
   infinity (singular M) show up as mu ~ 0 and are discarded but counted.
   A record's type I part is the part of its kernel vectors without a
   component on the coupling axis.
+
+Both routes group values into records by one connected-components pass
+over a link matrix, each with its own link rule: meeting inclusion discs
+on the modal route, the 1e-6 relative gap on the companion route.  Values
+inside the zero band form one record on both.
 """
 
 import functools
@@ -164,6 +169,11 @@ class PencilSpec:
         return self.m_mass > 1e-10 * max(1.0, self.norm_m)
 
     @property
+    def g_definite(self):
+        """True iff lambda_min(G) > 1e-10 max(1, |G|): G is definite."""
+        return self.g_min > 1e-10 * max(1.0, self.norm_g)
+
+    @property
     def ker_ma_trivial(self):
         """True iff ker M intersect ker A = {0} (rank of [M; A] is n).
 
@@ -228,6 +238,8 @@ class EigenRecord:
     residual: float
     zero_flagged: bool = False
     types_classified: bool = True
+    # largest distance of a member value from lam; 0 for a record of one value
+    spread: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -296,48 +308,6 @@ def choose_shift(spec, eta):
     )
 
 
-def _cluster_points(lams, zero_tol=0.0):
-    """Single-linkage clusters with gap tolerance 1e-6 * max(1, mean |.|).
-
-    Points inside the numerically-zero band (|lam| <= zero_tol) are forced
-    into a single cluster: a defective zero pair can split symmetrically by
-    slightly more than the gap tolerance and must still report as one
-    eigenvalue at the origin.  Clusters come out ordered by their smallest
-    member, members ascending.
-    """
-    npts = len(lams)
-    if npts == 0:
-        return []
-    pts = np.asarray(lams)
-    dist = np.abs(pts[:, None] - pts[None, :])
-    mags = np.abs(pts)
-    tol = 1e-6 * np.maximum(1.0, 0.5 * (mags[:, None] + mags[None, :]))
-    near = dist <= tol
-    if zero_tol > 0.0:
-        zmask = mags <= zero_tol
-        if np.count_nonzero(zmask) > 1:
-            near = near | (zmask[:, None] & zmask[None, :])
-    rows, cols = np.nonzero(np.triu(near, 1))
-    # union-find over the linked pairs; iterating in index order below keys
-    # each cluster by its smallest member
-    parent = list(range(npts))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        ri, rj = root(i), root(j)
-        if ri != rj:
-            parent[rj] = ri
-    clusters = {}
-    for i in range(npts):
-        clusters.setdefault(root(i), []).append(i)
-    return list(clusters.values())
-
-
 def _kernel_tol(spec, rep, eta, spread, svals_max, nrows):
     """Rank cutoff for L evaluated at a cluster representative.
 
@@ -353,6 +323,11 @@ def _kernel_tol(spec, rep, eta, spread, svals_max, nrows):
 
 def _real_if_zero_imag(lam):
     return complex(lam.real, 0.0) if abs(lam.imag) == 0.0 else lam
+
+
+# Values within _ZERO_BAND * scale of 0 are numerically zero: they form one
+# record, whose kernel is ker A (its type I part ker A ∩ ker G)
+_ZERO_BAND = 1e-7
 
 
 def _is_real(lam):
@@ -403,7 +378,7 @@ def _vector_type1(spec, eta, records):
     + |lam| eta ||G|| + ||A||, b) on the stack's norm.  A basis is off ker G
     by about eps / gap next to a close value, so a record whose hypot lies
     below 1e-6 * that bound takes the stack's nullity itself, as does a
-    record at lam = 0 (within 1e-7 * scale), whose kernel is ker A ∩ ker G.
+    record at lam = 0 (within the zero band), whose kernel is ker A ∩ ker G.
     """
     if not records:
         return []
@@ -411,14 +386,14 @@ def _vector_type1(spec, eta, records):
     lams = np.array([rec.lam for rec in records], dtype=complex)
     geo = np.array([rec.geo_mult for rec in records])
     rho = np.array([rec.residual for rec in records])
-    spreads = np.array([getattr(rec, "_spread", 0.0) for rec in records])
+    spreads = np.array([rec.spread for rec in records])
     axis = np.abs(np.concatenate([rec.vectors[e] for rec in records])) ** 2
     dist = np.hypot(rho, b * np.sqrt(np.add.reduceat(axis, np.cumsum(geo) - geo)))
     alam = np.abs(lams)
     smax = np.hypot(alam * alam * spec.norm_m + alam * eta * spec.norm_g + spec.norm_a, b)
     tol = _kernel_tol(spec, lams, eta, spreads, smax, 2 * n)
     type1 = geo - (dist > tol)
-    zero = alam <= 1e-7 * spec.scale
+    zero = alam <= _ZERO_BAND * spec.scale
     import scipy.linalg as sla
     for i in np.flatnonzero(zero | ((dist > tol) & (dist <= 1e-6 * smax))):
         lam, e_i, sp = (0.0, 0.0, 0.0) if zero[i] else (lams[i], eta, spreads[i])
@@ -511,7 +486,7 @@ def _modes(spec):
     root[np.abs(mu[dec]) <= 1e-9 * mu_max] = 0.0
     d_val = np.concatenate([root, 0.0 - root])
     d_mode = np.concatenate([dec, dec])
-    d_band = np.abs(d_val) <= 1e-7 * spec.scale
+    d_band = np.abs(d_val) <= _ZERO_BAND * spec.scale
     keys, d_group = np.unique(np.concatenate([group[dec], -1 - group[dec]])[~d_band],
                               return_inverse=True)
     out = d_val[~d_band]
@@ -822,15 +797,28 @@ def _pole_errors(q, mu_max):
     return 4.0 * _EPS * np.abs(q) + dmu / (np.abs(q) + np.sqrt(dmu))
 
 
-def _components(z, r):
-    """The connected components of the discs (z_j, r_j): each disc is
-    labelled with the smallest index in its component."""
-    near = np.abs(z[:, None] - z) <= r[:, None] + r
-    label = np.arange(z.size)
+def _companion_links(lams, zero_tol):
+    """Links between values within the gap 1e-6 max(1, mean of their |.|),
+    and between all values inside the zero band |lam| <= zero_tol: a
+    defective zero pair can split symmetrically by slightly more than the
+    gap and must still report as one eigenvalue at the origin."""
+    mags = np.abs(lams)
+    near = np.abs(lams[:, None] - lams) <= 1e-6 * np.maximum(
+        1.0, 0.5 * (mags[:, None] + mags))
+    zero = mags <= zero_tol
+    return near | (zero[:, None] & zero)
+
+
+def _components(near):
+    """The connected components of the graph with the symmetric, reflexive
+    link matrix near: each node is labelled with the smallest index in its
+    component."""
+    n = near.shape[0]
+    label = np.arange(n)
     while True:
-        # each disc takes the smallest label among the discs it meets, then
-        # the label that label points to
-        new = np.where(near, label, z.size).min(axis=1, initial=z.size)
+        # each node takes the smallest label among the nodes it links to,
+        # then the label that label points to
+        new = np.where(near, label, n).min(axis=1, initial=n)
         new = new[new]
         if np.array_equal(new, label):
             return label
@@ -843,6 +831,45 @@ def _relabel(label):
     return (np.cumsum(used) - 1)[label]
 
 
+def _groups(label, vals):
+    """Multiplicity, representative and spread of each record, vals[j]
+    belonging to record label[j] (records 0, 1, ...).  A record of one value
+    keeps it exactly; a record of several takes their mean, and its spread
+    is the largest distance of a member from the mean."""
+    nrec = int(label.max(initial=-1)) + 1
+    alg = np.bincount(label, minlength=nrec)
+    spread = np.zeros(nrec)
+    rep = np.empty(nrec, dtype=complex)
+    rep[label] = vals
+    if nrec < vals.size:
+        multi = alg > 1
+        mean = (np.bincount(label, vals.real, nrec)
+                + 1j * np.bincount(label, vals.imag, nrec)) / alg
+        rep[multi] = mean[multi]
+        np.maximum.at(spread, label, np.abs(vals - rep[label]))
+    return alg, rep, spread
+
+
+def _records(rep, alg, spread, col_rec, vecs, resids):
+    """EigenRecords from the per-record values of _groups and the kernel
+    columns: column j of vecs, with residual resids[j], belongs to record
+    col_rec[j].  A record's geo is its number of columns, its residual the
+    largest of theirs."""
+    nrec = rep.size
+    resid = np.zeros(nrec)
+    np.maximum.at(resid, col_rec, resids)
+    order = np.argsort(col_rec, kind="stable")
+    bounds = np.searchsorted(col_rec[order], np.arange(nrec + 1)).tolist()
+    vecs = vecs[:, order]
+    return [
+        EigenRecord(lam=_real_if_zero_imag(value), alg_mult=a, geo_mult=hi - lo,
+                    type1_mult=0, type2_mult=a, vectors=vecs[:, lo:hi], residual=r,
+                    spread=sp)
+        for value, a, r, sp, lo, hi in zip(rep.tolist(), alg.tolist(), resid.tolist(),
+                                           spread.tolist(), bounds[:-1], bounds[1:])
+    ]
+
+
 def _modal_records(spec, eta):
     """Every record of the modal route, its types and vectors by structure.
 
@@ -852,8 +879,8 @@ def _modal_records(spec, eta):
     secular equation above; a connected component of k inclusion discs is
     one record with alg k and geo 1 (the coupled block is unreduced), and a
     decoupled group whose mean lies in one of its discs joins it (and links
-    the components of all discs holding it).  Every value within 1e-7
-    scale of 0 forms one zero record.  A coupled record's vector is
+    the components of all discs holding it).  Every value within the zero
+    band forms one zero record.  A coupled record's vector is
     Phi_c (lam^2 - D_c)^{-1} w_c; type1 counts the decoupled modes in a
     record.  Returns the records and their type I counts.
     """
@@ -871,25 +898,15 @@ def _modal_records(spec, eta):
     # outside it together with the decoupled group means as discs of radius
     # 0, so a group joins the component of any disc holding its mean
     label = np.zeros(nz + md.d_val.size, dtype=int)
-    out = np.flatnonzero(np.abs(z) > 1e-7 * spec.scale)
-    comp = 1 + _components(np.concatenate([centers[out], md.g_mean]),
-                           np.concatenate([radii[out], np.zeros(md.g_mean.size)]))
+    out = np.flatnonzero(np.abs(z) > _ZERO_BAND * spec.scale)
+    cz = np.concatenate([centers[out], md.g_mean])
+    cr = np.concatenate([radii[out], np.zeros(md.g_mean.size)])
+    comp = 1 + _components(np.abs(cz[:, None] - cz) <= cr[:, None] + cr)
     label[out] = comp[:out.size]
     label[nz + md.d_out] = comp[out.size:][md.d_group]
     label = _relabel(label)
-    nrec = int(label.max()) + 1
-    vals = np.concatenate([z, md.d_val])
-    alg = np.bincount(label, minlength=nrec)
-    spread = np.zeros(nrec)
-    rep = np.empty(nrec, dtype=complex)
-    rep[label] = vals
-    if nrec < vals.size:
-        # the mean of each record of several values; one value stays exact
-        multi = alg > 1
-        mean = (np.bincount(label, vals.real, nrec)
-                + 1j * np.bincount(label, vals.imag, nrec)) / alg
-        rep[multi] = mean[multi]
-        np.maximum.at(spread, label, np.abs(vals - rep[label]))
+    alg, rep, spread = _groups(label, np.concatenate([z, md.d_val]))
+    nrec = alg.size
 
     # kernel columns: one coupled vector per record holding a coupled value,
     # then one per decoupled mode
@@ -915,23 +932,7 @@ def _modal_records(spec, eta):
         cvecs[:, cplx] += 1j * (md.phi_c @ y.imag[:, cplx])
     vecs = np.hstack([cvecs, md.d_vecs])
     vecs, resids = _simple_pairs(spec, eta, col_lam, vecs)
-    resid = np.zeros(nrec)
-    np.maximum.at(resid, col_rec, resids)
-    order = np.argsort(col_rec, kind="stable")
-    bounds = np.searchsorted(col_rec[order], np.arange(nrec + 1)).tolist()
-    vecs = vecs[:, order]
-
-    records = []
-    for k, (value, a, r, sp) in enumerate(zip(rep.tolist(), alg.tolist(), resid.tolist(),
-                                              spread.tolist())):
-        rec = EigenRecord(
-            lam=_real_if_zero_imag(value), alg_mult=a, geo_mult=bounds[k + 1] - bounds[k],
-            type1_mult=0, type2_mult=a, vectors=vecs[:, bounds[k]:bounds[k + 1]],
-            residual=r,
-        )
-        rec._spread = sp
-        records.append(rec)
-    return records, type1.tolist()
+    return _records(rep, alg, spread, col_rec, vecs, resids), type1.tolist()
 
 
 def _companion_values(spec, eta):
@@ -975,45 +976,27 @@ def _companion_values(spec, eta):
     return sigma, sigma + 1.0 / mus[finite_idx], vecs[:n, finite_idx], 2 * n - finite_idx.size
 
 
-def _cluster_records(spec, eta, lams, vecs):
-    """Records of the companion route: values within the 1e-6 gap (or all
-    inside the zero band) form one record whose geo and kernel basis come
-    from an SVD of L at the cluster mean."""
+def _companion_records(spec, eta, lams, vecs):
+    """Records of the companion route, grouped by _companion_links.  A
+    record of one value keeps its eigenvector; a record of several takes
+    geo and a kernel basis from an SVD of L at its mean."""
     import scipy.linalg as sla
     n = spec.n
-    clusters = _cluster_points(lams, zero_tol=1e-7 * spec.scale)
-    simple = np.array([c[0] for c in clusters if len(c) == 1], dtype=int)
-    simple_vecs, simple_resids = _simple_pairs(spec, eta, lams[simple],
-                                               vecs[:, simple])
-    records = []
-    k = 0
-    for members in clusters:
-        alg = len(members)
-        if alg == 1:
-            rep = _real_if_zero_imag(complex(lams[members[0]]))
-            spread = 0.0
-            geo = 1
-            kvecs = simple_vecs[:, k:k + 1]
-            resid = float(simple_resids[k])
-            k += 1
-        else:
-            group = lams[members]
-            rep = _real_if_zero_imag(complex(np.mean(group)))
-            spread = float(np.max(np.abs(group - rep)))
-            lmat = evaluate(spec, rep, eta)
-            u, s, vh = sla.svd(lmat, check_finite=False)
-            tol = _kernel_tol(spec, rep, eta, spread, float(s[0]), n)
-            rank = int(np.count_nonzero(s > tol))
-            geo = max(1, min(n - rank, alg))
-            kvecs = vh[n - geo:].conj().T
-            resid = float(s[n - geo])
-        rec = EigenRecord(
-            lam=rep, alg_mult=alg, geo_mult=geo, type1_mult=0,
-            type2_mult=alg, vectors=kvecs, residual=resid,
-        )
-        rec._spread = spread
-        records.append(rec)
-    return records
+    label = _relabel(_components(_companion_links(lams, _ZERO_BAND * spec.scale)))
+    alg, rep, spread = _groups(label, lams)
+    simple = alg[label] == 1
+    kvecs, resids = _simple_pairs(spec, eta, lams[simple], vecs[:, simple])
+    cols, col_res, col_rec = [kvecs], [resids], [label[simple]]
+    for k in np.flatnonzero(alg > 1).tolist():
+        _, s, vh = sla.svd(evaluate(spec, _real_if_zero_imag(complex(rep[k])), eta),
+                           check_finite=False)
+        tol = _kernel_tol(spec, rep[k], eta, spread[k], float(s[0]), n)
+        geo = max(1, min(n - int(np.count_nonzero(s > tol)), int(alg[k])))
+        cols.append(vh[n - geo:].conj().T)
+        col_res.append(np.full(geo, s[n - geo]))
+        col_rec.append(np.full(geo, k))
+    return _records(rep, alg, spread, np.concatenate(col_rec), np.hstack(cols),
+                    np.concatenate(col_res))
 
 
 def spectrum(spec, eta):
@@ -1028,7 +1011,7 @@ def spectrum(spec, eta):
         diagnostics = {"route": "modal", "type1_from": "modes"}
     else:
         sigma, lams, vecs, discarded = _companion_values(spec, eta)
-        records = _cluster_records(spec, eta, lams, vecs)
+        records = _companion_records(spec, eta, lams, vecs)
         classified = spec.rank_one is not None and spec.ker_ma_trivial
         type1 = _vector_type1(spec, eta, records) if classified else [0] * len(records)
         diagnostics = {"route": "companion", "shift": sigma, "type1_from":
@@ -1038,7 +1021,7 @@ def spectrum(spec, eta):
     for rec, t1 in zip(records, type1):
         rec.type1_mult = min(t1, rec.alg_mult)
         rec.type2_mult = rec.alg_mult - rec.type1_mult
-        rec.zero_flagged = classified and abs(rec.lam) <= 1e-7 * spec.scale
+        rec.zero_flagged = classified and abs(rec.lam) <= _ZERO_BAND * spec.scale
         rec.types_classified = classified
     records.sort(key=lambda r: (r.lam.real, r.lam.imag))
     return SpectrumResult(
@@ -1056,11 +1039,11 @@ def geometric_multiplicity(spec, lam, eta):
     return spec.n - linalg.rank_with_tol(evaluate(spec, lam, eta))
 
 
-def is_semisimple(spec, lam, eta):
-    result = spectrum(spec, eta)
+def is_semisimple(result, lam):
+    """True iff the record of result at lam has alg = geo."""
     rec = result.find(lam)
     if rec is None:
-        raise NotAnEigenvalue("%r is not an eigenvalue at eta=%r" % (lam, eta))
+        raise NotAnEigenvalue("%r is not an eigenvalue at eta=%r" % (lam, result.eta))
     return rec.alg_mult == rec.geo_mult
 
 

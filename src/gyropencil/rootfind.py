@@ -63,10 +63,6 @@ class ZeroRecord:
     residual: float
 
 
-class _BoundaryDip(Exception):
-    pass
-
-
 # Base samples per contour, for the winding and for find_zeros' fscale.
 BOUNDARY_SAMPLES = 256
 _BASE_TS = np.linspace(0.0, 4.0, BOUNDARY_SAMPLES, endpoint=False)
@@ -184,16 +180,6 @@ def _windings(f, windows, base=None):
     return counts, dips
 
 
-def _winding_many(f, windows, base=None):
-    """The windings of _windings; when any contour meets a zero, the first
-    such window's _BoundaryDip is raised."""
-    counts, dips = _windings(f, windows, base)
-    for reason in dips:
-        if reason is not None:
-            raise _BoundaryDip(reason)
-    return counts
-
-
 def _padded(w, attempt):
     """w expanded by 1e-6 * attempt of its size on every side."""
     if attempt == 0:
@@ -256,11 +242,6 @@ def _quads(w, fx, fy):
         RootWindow(w.re_min, xm, ym, w.im_max),
         RootWindow(xm, w.re_max, ym, w.im_max),
     ]
-
-
-def _quadrisect(f, w, fx, fy):
-    quads = _quads(w, fx, fy)
-    return list(zip(quads, _winding_many(f, quads)))
 
 
 def _subdivide(f, w, wind):

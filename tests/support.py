@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from gyropencil.pencil import PencilSpec, RankOneCoupling
 from gyropencil import rootfind
 from gyropencil.errors import SubdivisionStall
-from gyropencil.rootfind import RootWindow, ZeroRecord, _BoundaryDip
+from gyropencil.rootfind import RootWindow, ZeroRecord
 from gyropencil.sturm import effective_q
 
 
@@ -182,12 +182,16 @@ def cholesky_kappa(spec):
     return int(np.count_nonzero(vals < -1e-8 * max(1.0, float(np.max(np.abs(vals))))))
 
 
+class BoundaryDip(Exception):
+    """A contour meets a zero of f; the message gives the reason."""
+
+
 def winding_once(f, w, npts=256):
     """One window's argument-principle winding, refined on its own.
 
-    The single-contour engine the batched rootfind._winding_many replaced:
-    it keeps every sample in one sorted array and recomputes all phase
-    steps each round.  Raises _BoundaryDip with the same reasons.
+    The single-contour engine the batched rootfind._windings replaced: it
+    keeps every sample in one sorted array and recomputes all phase steps
+    each round.  Raises BoundaryDip with the reasons _windings reports.
     """
     corners = np.asarray([complex(w.re_min, w.im_min), complex(w.re_max, w.im_min),
                           complex(w.re_max, w.im_max), complex(w.re_min, w.im_max)])
@@ -203,17 +207,17 @@ def winding_once(f, w, npts=256):
     vals = np.asarray(f(points(ts)), dtype=complex)
     fmax = float(np.abs(vals).max())
     if fmax == 0.0:
-        raise _BoundaryDip("f vanishes on the contour")
+        raise BoundaryDip("f vanishes on the contour")
     for _ in range(64):
         if float(np.abs(vals).min()) < 1e-12 * fmax:
-            raise _BoundaryDip("|f| dips to zero on the contour")
+            raise BoundaryDip("|f| dips to zero on the contour")
         phase = np.angle(vals)
         step = np.mod(np.roll(phase, -1) - phase + np.pi, 2.0 * np.pi) - np.pi
         bad = np.abs(step) >= 0.5 * np.pi
         if not bad.any():
             return int(round(float(step.sum()) / (2.0 * np.pi)))
         if ts.size > 300000:
-            raise _BoundaryDip("phase refinement stalls; zero pinned to contour")
+            raise BoundaryDip("phase refinement stalls; zero pinned to contour")
         tn = np.roll(ts, -1)
         tn[-1] += 4.0
         mids = 0.5 * (ts[bad] + tn[bad])
@@ -222,11 +226,23 @@ def winding_once(f, w, npts=256):
         order = np.argsort(ts)
         ts, vals = ts[order], vals[order]
         fmax = max(fmax, float(np.abs(vals).max()))
-    raise _BoundaryDip("phase refinement did not settle")
+    raise BoundaryDip("phase refinement did not settle")
 
 
 def _fval(f, z):
     return rootfind._eval(f, np.asarray([z]))[0]
+
+
+def quadrisect(f, w, fx, fy):
+    """The four children of w at the split (fx, fy) with their windings,
+    from one rootfind._windings call; BoundaryDip when a child's contour
+    meets a zero."""
+    quads = rootfind._quads(w, fx, fy)
+    counts, dips = rootfind._windings(f, quads)
+    for reason in dips:
+        if reason is not None:
+            raise BoundaryDip(reason)
+    return list(zip(quads, counts))
 
 
 def subdivide_dfs(f, w, wind, leaves, depth=0):
@@ -244,8 +260,8 @@ def subdivide_dfs(f, w, wind, leaves, depth=0):
         return
     for fx, fy in rootfind._SPLITS:
         try:
-            quads = rootfind._quadrisect(f, w, fx, fy)
-        except _BoundaryDip:
+            quads = quadrisect(f, w, fx, fy)
+        except BoundaryDip:
             continue
         if sum(q for _, q in quads) != wind:
             continue

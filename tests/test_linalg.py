@@ -1,4 +1,5 @@
 import ast
+import collections
 import inspect
 import pathlib
 
@@ -122,3 +123,33 @@ def test_public_linalg_functions_have_src_callers():
     public = {name for name, fn in inspect.getmembers(linalg, inspect.isfunction)
               if fn.__module__ == linalg.__name__ and not name.startswith("_")}
     assert public - used == set()
+
+
+def _referenced_names(node):
+    """Every name the AST below node reads, as a Name, an attribute or an
+    imported alias."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_private_src_definitions_have_src_references():
+    # an underscore function or class of the package that nothing in src/
+    # refers to outside its own definition is reached by the tests alone:
+    # it belongs in tests/support.py, not in the package
+    src = pathlib.Path(linalg.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    refs = collections.Counter(name for tree in trees for name in _referenced_names(tree))
+    unreferenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                own = sum(name == node.name for name in _referenced_names(node))
+                if refs[node.name] <= own:
+                    unreferenced.add(node.name)
+    assert unreferenced == set()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gyropencil import checks, fixtures, linalg, pencil, sturm
 from gyropencil.errors import ConditionViolation, MassNotDefinite
 from gyropencil.pencil import (
-    PencilSpec, RankOneCoupling, _cluster_points,
+    PencilSpec, RankOneCoupling,
     choose_shift, classify_type, evaluate, geometric_multiplicity,
     is_semisimple, nonreal_region, nonsimple_real_interval, spectrum,
     validate_condition_I,
@@ -73,8 +73,8 @@ def test_w3_collision_double_eigenvalue():
     rec = res.find(0.3)
     assert rec.alg_mult == 2
     assert rec.geo_mult == 1
-    assert not is_semisimple(spec, 0.3, 0.6)
-    assert is_semisimple(spec, 1.0, 0.6)
+    assert not is_semisimple(res, 0.3)
+    assert is_semisimple(res, 1.0)
 
 
 def test_record_types_w3():
@@ -215,7 +215,7 @@ def test_choose_shift_falls_back_to_extra_shifts():
 
 
 def _components_reference(lams, zero_tol):
-    """_cluster_points through scipy's connected_components."""
+    """The companion route's grouping through scipy's connected_components."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -254,7 +254,10 @@ def test_cluster_points_matches_connected_components(centers, seed, zero_tol):
     pts.extend(complex(*rng.uniform(-1.0, 1.0, 2)) * zero_tol
                for _ in range(int(rng.integers(0, 4))))
     pts = [pts[i] for i in rng.permutation(len(pts))]
-    assert _cluster_points(pts, zero_tol) == _components_reference(pts, zero_tol)
+    label = pencil._relabel(pencil._components(
+        pencil._companion_links(np.asarray(pts), zero_tol)))
+    clusters = [np.flatnonzero(label == k).tolist() for k in range(label.max() + 1)]
+    assert clusters == _components_reference(pts, zero_tol)
 
 
 def _rank_one_specs():
@@ -275,10 +278,10 @@ def test_stacked_type1_matches_per_record_svd():
         for eta in (0.3, 1.0):
             res = spectrum(spec, eta)
             lams = [r.lam for r in res.records]
-            spreads = [r._spread for r in res.records]
+            spreads = [r.spread for r in res.records]
             batched = support.stacked_type1(spec, lams, eta, spreads)
             for rec, dim in zip(res.records, batched):
-                lam, e, spread = rec.lam, eta, rec._spread
+                lam, e, spread = rec.lam, eta, rec.spread
                 if abs(lam) <= 1e-7 * spec.scale:
                     lam, e, spread = 0.0, 0.0, 0.0
                 lmat = evaluate(spec, lam, e)
@@ -332,7 +335,7 @@ def test_vector_type1_matches_stacked_rank(kind, seed, eta, copies, rel):
     res = spectrum(spec, eta)
     assert res.diagnostics["type1_from"] == "kernel_vectors"
     lams = [r.lam for r in res.records]
-    ref = support.stacked_type1(spec, lams, eta, [r._spread for r in res.records])
+    ref = support.stacked_type1(spec, lams, eta, [r.spread for r in res.records])
     for rec, dim in zip(res.records, ref):
         assert rec.type1_mult == min(dim, rec.alg_mult), (rec.lam, rec.alg_mult, dim)
         assert classify_type(spec, rec, eta) == (rec.type1_mult, rec.type2_mult)
@@ -355,7 +358,7 @@ def test_vector_type1_multi_member_records():
                 continue
             res = spectrum(spec, 0.7)
             ref = support.stacked_type1(spec, [r.lam for r in res.records], 0.7,
-                                        [r._spread for r in res.records])
+                                        [r.spread for r in res.records])
             for rec, dim in zip(res.records, ref):
                 assert rec.type1_mult == min(dim, rec.alg_mult), (seed, kind, rec.lam)
                 if rec.alg_mult > 1:
@@ -543,7 +546,7 @@ def test_run_sl_solves_the_modes_once(monkeypatch):
 
     # above the crossover the coupled values come from the secular equation
     # and the records from the modal structure: no dense eigensolve, no
-    # clustering and no kernel SVD
+    # companion grouping and no kernel SVD
     def forbidden(name):
         def call(*args, **kwargs):
             raise AssertionError("%s on the modal route" % name)
@@ -552,7 +555,7 @@ def test_run_sl_solves_the_modes_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", forbidden("eig"))
     monkeypatch.setattr(np.linalg, "eigvals", forbidden("eigvals"))
     monkeypatch.setattr(sla, "svd", forbidden("svd"))
-    monkeypatch.setattr(pencil, "_cluster_points", forbidden("_cluster_points"))
+    monkeypatch.setattr(pencil, "_companion_links", forbidden("_companion_links"))
     prob = dataclasses.replace(fixtures.sl_double_q4(), n=40)
     assert pencil._modes(sturm.discretize(prob)).cpl.size >= pencil._SECULAR_MIN_M
     calls["eigh"] = 0

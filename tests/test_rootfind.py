@@ -213,29 +213,31 @@ def test_winding_many_matches_one_window_at_a_time(wins, zero_specs):
         return out
 
     g, got_pts = _recording(f)
-    try:
-        got = rootfind._winding_many(g, windows)
-    except rootfind._BoundaryDip as exc:
-        got = (type(exc), str(exc))
+    got = rootfind._windings(g, windows)
 
     h, want_pts = _recording(f)
-    want, dip = [], None
+    want = ([], [])
     for w in windows:
         try:
-            want.append(support.winding_once(h, w))
-        except rootfind._BoundaryDip as exc:
-            dip = dip or (type(exc), str(exc))
-    assert got == (dip or want)
+            count, dip = support.winding_once(h, w), None
+        except support.BoundaryDip as exc:
+            count, dip = None, str(exc)
+        want[0].append(count)
+        want[1].append(dip)
+    assert got == want
     assert np.array_equal(np.sort(np.concatenate(got_pts)),
                           np.sort(np.concatenate(want_pts)))
 
 
 def test_quadrisect_batches_sibling_windows():
+    # the four children of the first split share one call for their base
+    # samples, and the next level's eight children (of two cells) another
     g, seen = _recording(lambda z: (z - 0.3 - 0.2j) * (z + 0.4 + 0.5j))
-    quads = rootfind._quadrisect(g, RootWindow(-1.0, 1.0, -1.0, 1.0), 0.5, 0.5)
-    assert [n for _, n in quads] == [1, 0, 0, 1]
-    # one call carries all four children's base samples
+    leaves = rootfind._subdivide(g, RootWindow(-1.0, 1.0, -1.0, 1.0), 2)
     assert seen[0].size == 4 * rootfind.BOUNDARY_SAMPLES
+    assert 8 * rootfind.BOUNDARY_SAMPLES in [pts.size for pts in seen]
+    assert [n for _, n in leaves] == [1, 1]
+    assert leaves[0][0].contains(-0.4 - 0.5j) and leaves[1][0].contains(0.3 + 0.2j)
 
 
 def test_resonant_bundle_call_budget(monkeypatch):

@@ -173,7 +173,8 @@ def test_inclusion_discs_hold_every_root():
     z = pencil._secular_values(mu, w, 0.7)
     q_err = pencil._pole_errors(q, float(np.max(np.abs(mu))))
     centers, radii = pencil._inclusion_radii(z, q, cq, q_err)
-    labels = pencil._relabel(pencil._components(centers, radii))
+    meet = np.abs(centers[:, None] - centers) <= radii[:, None] + radii
+    labels = pencil._relabel(pencil._components(meet))
     want = support.mp_secular_roots(mu, w, 0.7)
     owner = []
     for root in want:
