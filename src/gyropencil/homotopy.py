@@ -2,10 +2,15 @@
 
 Branches of L(., eta) are piecewise analytic in eta; the tracker samples a
 grid, matches consecutive spectra by minimum-cost assignment on predicted
-positions, and refines the grid adaptively near fast motion.  Collisions are
-detected from branch coincidences and from changes in the nonreal count,
-then localized by bisection.  Also hosts the eigenvalue derivative formula,
-the +- pairing of real eigenvalues, and the 2*kappa_A - kappa_c count.
+positions, and judges each step branch by branch: a step stands unless
+some branch's predictor misses its match by more than half that match's
+distance to the nearest other matched value.  So the grid is the targets,
+with midpoints inserted only where a branch's own predictor fails.
+Collisions are detected from branch coincidences, from real branches
+that swap order between grid points, and from changes in the nonreal
+count, then localized by golden-section search and by bisection.
+Also hosts the eigenvalue derivative formula, the +- pairing of real
+eigenvalues, and the 2*kappa_A - kappa_c count.
 """
 
 from dataclasses import dataclass, field
@@ -109,7 +114,8 @@ class TrajectorySet:
 
     diagnostics says what the track cost: spectra_solved (all spectra,
     events included), grid_points, rejected_steps (one dict per refused
-    step: eta_from, eta_to, max_jump, half_gap), derivative_fallbacks (by
+    step: eta_from, eta_to, and the error and half_separation of the branch
+    that fails the step rule by the widest ratio), derivative_fallbacks (by
     the exception lambda_derivative would raise) and event_spectra (the
     spectra solved while localizing events).
     """
@@ -137,18 +143,25 @@ class _Slots:
         self.far = _cabs(self.vals) > 0.5 * escape
 
 
+def _coincide(v):
+    """coincide[..., i, j]: v[..., j] repeats v[..., i] within 1e-9
+    relative (to v[..., i]), the dedup that separates distinct values."""
+    return _cabs(v[..., :, None] - v[..., None, :]) <= \
+        1e-9 * (1.0 + _cabs(v))[..., :, None]
+
+
 def _min_distinct_gap(values):
     """Smallest distance between distinct values.
 
-    Values are deduplicated greedily in order: one within 1e-9 relative
-    (to itself) of a value already kept is dropped.  inf when fewer than
-    two distinct values remain.
+    Values are deduplicated greedily in order: one that _coincide()s with
+    a value already kept is dropped.  inf when fewer than two distinct
+    values remain.
     """
     v = np.asarray(values, dtype=complex)
     if v.size < 2:
         return np.inf
     dist = _cabs(v[:, None] - v)
-    dup = dist <= 1e-9 * (1.0 + _cabs(v))[:, None]
+    dup = _coincide(v)
     np.fill_diagonal(dist, np.inf)
     if np.count_nonzero(dup) > v.size:
         # dup[i, j], j < i: v_i repeats the earlier v_j
@@ -160,6 +173,20 @@ def _min_distinct_gap(values):
             return np.inf
         dist = dist[np.ix_(keep, keep)]
     return dist.min()
+
+
+def _separations(src, dst):
+    """Per matched branch: the distance from dst[i] to the nearest dst[j].
+
+    src[i] is branch i's value at the current grid point and dst[i] its
+    matched value at the next one.  Neighbours j are skipped when dst[j]
+    repeats dst[i], or src[j] repeats src[i] (_coincide): branches merging
+    into one multiple value, or leaving one together, do not block each
+    other.  inf when no neighbour is left.
+    """
+    dist = _cabs(dst[:, None] - dst)
+    dist[_coincide(dst) | _coincide(src)] = np.inf
+    return dist.min(axis=1, initial=np.inf)
 
 
 class _Tracker:
@@ -204,8 +231,16 @@ class _Tracker:
 def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
     """Track all eigenvalue branches from eta_from to eta_to.
 
-    The traversal direction may be decreasing.  Returns a TrajectorySet whose
-    grid includes any adaptively inserted intermediate points.
+    The traversal direction may be decreasing.  Each step from eta to
+    eta + d matches the next spectrum to the predictions lam + v d (v from
+    lambda_derivative, 0 for nonreal values) and is refused, with its
+    midpoint tried first, when some matched branch misses by more than
+    half its separation (_separations: the distance from its match to the
+    nearest other match, where matches that coincide, or whose sources
+    coincide, do not count).  Spectra solved = grid points + event
+    spectra, and the grid points are the `steps` targets unless a branch's
+    own predictor fails.  Returns a TrajectorySet whose grid includes any
+    inserted points.
     """
     if steps < 2:
         raise InvalidInput("steps must be >= 2")
@@ -239,11 +274,11 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
         if vel is None:
             vals, far = cur.vals[perm], cur.far[perm]
             vel = tracker.velocities(cur, cur_eta)[perm]
-            gap = _min_distinct_gap(vals)
         nxt = tracker.slots_at(t)
 
         nrow, ncol = vals.size, nxt.vals.size
-        cost = _cabs((vals + vel * d_eta)[:, None] - nxt.vals)
+        pred = vals + vel * d_eta
+        cost = _cabs(pred[:, None] - nxt.vals)
         if nrow != ncol:
             # virtual columns absorb escaping branches, virtual rows are
             # births
@@ -257,15 +292,20 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
         hit = col < ncol
         matched = col[hit]
 
-        jumps = _cabs(vals[hit] - nxt.vals[matched])
-        max_jump = jumps.max() if jumps.size else 0.0
-        if max_jump > 0.5 * gap and abs(d_eta) > 1e-6:
+        dst = nxt.vals[matched]
+        err = _cabs(pred[hit] - dst)
+        sep = _separations(vals[hit], dst)
+        fail = err > 0.5 * sep
+        if fail.any() and abs(d_eta) > 1e-6:
             work.append(t)
             work.append(cur_eta + 0.5 * d_eta)
+            k = np.argmax(np.where(fail, err / sep, 0.0))
             rejected.append({"eta_from": float(cur_eta), "eta_to": float(t),
-                             "max_jump": float(max_jump),
-                             "half_gap": float(0.5 * gap)})
+                             "error": float(err[k]),
+                             "half_separation": float(0.5 * sep[k])})
             continue
+        jumps = _cabs(vals[hit] - dst)
+        max_jump = jumps.max() if jumps.size else 0.0
         if abs(d_eta) <= 1e-6 and max_jump > 0.05 * max(1.0, spec.spec_norm):
             raise MatchingAmbiguous(
                 "branch matching lost track near eta=%r" % (t,), eta=t
@@ -361,6 +401,24 @@ def _coincidence_groups(close):
     return groups
 
 
+def _order_swaps(vals, present):
+    """Per pair of consecutive grid points i, i + 1 where two branches are
+    real at both and in opposite order, not _coincide()nt at either:
+    (i, the (j, k) pairs, j < k).  Grid points go in chunks to bound
+    memory."""
+    npts, nb = vals.shape
+    upper = np.triu(np.ones((nb, nb), dtype=bool), 1)
+    real = np.where(present & _is_real(vals), vals.real, np.nan)
+    chunk = max(1, 2 ** 18 // max(1, nb * nb))
+    for s in range(0, npts - 1, chunk):
+        r = real[s:s + chunk + 1]
+        d = r[:, :, None] - r[:, None, :]
+        d[_coincide(r)] = 0.0
+        flip = (d[:-1] * d[1:] < 0.0) & upper
+        for i in np.flatnonzero(flip.any(axis=(1, 2))):
+            yield s + int(i), np.argwhere(flip[i]).tolist()
+
+
 def _detect_events(spec, tracker, tset):
     grid = tset.eta_grid
     npts = len(grid)
@@ -406,13 +464,45 @@ def _detect_events(spec, tracker, tset):
         mid = _column(tset, (s + e) // 2)
         lam = np.mean([mid[b] for b in grp if mid[b] is not None])
         eta_star = _refine_coincidence(spec, tracker, grid[s - 1],
-                                       grid[e + 1], lam)
+                                       grid[e + 1], lam, len(key))[0]
         events.append(CollisionEvent(
             eta_star=eta_star, lambda_star=complex(lam), kind=0,
             participants=sorted(key),
         ))
         claimed.append((min(grid[s - 1], grid[e + 1]),
                         max(grid[s - 1], grid[e + 1])))
+
+    # route 1 also takes the real crossings no column lands on: two real
+    # branches in opposite order at consecutive columns.  The search
+    # between them must find the two values coincident, or the swap is an
+    # avoided crossing the matching stepped over.
+    for i, pairs in _order_swaps(vals, present):
+        lo, hi = sorted((grid[i], grid[i + 1]))
+        if any(a <= lo and hi <= b for a, b in claimed):
+            continue
+        # a branch may swap with a multiple value: all of its branches meet
+        same_as = _coincide(np.where(present[i], vals[i], np.nan))
+        found = []
+        for j, k in pairs:
+            (a0, b0), (a1, b1) = vals[i, [j, k]].real, vals[i + 1, [j, k]].real
+            lam = a0 + (a0 - b0) / ((a0 - b0) - (a1 - b1)) * (a1 - a0)
+            eta_star, gap, lam_star = _refine_coincidence(
+                spec, tracker, grid[i], grid[i + 1], lam,
+                np.count_nonzero(same_as[[j, k]]))
+            tol = 1e-4 * (1.0 + abs(lam_star))
+            if gap > tol:
+                continue
+            ids = {tset.branches[j].ident, tset.branches[k].ident}
+            same = [ev for ev in found if abs(ev.eta_star - eta_star) <= 1e-6
+                    and abs(ev.lambda_star - lam_star) <= tol]
+            if same:
+                same[0].participants = sorted(ids.union(same[0].participants))
+            else:
+                found.append(CollisionEvent(
+                    eta_star=eta_star, lambda_star=complex(lam_star), kind=0,
+                    participants=sorted(ids),
+                ))
+        events.extend(found)
 
     # route 2: the nonreal branch count changes between consecutive points
     counts = np.count_nonzero(present & ~_is_real(vals), axis=1)
@@ -431,27 +521,45 @@ def _detect_events(spec, tracker, tset):
     tset.events = events
 
 
-def _refine_coincidence(spec, tracker, eta_a, eta_b, lam):
-    """Ternary search for the eta minimizing the local gap near lam."""
+def _closest_pair(res, lam, mult):
+    """The gap between the two records of res nearest lam and their
+    midpoint; gap 0 when the nearest record is alone or holds mult
+    values, as many as the colliding branches."""
+    close = sorted(res.records, key=lambda r: abs(r.lam - lam))[:2]
+    if len(close) < 2:
+        return 0.0, lam
+    if close[0].alg_mult >= mult:
+        return 0.0, close[0].lam
+    return abs(close[0].lam - close[1].lam), 0.5 * (close[0].lam + close[1].lam)
+
+
+def _refine_coincidence(spec, tracker, eta_a, eta_b, lam, mult):
+    """Golden-section search for the eta minimizing the local gap near
+    lam where mult branches collide: one spectrum per iteration, down to
+    a bracket of 1e-6.  Returns the bracket's midpoint and the smallest
+    gap seen, with its midpoint value (_closest_pair)."""
+    seen = []
+
     def local_gap(eta):
-        res = tracker.spectrum_at(eta)
-        close = sorted(res.records, key=lambda r: abs(r.lam - lam))[:2]
-        if len(close) < 2:
-            return 0.0
-        if close[0].alg_mult > 1:
-            return 0.0
-        return abs(close[0].lam - close[1].lam)
+        seen.append(_closest_pair(tracker.spectrum_at(eta), lam, mult))
+        return seen[-1][0]
     a, b = eta_a, eta_b
-    for _ in range(80):
-        if abs(b - a) <= 1e-6:
-            break
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if local_gap(m1) <= local_gap(m2):
-            b = m2
+    inv = 0.5 * (np.sqrt(5.0) - 1.0)
+    m1, m2 = b - inv * (b - a), a + inv * (b - a)
+    g1 = g2 = None
+    while abs(b - a) > 1e-6:
+        if g1 is None:
+            g1 = local_gap(m1)
+        if g2 is None:
+            g2 = local_gap(m2)
+        if g1 <= g2:
+            b, m2, g2 = m2, m1, g1
+            m1, g1 = b - inv * (b - a), None
         else:
-            a = m1
-    return 0.5 * (a + b)
+            a, m1, g1 = m1, m2, g2
+            m2, g2 = a + inv * (b - a), None
+    gap, mid = min(seen, key=lambda s: s[0], default=(np.inf, lam))
+    return 0.5 * (a + b), gap, mid
 
 
 def _refine_count_change(spec, tracker, tset, i):

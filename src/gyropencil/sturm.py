@@ -225,7 +225,7 @@ def shoot_charfn(lam, problem):
     coefficients are set up once per call; the steps then go in blocks of
     about _BLOCK_ELEMENTS steps x points, each block's matrices multiplied
     out by a balanced pairwise tree (later step on the left) and applied
-    to (y, y').  A block takes four numpy calls for its matrices, three per
+    to (y, y').  A block takes three numpy calls for its matrices, three per
     tree level and two to apply; a call on P points takes ceil(4n / B)
     blocks of B = max(1, _BLOCK_ELEMENTS // P) steps, where a step-by-step
     loop makes about 30 calls per step.  The values are the RK4 map's,
@@ -274,11 +274,12 @@ def shoot_charfn(lam, problem):
     work = np.empty((2, 2, block, npts), dtype=complex)
     v = np.zeros((2, npts), dtype=complex)
     v[1] = 1.0
+    # the t^2 coefficients are the same for every step
+    c2t = coef[2, :, :, :1, None] * lam2
     for start in range(0, nsteps, block):
-        c = coef[:, :, :, start:start + block, None]
+        c = coef[:2, :, :, start:start + block, None]
         m = work[:, :, :c.shape[3]]
-        np.multiply(c[2], lam2, out=m)
-        m += c[1]
+        np.add(c2t, c[1], out=m)
         m *= lam2
         m += c[0]
         while m.shape[2] > 1:

@@ -726,6 +726,49 @@ def min_distinct_gap_loop(values):
     return best
 
 
+def separations_loop(src, dst):
+    """Per branch i, the smallest |dst[i] - dst[j]| over the j whose dst
+    and src both differ from branch i's beyond 1e-9 relative: the per-pair
+    loop that homotopy._separations does with arrays."""
+    out = []
+    for i in range(len(dst)):
+        best = np.inf
+        for j in range(len(dst)):
+            if (abs(dst[j] - dst[i]) <= 1e-9 * (1.0 + abs(dst[i]))
+                    or abs(src[j] - src[i]) <= 1e-9 * (1.0 + abs(src[i]))):
+                continue
+            best = min(best, abs(dst[i] - dst[j]))
+        out.append(best)
+    return out
+
+
+def order_swaps_loop(vals, present):
+    """(i, [[j, k], ...]) for consecutive columns i, i + 1 where branches
+    j < k are real at both, in opposite order, and within 1e-9 relative
+    (to branch j) at neither: the per-pair loop that
+    homotopy._order_swaps does with arrays."""
+    out = []
+    npts, nb = len(vals), len(vals[0]) if len(vals) else 0
+    for i in range(npts - 1):
+        pairs = []
+        for j in range(nb):
+            for k in range(j + 1, nb):
+                cols = (i, i + 1)
+                if not all(present[c][x] and _ref_is_real(vals[c][x])
+                           for c in cols for x in (j, k)):
+                    continue
+                ds = []
+                for c in cols:
+                    d = vals[c][j].real - vals[c][k].real
+                    ds.append(0.0 if abs(d) <= 1e-9 * (1.0 + abs(vals[c][j].real))
+                              else d)
+                if ds[0] * ds[1] < 0.0:
+                    pairs.append([j, k])
+        if pairs:
+            out.append((i, pairs))
+    return out
+
+
 def _ref_column(tset, i):
     return [b.values[i] for b in tset.branches]
 

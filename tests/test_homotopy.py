@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gyropencil import fixtures, homotopy, sturm
@@ -80,7 +80,7 @@ def test_track_w3_collision_event_forward():
     assert len(tset.events) == 1
     ev = tset.events[0]
     assert ev.kind == 2
-    assert abs(ev.eta_star - 0.6) <= 1e-3
+    assert abs(ev.eta_star - 0.6) <= 1e-6
     assert abs(ev.lambda_star - 0.3) <= 1e-3
     assert sorted(ev.participants) == [1, 2]
 
@@ -90,7 +90,7 @@ def test_track_w3_collision_event_reversed():
     tset = homotopy.track(fixtures.w3(), 1.0, 0.0, steps=101)
     assert len(tset.events) == 1
     assert tset.events[0].kind == 3
-    assert abs(tset.events[0].eta_star - 0.6) <= 1e-3
+    assert abs(tset.events[0].eta_star - 0.6) <= 1e-6
 
 
 def test_track_escape_toward_zero_eta():
@@ -143,32 +143,47 @@ def test_count_identity_needs_definite_gyro():
         homotopy.count_identity(fixtures.w3())
 
 
-def assert_same_tracks(got, ref):
-    assert got.eta_grid == ref.eta_grid
+def _double_string(n, seed=None):
+    spec = sturm.discretize(dataclasses.replace(fixtures.sl_double_q4(), n=n))
+    if seed is None:
+        return spec
+    return support.permuted_spec(spec, np.random.default_rng(seed).permutation(spec.n))
+
+
+def assert_same_tracks(spec, ends, steps):
+    """track and the global-gap track_reference agree at the targets,
+    whichever points either inserted between them."""
+    got = homotopy.track(spec, *ends, steps=steps)
+    ref = support.track_reference(spec, *ends, steps=steps)
+    targets = list(np.linspace(*ends, steps))
     assert [(b.ident, b.escaped) for b in got.branches] == \
         [(b.ident, b.escaped) for b in ref.branches]
+    at_got = [got.eta_grid.index(t) for t in targets]
+    at_ref = [ref.eta_grid.index(t) for t in targets]
     for b, r in zip(got.branches, ref.branches):
-        assert b.values == r.values, b.ident
-    assert [(e.eta_star, e.lambda_star, e.kind, e.participants) for e in got.events] \
-        == [(e.eta_star, e.lambda_star, e.kind, e.participants) for e in ref.events]
+        for t, i, k in zip(targets, at_got, at_ref):
+            v, w = b.values[i], r.values[k]
+            assert (v is None) == (w is None), (b.ident, t)
+            if w is not None:
+                assert abs(v - w) <= 1e-10 * abs(w), (b.ident, t)
+    assert [(e.kind, e.participants) for e in got.events] == \
+        [(e.kind, e.participants) for e in ref.events]
+    for e, r in zip(got.events, ref.events):
+        assert abs(e.eta_star - r.eta_star) <= 1e-6
+        assert abs(e.lambda_star - r.lambda_star) <= 1e-3 * (1.0 + abs(r.lambda_star))
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(["w1", "w2", "w3"]), st.booleans(), st.integers(11, 101))
 def test_track_matches_reference_on_fixtures(name, backward, steps):
-    spec = getattr(fixtures, name)()
     ends = (1.0, 0.0) if backward else (0.0, 1.0)
-    assert_same_tracks(homotopy.track(spec, *ends, steps=steps),
-                       support.track_reference(spec, *ends, steps=steps))
+    assert_same_tracks(getattr(fixtures, name)(), ends, steps)
 
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(3, 8), st.integers(0, 2**32 - 1), st.integers(6, 21))
 def test_track_matches_reference_on_permuted_strings(n, seed, steps):
-    spec = sturm.discretize(dataclasses.replace(fixtures.sl_double_q4(), n=n))
-    spec = support.permuted_spec(spec, np.random.default_rng(seed).permutation(spec.n))
-    assert_same_tracks(homotopy.track(spec, 0.0, 1.0, steps=steps),
-                       support.track_reference(spec, 0.0, 1.0, steps=steps))
+    assert_same_tracks(_double_string(n, seed), (0.0, 1.0), steps)
 
 
 @settings(max_examples=15, deadline=None)
@@ -176,8 +191,106 @@ def test_track_matches_reference_on_permuted_strings(n, seed, steps):
 def test_track_matches_reference_on_random_rank_one(seed, backward):
     spec = support.rand_condition1_spec(np.random.default_rng(seed))
     ends = (1.0, 0.0) if backward else (0.0, 1.0)
-    assert_same_tracks(homotopy.track(spec, *ends, steps=21),
-                       support.track_reference(spec, *ends, steps=21))
+    assert_same_tracks(spec, ends, 21)
+
+
+def test_track_matches_reference_on_double_string_n10():
+    # the global-gap reference inserts 106 points here; track inserts none
+    assert_same_tracks(_double_string(10), (0.0, 1.0), 41)
+
+
+def _type1_crossings(type1, c):
+    """M = I, G = e_n e_n^T, A = diag(type1, c).  The leading coordinates
+    are decoupled: their roots +-sqrt(a) are type I values.  The last one
+    gives the type II roots (eta +- sqrt(eta^2 + 4c)) / 2, which meet
+    +-sqrt(a) at eta = +-(a - c) / sqrt(a).  Returns the spec, the
+    branch curves as functions of eta, and the crossings inside (0, 1):
+    (eta, lambda, branches that meet)."""
+    n = len(type1) + 1
+    g = np.zeros((n, n))
+    g[-1, -1] = 1.0
+    spec = PencilSpec(np.eye(n), g, np.diag(list(type1) + [c]))
+    curves = [lambda eta, r=s * np.sqrt(a): np.full_like(eta, r)
+              for a in type1 for s in (1.0, -1.0)]
+    curves += [lambda eta, s=s: (eta + s * np.sqrt(eta ** 2 + 4.0 * c)) / 2.0
+               for s in (1.0, -1.0)]
+    cross = {(s * (a - c) / np.sqrt(a), s * np.sqrt(a), 1 + type1.count(a))
+             for a in type1 for s in (1.0, -1.0)}
+    return spec, curves, sorted(x for x in cross if 0.0 < x[0] < 1.0)
+
+
+def assert_crossings_found(spec, curves, ends, steps, cross):
+    """Every branch stays on one curve through the crossings, and each
+    crossing is one kind-1 event."""
+    tset = homotopy.track(spec, *ends, steps=steps)
+    eta = np.array(tset.eta_grid)
+    for b in tset.branches:
+        vals = np.array(b.values, dtype=complex)
+        assert min(np.max(np.abs(vals - f(eta))) for f in curves) <= 1e-8, b.ident
+    got = sorted(tset.events, key=lambda e: e.eta_star)
+    assert [e.kind for e in got] == [1] * len(cross)
+    for ev, (eta, lam, meet) in zip(got, cross):
+        assert len(ev.participants) == meet
+        # the spectrum holds values within 1e-6 relative as one record, so
+        # the gap reads 0 while the type II value, at speed
+        # lam / (2 lam - eta), is that close to the type I one
+        speed = abs(lam / (2.0 * lam - eta))
+        assert abs(ev.eta_star - eta) <= 1e-6 + 1e-6 * max(1.0, abs(lam)) / speed
+        assert abs(ev.lambda_star - lam) <= 1e-3 * (1.0 + abs(lam))
+
+
+@pytest.mark.parametrize("steps", [11, 12, 400])
+@pytest.mark.parametrize("ends", [(0.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("type1", [[1.0], [1.0, 1.0]], ids=["simple", "double"])
+def test_track_reports_type1_crossing_between_targets(type1, ends, steps):
+    # the type II root (eta + sqrt(eta^2 + 1)) / 2 meets the type I value 1
+    # (simple, or double: one event with three branches) at eta = 0.75,
+    # between two targets.  Stepping over it refuses no step, so the
+    # crossing is found from the swapped order of the branches.
+    # (track_reference refines toward it and reports no event: its column
+    # before the coincidence run lies too close to the crossing to count
+    # as separated.)
+    spec, curves, cross = _type1_crossings(type1, 0.25)
+    assert cross == [(0.75, 1.0, 1 + len(type1))]
+    assert_crossings_found(spec, curves, ends, steps, cross)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.floats(0.1, 4.0), min_size=1, max_size=3),
+       st.floats(0.1, 4.0), st.integers(11, 31), st.booleans())
+def test_track_reports_random_type1_crossings(type1, c, steps, backward):
+    spec, curves, cross = _type1_crossings(type1, c)
+    roots = sorted(np.sqrt(type1 + [c]))
+    etas = [s * (a - c) / np.sqrt(a) for a in type1 for s in (1.0, -1.0)]
+    # crossings clear of the ends, of each other and of the targets (a
+    # grid point on a crossing leaves the two branches one double value,
+    # and which continues where is not decided there); distinct type I
+    # values
+    assume(all(abs(e) > 0.05 and abs(e - 1.0) > 0.05 for e in etas))
+    assume(all(np.diff(sorted(e for e, _, _ in cross)) > 0.02))
+    assume(all(np.min(np.abs(np.linspace(0.0, 1.0, steps) - e)) > 1e-4
+               for e, _, _ in cross))
+    assume(all(np.diff(roots) > 0.05))
+    ends = (1.0, 0.0) if backward else (0.0, 1.0)
+    assert_crossings_found(spec, curves, ends, steps, cross)
+
+
+@pytest.mark.parametrize("make,ends,steps", [
+    (lambda: _double_string(6, seed=1), (0.0, 1.0), 21),
+    (fixtures.w1, (0.5, 1.0), 51),
+    (fixtures.w1, (1.0, 0.0), 51),
+    (lambda: _double_string(10), (0.0, 1.0), 41),
+    (lambda: _double_string(20), (0.0, 1.0), 41),
+    (lambda: _double_string(30), (0.0, 1.0), 21),
+], ids=["string6-permuted", "w1-forward", "w1-backward",
+        "string10", "string20", "string30"])
+def test_track_solves_one_spectrum_per_target(make, ends, steps):
+    # no branch's predictor fails: W1's merge at eta = 1 and the string's
+    # close pairs elsewhere refuse no step
+    diag = homotopy.track(make(), *ends, steps=steps).diagnostics
+    assert diag["rejected_steps"] == []
+    assert diag["grid_points"] == steps
+    assert diag["spectra_solved"] == steps + diag["event_spectra"]
 
 
 def _scalar_derivative(spec, lam, vec, eta):
@@ -246,6 +359,40 @@ def test_min_distinct_gap_matches_loop():
         assert homotopy._min_distinct_gap(vals) == support.min_distinct_gap_loop(vals)
 
 
+def test_separations_match_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m = int(rng.integers(0, 9))
+        src = rng.normal(size=m) + 1j * rng.normal(size=m) * rng.integers(2)
+        dst = src + 0.1 * rng.normal(size=m)
+        # shared sources and merged matches, at and beyond the 1e-9 dedup
+        for vals in (src, dst):
+            for _ in range(int(rng.integers(0, 4))):
+                if m >= 2:
+                    i, j = rng.choice(m, size=2, replace=False)
+                    vals[i] = vals[j] + rng.choice([0.0, 3e-10, 1e-9, 2e-9])
+        got = homotopy._separations(src, dst)
+        assert got.tolist() == support.separations_loop(src.tolist(), dst.tolist())
+
+
+def test_order_swaps_match_loop():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        npts, nb = int(rng.integers(1, 6)), int(rng.integers(0, 6))
+        vals = rng.normal(size=(npts, nb)) + 0j
+        vals[rng.random((npts, nb)) < 0.15] += 1j
+        # values within, at and beyond the 1e-9 dedup of another branch
+        for _ in range(int(rng.integers(0, 4))):
+            if nb >= 2:
+                i = rng.integers(npts)
+                j, k = rng.choice(nb, size=2, replace=False)
+                vals[i, j] = vals[i, k] + rng.choice([0.0, 3e-10, -3e-10, 1e-9, 2e-9])
+        present = rng.random((npts, nb)) > 0.1
+        vals[~present] = 0.0
+        got = [(i, pairs) for i, pairs in homotopy._order_swaps(vals, present)]
+        assert got == support.order_swaps_loop(vals.tolist(), present.tolist())
+
+
 def _slot_fallbacks(spec, tset):
     """Fallbacks of the scalar formula at each grid point a step leaves."""
     counts = {"NotAnEigenvalue": 0, "DenominatorVanishes": 0}
@@ -260,9 +407,15 @@ def _slot_fallbacks(spec, tset):
     return counts
 
 
+# refused steps per case, 0 unless listed: the branch born from infinity
+# outruns its predictor once
+_REFUSED = {("w1", (0.0, 1.0)): 1}
+
+
 @pytest.mark.parametrize("name,ends,steps,events", [
     ("w3", (0.0, 1.0), 101, 1), ("w3", (1.0, 0.0), 101, 1),
     ("w1", (0.5, 1.0), 51, 0), ("w1", (1.0, 0.0), 51, 0),
+    ("w1", (0.0, 1.0), 51, 0),
 ])
 def test_track_diagnostics(monkeypatch, name, ends, steps, events):
     spec = getattr(fixtures, name)()
@@ -280,9 +433,10 @@ def test_track_diagnostics(monkeypatch, name, ends, steps, events):
     assert diag["grid_points"] == len(tset.eta_grid)
     # every refused step inserts one midpoint, which ends up on the grid
     rejected = diag["rejected_steps"]
+    assert len(rejected) == _REFUSED.get((name, ends), 0)
     assert diag["grid_points"] == steps + len(rejected)
     for step in rejected:
-        assert step["max_jump"] > step["half_gap"]
+        assert step["error"] > step["half_separation"]
         assert abs(step["eta_to"] - step["eta_from"]) > 1e-6
     assert diag["event_spectra"] == diag["spectra_solved"] - diag["grid_points"]
     assert diag["event_spectra"] >= events
