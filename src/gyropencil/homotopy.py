@@ -463,8 +463,12 @@ def _detect_events(spec, tracker, tset):
             continue
         mid = _column(tset, (s + e) // 2)
         lam = np.mean([mid[b] for b in grp if mid[b] is not None])
-        eta_star = _refine_coincidence(spec, tracker, grid[s - 1],
-                                       grid[e + 1], lam, len(key))[0]
+        # a column whose own spectrum holds the group in one record is the
+        # collision point; search between the flanks only without one
+        held = [grid[c] for c in range(s, e + 1) if _closest_pair(
+            tracker.spectrum_at(grid[c]), lam, len(key))[0] == 0.0]
+        eta_star = held[0] if held else _refine_coincidence(
+            spec, tracker, grid[s - 1], grid[e + 1], lam, len(key))[0]
         events.append(CollisionEvent(
             eta_star=eta_star, lambda_star=complex(lam), kind=0,
             participants=sorted(key),

@@ -2,8 +2,9 @@
 
 winding_count integrates the phase of an analytic function around a
 rectangle with adaptive boundary refinement; find_zeros subdivides until
-each zero is isolated, polishes by multiplicity-aware Newton steps, and
-certifies multiplicities by isolating-square windings.  The module also
+each zero is isolated, descends from each located zero to one leaf
+contour, polishes by multiplicity-aware Newton steps, and certifies
+multiplicities by isolating-square windings.  The module also
 hosts the resonant-potential verification bundle for the joined-string
 characteristic function: counts of the origin zero, the imaginary pairs,
 the complex quadruple, and the per-interval real-zero counts.
@@ -15,6 +16,7 @@ stencils of every leaf.  f's own exceptions propagate; an output of
 another shape raises InvalidInput.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,35 +246,111 @@ def _quads(w, fx, fy):
     ]
 
 
-def _subdivide(f, w, wind):
+def _is_leaf(path, cell, n):
+    """The subdivision's stopping rule for a cell of winding n at path."""
+    small = cell.diameter <= max(0.02 * (1.0 + abs(cell.center)), 1e-6)
+    return (n == 1 and small) or cell.diameter < 1e-8 or len(path) > 80
+
+
+def _locate(cell):
+    """Newton's method from the center of a winding-1 cell, as a task.
+
+    Returns the zero, or None when an iterate leaves the cell (no slack)
+    or 12 steps do not reach |dz| <= 1e-10 (1 + |z|).
+    """
+    z = cell.center
+    for _ in range(12):
+        h = 1e-6 * (1.0 + abs(z))
+        f0, fp, fm = yield [z, z + h, z - h]
+        d = (fp - fm) / (2.0 * h)
+        if d == 0:
+            return None
+        dz = f0 / d
+        z = z - dz
+        if not cell.contains(z):
+            return None
+        if abs(dz) <= 1e-10 * (1.0 + abs(z)):
+            return z
+    return None
+
+
+def _descent(path, cell, z):
+    """The leaf depth-first subdivision reaches from the winding-1 cell at
+    path toward its zero z, as (leaf path, leaf).
+
+    Every level takes the (0.5, 0.5) child on z's side of the cuts.  None
+    when z lies within 1e-6 of a cell's size of a cut it crosses, where
+    rounding may put it on either side.
+    """
+    while True:
+        quads = _quads(cell, 0.5, 0.5)
+        xm, ym = quads[0].re_max, quads[0].im_max
+        near = 1e-6 * max(cell.re_max - cell.re_min, cell.im_max - cell.im_min)
+        if min(abs(z.real - xm), abs(z.imag - ym)) <= near:
+            return None
+        c = int(z.real > xm) + 2 * int(z.imag > ym)
+        path, cell = path + (c,), quads[c]
+        if _is_leaf(path, cell, 1):
+            return path, cell
+
+
+def _subdivide(f, w, wind, stats=None):
     """Cells of w that isolate the zeros of f, as (cell, winding) pairs.
 
     A cell is quadrisected by the first of the _SPLITS whose four children
-    show no |f| dip and add up to its winding.  Winding-1 cells keep
-    shrinking until small relative to |center|: Newton started from the
-    center of a large cell can walk into a neighboring basin, so isolation
-    alone is not enough.  The search runs level by level: one _windings
-    call carries the children of every pending cell, and a cell whose split
-    fails tries its next split in the next call.  Each cell keeps its
-    depth-first path (the child indices from w), so the leaves come back in
-    depth-first order, and the failure raised is the one depth-first search
-    meets first, the smallest path; cells past a known failure are dropped.
+    show no |f| dip and add up to its winding.  Winding-1 cells end small
+    relative to |center|: Newton started from the center of a large cell
+    can walk into a neighboring basin, so isolation alone is not enough.
+    The search runs level by level: one _windings call carries the
+    children of every pending cell, and a cell whose split fails tries its
+    next split in the next call.
+
+    A winding-1 cell that is not yet small is isolated and not split level
+    by level.  Once no cell of winding 2 or more is pending, one _run_tasks
+    batch locates the zeros of all isolated cells (_locate), and each
+    located zero picks its (0.5, 0.5) descent to a leaf (_descent).  Only
+    that leaf's contour is counted, with the next level's windows; a count
+    of 1 with no dip makes it a leaf, certified because it lies inside a
+    cell holding exactly one zero.  A cell whose zero is not located, lies
+    near a cut, or whose leaf does not count 1 is split level by level, its
+    whole subtree with it.
+
+    Each cell keeps its depth-first path (the child indices from w), so the
+    leaves come back in depth-first order, and the failure raised is the
+    one depth-first search meets first, the smallest path; cells past a
+    known failure are dropped.  stats, when given, is a dict; its
+    windows_counted, descents and descent_fallbacks counts are increased,
+    and max_depth is raised to the deepest leaf's level.
     """
+    stats = Counter() if stats is None else stats
     leaves = []     # (path, cell, winding)
     pending = []    # (path, cell, winding, index into _SPLITS)
+    isolated = []   # (path, cell): winding 1, to locate and descend from
     fails = []      # (path, SubdivisionStall)
 
-    def place(path, cell, n):
+    def place(path, cell, n, descend):
         if n == 0:
             return
-        small = cell.diameter <= max(0.02 * (1.0 + abs(cell.center)), 1e-6)
-        if (n == 1 and small) or cell.diameter < 1e-8 or len(path) > 80:
+        if _is_leaf(path, cell, n):
             leaves.append((path, cell, n))
+        elif n == 1 and descend:
+            isolated.append((path, cell))
         else:
             pending.append((path, cell, n, 0))
 
-    place((), w, wind)
-    while pending:
+    place((), w, wind, True)
+    while pending or isolated:
+        descents = []   # (path, cell, leaf path, leaf)
+        if isolated and all(n == 1 for _, _, n, _ in pending):
+            located = _run_tasks(f, [_locate(cell) for _, cell in isolated])
+            for (path, cell), z in zip(isolated, located):
+                leaf = None if z is None else _descent(path, cell, z)
+                if leaf is None:
+                    stats["descent_fallbacks"] += 1
+                    pending.append((path, cell, 1, 0))
+                else:
+                    descents.append((path, cell) + leaf)
+            isolated = []
         batch = []
         for path, cell, n, k in pending:
             if k < len(_SPLITS):
@@ -286,24 +364,41 @@ def _subdivide(f, w, wind):
                 fails.append((path, SubdivisionStall(
                     "no clean cut found for a cell of winding %d at "
                     "diameter %.3e" % (n, cell.diameter))))
+        pending = []
         if fails:
             first = min(path for path, _ in fails)
             batch = [item for item in batch if item[0] < first]
-        if not batch:
-            break
-        counts, dips = _windings(f, [q for *_, quads in batch for q in quads])
-        pending = []
+            descents = [item for item in descents if item[0] < first]
+            isolated = [item for item in isolated if item[0] < first]
+        windows = [q for *_, quads in batch for q in quads]
+        windows += [leaf for *_, leaf in descents]
+        if not windows:
+            continue
+        stats["windows_counted"] += len(windows)
+        counts, dips = _windings(f, windows)
         for j, (path, cell, n, k, quads) in enumerate(batch):
             got = counts[4 * j:4 * j + 4]
             dipped = any(d is not None for d in dips[4 * j:4 * j + 4])
             if dipped or sum(got) != n:
                 pending.append((path, cell, n, k + 1))
             else:
+                # a winding-1 cell here fell back: so does its subtree
                 for c, (qw, qn) in enumerate(zip(quads, got)):
-                    place(path + (c,), qw, qn)
+                    place(path + (c,), qw, qn, n > 1)
+        done = 4 * len(batch)
+        for (path, cell, lpath, leaf), c, d in zip(descents, counts[done:],
+                                                   dips[done:]):
+            if c == 1 and d is None:
+                stats["descents"] += 1
+                leaves.append((lpath, leaf, 1))
+            else:
+                stats["descent_fallbacks"] += 1
+                pending.append((path, cell, 1, 0))
     if fails:
         raise min(fails, key=lambda item: item[0])[1]
     leaves.sort(key=lambda leaf: leaf[0])
+    stats["max_depth"] = max([stats["max_depth"]]
+                             + [len(path) for path, _, _ in leaves])
     return [(cell, n) for _, cell, n in leaves]
 
 
@@ -402,14 +497,38 @@ def _run_tasks(f, tasks):
     return results
 
 
-def find_zeros(f, w, outer=None):
+_DIAGNOSTICS = ("f_calls", "f_points", "windows_counted", "max_depth",
+                "descents", "descent_fallbacks")
+
+
+def find_zeros(f, w, outer=None, diagnostics=None):
     """All zeros of f in w with certified multiplicities.
 
     The reported multiplicity of each zero is the winding number of f
     around an isolating square, and their sum is checked against the outer
     winding count.  outer, when given, is a list; the winding count of w
-    is appended to it.
+    is appended to it.  diagnostics, when given, is a dict; it is updated
+    with what the call cost, also when it raises: f_calls and f_points
+    (every evaluation), and from the subdivision windows_counted (its
+    contours), max_depth (the deepest leaf's level), descents (leaves
+    reached by a located descent) and descent_fallbacks (isolated cells
+    split level by level instead).
     """
+    stats = dict.fromkeys(_DIAGNOSTICS, 0)
+
+    def counted(zs):
+        stats["f_calls"] += 1
+        stats["f_points"] += zs.size
+        return f(zs)
+
+    try:
+        return _find_zeros(counted, w, outer, stats)
+    finally:
+        if diagnostics is not None:
+            diagnostics.update(stats)
+
+
+def _find_zeros(f, w, outer, stats):
     base = _eval(f, _boundary_points(_sides([w]), 0, _BASE_TS))
     fscale = float(np.abs(base).max())
     wind = winding_count(f, w, base=base)
@@ -422,7 +541,7 @@ def find_zeros(f, w, outer=None):
         _newton(leaf, fscale) if n == 1
         else _critical_point(leaf) if n == 2
         else _center(leaf, n)
-        for leaf, n in _subdivide(f, w, wind)
+        for leaf, n in _subdivide(f, w, wind, stats)
     ])
 
     # Merge duplicates.  A multiple zero splits under rounding into a tight
@@ -480,16 +599,24 @@ class ResonantCountReport:
     checks: list = field(default_factory=list)
     conservation: list = field(default_factory=list)
     zeros_main: list = field(default_factory=list)
+    # find_zeros diagnostics over the bundle's windows: max_depth the
+    # deepest, the counts summed; not serialized
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
     def all_pass(self):
         return all(c.status != "fail" for c in self.checks)
 
 
-def _counted_zeros(f, w, label, log):
+def _counted_zeros(f, w, label, report):
     outer = []
-    zeros = find_zeros(f, w, outer)
-    log.append({
+    diag = {}
+    zeros = find_zeros(f, w, outer, diag)
+    for key, val in diag.items():
+        prev = report.diagnostics.get(key, 0)
+        report.diagnostics[key] = (max(prev, val) if key == "max_depth"
+                                   else prev + val)
+    report.conservation.append({
         "label": label,
         "window": [w.re_min, w.re_max, w.im_min, w.im_max],
         "winding": outer[0],
@@ -522,12 +649,11 @@ def verify_resonant_counts(q, a, alpha):
         return omega(lam, q, a, alpha)
 
     report = ResonantCountReport(n_resonant=n_res)
-    log = report.conservation
     checks = report.checks
 
     # (a) double zero at the origin
     worigin = RootWindow(-0.5, 0.5, -0.5, 0.5)
-    zeros0 = _counted_zeros(f, worigin, "origin", log)
+    zeros0 = _counted_zeros(f, worigin, "origin", report)
     ok = (len(zeros0) == 1 and zeros0[0].multiplicity == 2
           and abs(zeros0[0].z) <= 1e-8)
     checks.append(
@@ -547,7 +673,7 @@ def verify_resonant_counts(q, a, alpha):
     for t in targets:
         wt = RootWindow(t.real - 1e-4, t.real + 1e-4,
                         t.imag - 1e-4, t.imag + 1e-4)
-        zs = _counted_zeros(f, wt, "imag_axis", log)
+        zs = _counted_zeros(f, wt, "imag_axis", report)
         if not (len(zs) == 1 and zs[0].multiplicity == 1
                 and abs(zs[0].z - t) <= 1e-8):
             bad.append(t)
@@ -561,7 +687,7 @@ def verify_resonant_counts(q, a, alpha):
     rmax = max(6.0, np.sqrt(q) + 3.0)
     imax = max(3.0, np.sqrt(q) + 1.0)
     wmain = RootWindow(-0.5, rmax, -imax, imax)
-    zmain = _counted_zeros(f, wmain, "main", log)
+    zmain = _counted_zeros(f, wmain, "main", report)
     report.zeros_main = zmain
     nonreal = sum(
         z.multiplicity for z in zmain
@@ -579,7 +705,7 @@ def verify_resonant_counts(q, a, alpha):
     # negative real zeros, split into decoupled values and the remainder
     lneg = np.sqrt(((n_res + 11.6) * np.pi / a) ** 2 - q)
     wneg = RootWindow(-lneg, -0.02, -0.05, 0.05)
-    zneg = _counted_zeros(f, wneg, "negative_axis", log)
+    zneg = _counted_zeros(f, wneg, "negative_axis", report)
     moduli = []
     for z in zneg:
         m = abs(z.z.real)

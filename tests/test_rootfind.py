@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gyropencil import rootfind, sturm
+from gyropencil import cli, rootfind, serialize, sturm
 from gyropencil.errors import (
     GyropencilError, InvalidInput, PreconditionInteger, SubdivisionStall,
 )
@@ -231,13 +233,38 @@ def test_winding_many_matches_one_window_at_a_time(wins, zero_specs):
 
 def test_quadrisect_batches_sibling_windows():
     # the four children of the first split share one call for their base
-    # samples, and the next level's eight children (of two cells) another
-    g, seen = _recording(lambda z: (z - 0.3 - 0.2j) * (z + 0.4 + 0.5j))
-    leaves = rootfind._subdivide(g, RootWindow(-1.0, 1.0, -1.0, 1.0), 2)
-    assert seen[0].size == 4 * rootfind.BOUNDARY_SAMPLES
-    assert 8 * rootfind.BOUNDARY_SAMPLES in [pts.size for pts in seen]
+    # samples; both are winding-1 cells, so after the Newton stencils that
+    # locate their zeros (neither on a dyadic cut line) each descends to
+    # its leaf, and the two leaf contours share one call, in place of a
+    # level of eight children
+    g, seen = _recording(lambda z: (z - 0.3 - 0.2j) * (z + 0.4 + 0.45j))
+    stats = Counter()
+    leaves = rootfind._subdivide(g, RootWindow(-1.0, 1.0, -1.0, 1.0), 2,
+                                 stats)
+    sizes = [pts.size for pts in seen]
+    assert sizes[0] == 4 * rootfind.BOUNDARY_SAMPLES
+    assert 2 * rootfind.BOUNDARY_SAMPLES in sizes
+    assert 8 * rootfind.BOUNDARY_SAMPLES not in sizes
+    assert stats["descents"] == 2 and stats["descent_fallbacks"] == 0
     assert [n for _, n in leaves] == [1, 1]
-    assert leaves[0][0].contains(-0.4 - 0.5j) and leaves[1][0].contains(0.3 + 0.2j)
+    assert leaves[0][0].contains(-0.4 - 0.45j) and leaves[1][0].contains(0.3 + 0.2j)
+
+
+def test_descent_falls_back_when_newton_leaves_the_cell():
+    # the zero outside the window is nearer its center than the one
+    # inside, so Newton from the center walks out: the cell is split level
+    # by level, as depth-first search splits it
+    f = _poly([0.95 + 0.95j, 1.05 + 0.5j])
+    w = RootWindow(0.0, 1.0, 0.0, 1.0)
+    assert winding_count(f, w) == 1
+    want = []
+    support.subdivide_dfs(f, w, 1, want)
+    stats = Counter()
+    assert rootfind._subdivide(f, w, 1, stats) == want
+    assert stats["descent_fallbacks"] >= 1
+    diag = {}
+    assert find_zeros(f, w, diagnostics=diag) == support.find_zeros_dfs(f, w)
+    assert diag["descent_fallbacks"] >= 1 and diag["descents"] == 0
 
 
 def test_resonant_bundle_call_budget(monkeypatch):
@@ -267,6 +294,68 @@ def test_resonant_bundle_level_call_budget(monkeypatch):
     rep = rootfind.verify_resonant_counts(4.0, np.pi, 1.0)
     assert rep.all_pass
     assert len(calls) <= 350, len(calls)
+
+
+def test_resonant_bundle_point_budget(monkeypatch):
+    # one contour per isolated zero (207961 points when winding-1 cells
+    # were quadrisected level by level down to their leaves)
+    points = []
+
+    def counted(lam, q, a, alpha):
+        points.append(np.size(lam))
+        return sturm.omega(lam, q, a, alpha)
+
+    monkeypatch.setattr(rootfind, "omega", counted)
+    rep = rootfind.verify_resonant_counts(4.0, np.pi, 1.0)
+    assert rep.all_pass
+    assert sum(points) <= 150000, sum(points)
+    # the find_zeros diagnostics cover all but the fixed windows' points
+    assert 0 < rep.diagnostics["f_points"] < sum(points)
+
+
+def test_resonant_bundle_diagnostics():
+    rep = rootfind.verify_resonant_counts(4.0, np.pi, 1.0)
+    diag = rep.diagnostics
+    assert set(diag) == {"f_calls", "f_points", "windows_counted",
+                         "max_depth", "descents", "descent_fallbacks"}
+    for key in ("f_calls", "f_points", "windows_counted", "max_depth",
+                "descents"):
+        assert diag[key] > 0, key
+    assert "diagnostics" not in serialize.resonant_to_dict(rep)
+
+
+_CLI_ROOTS = [
+    ["--fn", "omega", "--q", "4", "--a", "pi", "--alpha", "1"],
+    # the recorded defect inputs: BoundaryZero, BoundaryZero, the origin
+    # zero off by 3.7e-8, SubdivisionStall
+    ["--fn", "omega", "--q", "16.0", "--a", "pi", "--alpha", "1.0"],
+    ["--fn", "omega", "--q", "25.0", "--a", "pi", "--alpha", "1.0"],
+    ["--fn", "omega", "--q", "9.0", "--a", "pi", "--alpha", "0.5"],
+    ["--fn", "omega", "--q", "4.703950536043968", "--a", "2.897",
+     "--alpha", "0.958"],
+    ["--fn", "shoot", "--q", "4", "--a", "pi", "--alpha", "1", "--n", "12",
+     "--window=1.0,4.0,-1.0,1.0"],
+    ["--fn", "shoot", "--q", "4", "--a", "pi", "--alpha", "1", "--n", "12",
+     "--window=-4.0,-1.0,-1.0,1.0"],
+]
+
+
+@pytest.mark.parametrize("argv", _CLI_ROOTS)
+def test_roots_cli_matches_depth_first_subdivision(monkeypatch, capsys, argv):
+    def run():
+        code = cli.main(["roots"] + argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    got = run()
+
+    def subdivide_dfs(f, w, wind, stats=None):
+        leaves = []
+        support.subdivide_dfs(f, w, wind, leaves)
+        return leaves
+
+    monkeypatch.setattr(rootfind, "_subdivide", subdivide_dfs)
+    assert got == run()
 
 
 def test_evaluator_errors_propagate():
@@ -355,6 +444,64 @@ def test_level_synchronous_search_matches_depth_first(zero_specs, x0, y0):
     assert got == (want if want is not None else want_leaves)
     assert outcome(lambda: find_zeros(f, w)) == outcome(
         lambda: support.find_zeros_dfs(f, w))
+
+
+def _assert_same_as_depth_first(f, w):
+    """_subdivide and find_zeros against their depth-first references:
+    the same leaves and zeros, or the same failure."""
+    def outcome(run):
+        try:
+            return run()
+        except GyropencilError as exc:
+            return type(exc), str(exc)
+
+    wind = winding_count(f, w)
+    want_leaves = []
+    want = outcome(lambda: support.subdivide_dfs(f, w, wind, want_leaves))
+    got = outcome(lambda: rootfind._subdivide(f, w, wind))
+    assert got == (want if want is not None else want_leaves)
+    assert outcome(lambda: find_zeros(f, w)) == outcome(
+        lambda: support.find_zeros_dfs(f, w))
+
+
+# a zero on a cut line of a cell two or three (0.5, 0.5) levels below the
+# window, where a located descent crosses: the cell's child indices, the
+# axis, the split fraction and the position along the line
+_deep_cut_zero = st.tuples(
+    st.lists(st.integers(0, 3), min_size=2, max_size=3),
+    st.integers(0, 1),
+    st.sampled_from([0.5, 0.513, 0.487]),
+    st.floats(0.05, 0.95),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_deep_cut_zero, min_size=1, max_size=4),
+       st.floats(-1.0, 0.5), st.floats(-1.0, 0.5))
+def test_descent_on_deep_cut_lines_matches_depth_first(zero_specs, x0, y0):
+    w = RootWindow(x0, x0 + 1.7, y0, y0 + 1.3)
+    roots = []
+    for path, axis, frac, pos in zero_specs:
+        cell = w
+        for c in path:
+            cell = rootfind._quads(cell, 0.5, 0.5)[c]
+        roots.append(_cut_zero(cell, axis, frac, pos))
+    _assert_same_as_depth_first(_poly(roots), w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=6, max_size=10, unique=True),
+       st.floats(0.1, 0.9), st.floats(0.1, 0.9), st.floats(0.004, 0.06),
+       st.floats(0.0, 1.0))
+def test_descent_in_zero_clusters_matches_depth_first(offsets, u, v,
+                                                      spacing, turn):
+    # 6-10 simple zeros on a turned lattice around a point of the window
+    w = RootWindow(-0.7, 1.0, -0.5, 0.8)
+    center = _cut_zero(w, 0, u, v)
+    rot = np.exp(2j * np.pi * turn)
+    roots = [center + spacing * rot * complex(i, j) for i, j in offsets]
+    _assert_same_as_depth_first(_poly(roots), w)
 
 
 def test_subdivision_raises_the_first_stall_depth_first():
