@@ -2,9 +2,10 @@
 
 winding_count integrates the phase of an analytic function around a
 rectangle with adaptive boundary refinement; find_zeros subdivides until
-each zero is isolated, descends from each located zero to one leaf
-contour, polishes by multiplicity-aware Newton steps, and certifies
-multiplicities by isolating-square windings.  The module also
+each zero is isolated, descends from each located zero or pair of zeros
+to one contour, polishes by multiplicity-aware Newton steps, and
+certifies multiplicities by isolating-square windings or, for a refined
+simple zero, by its leaf.  The module also
 hosts the resonant-potential verification bundle for the joined-string
 characteristic function: counts of the origin zero, the imaginary pairs,
 the complex quadruple, and the per-interval real-zero counts.
@@ -64,6 +65,10 @@ class ZeroRecord:
     refined: bool
     residual: float
 
+
+# The reasons _windings gives for a contour at the noise floor of f.
+_STALLS = "phase refinement stalls; zero pinned to contour"
+_UNSETTLED = "phase refinement did not settle"
 
 # Base samples per contour, for the winding and for find_zeros' fscale.
 BOUNDARY_SAMPLES = 256
@@ -161,8 +166,7 @@ def _windings(f, windows, base=None):
         for i in np.flatnonzero(settled):
             counts[i] = int(round(float(total[i]) / (2.0 * np.pi)))
         live &= ~settled
-        finish(live & (nsamp > 300000),
-               "phase refinement stalls; zero pinned to contour")
+        finish(live & (nsamp > 300000), _STALLS)
         bad &= live[wid]
         if not bad.any():
             break
@@ -178,7 +182,7 @@ def _windings(f, windows, base=None):
         wid = np.repeat(wid, 2)
         t0, t1 = _interleave(t0, mids), _interleave(mids, t1)
         p0, p1 = _interleave(p0, pm), _interleave(pm, p1)
-    finish(live, "phase refinement did not settle")
+    finish(live, _UNSETTLED)
     return counts, dips
 
 
@@ -252,26 +256,44 @@ def _is_leaf(path, cell, n):
     return (n == 1 and small) or cell.diameter < 1e-8 or len(path) > 80
 
 
-def _locate(cell):
-    """Newton's method from the center of a winding-1 cell, as a task.
+def _locate(cell, pair=False):
+    """Newton's method from the center of a cell, as a task: on f for a
+    winding-1 cell, on f' for a pair of zeros.
 
-    Returns the zero, or None when an iterate leaves the cell (no slack)
-    or 12 steps do not reach |dz| <= 1e-10 (1 + |z|).
+    Returns the zero, or for a pair (c, r): the critical point c, and the
+    distance r = sqrt|2 f(c) / f''(c)| from c to the two zeros of f's
+    quadratic model there.  None when an iterate strays more than the
+    cell's size from it, 12 steps do not reach |dz| <= 1e-10 (1 + |z|), or
+    the converged point lies outside the cell.
     """
     z = cell.center
     for _ in range(12):
         h = 1e-6 * (1.0 + abs(z))
         f0, fp, fm = yield [z, z + h, z - h]
-        d = (fp - fm) / (2.0 * h)
-        if d == 0:
+        d1 = (fp - fm) / (2.0 * h)
+        d2 = (fp - 2.0 * f0 + fm) / (h * h)
+        if (d2 if pair else d1) == 0:
             return None
-        dz = f0 / d
+        dz = d1 / d2 if pair else f0 / d1
         z = z - dz
-        if not cell.contains(z):
+        if not cell.contains(z, slack=cell.diameter):
             return None
         if abs(dz) <= 1e-10 * (1.0 + abs(z)):
-            return z
+            if not cell.contains(z):
+                return None
+            if not pair:
+                return z
+            # f(z) = f0 - d2 dz^2 / 2 on the model
+            return z, float(np.sqrt(abs(2.0 * f0 / d2 - dz * dz)))
     return None
+
+
+def _cut_gap(cell, z):
+    """The (0.5, 0.5) children of cell, and the distance from z to the
+    nearer of their cut lines."""
+    quads = _quads(cell, 0.5, 0.5)
+    xm, ym = quads[0].re_max, quads[0].im_max
+    return quads, min(abs(z.real - xm), abs(z.imag - ym))
 
 
 def _descent(path, cell, z):
@@ -283,15 +305,58 @@ def _descent(path, cell, z):
     rounding may put it on either side.
     """
     while True:
-        quads = _quads(cell, 0.5, 0.5)
-        xm, ym = quads[0].re_max, quads[0].im_max
-        near = 1e-6 * max(cell.re_max - cell.re_min, cell.im_max - cell.im_min)
-        if min(abs(z.real - xm), abs(z.imag - ym)) <= near:
+        quads, gap = _cut_gap(cell, z)
+        if gap <= 1e-6 * max(cell.re_max - cell.re_min,
+                             cell.im_max - cell.im_min):
             return None
-        c = int(z.real > xm) + 2 * int(z.imag > ym)
-        path, cell = path + (c,), quads[c]
+        k = _child(quads, z)
+        path, cell = path + (k,), quads[k]
         if _is_leaf(path, cell, 1):
             return path, cell
+
+
+def _child(quads, z):
+    """Index of the (0.5, 0.5) child that holds z."""
+    return int(z.real > quads[0].re_max) + 2 * int(z.imag > quads[0].im_max)
+
+
+def _pair_descent(path, cell, c, r):
+    """The deepest cell depth-first subdivision reaches from the winding-2
+    cell at path while every cut stays clear of the pair of zeros centered
+    at c, r from it, as (path, cell).
+
+    Every level takes the (0.5, 0.5) child holding c, while the cuts lie
+    more than max(4 r, size / 16) from c: size / 16 is four base-sample
+    spacings of the cell's contour, which keeps the pair clear of the
+    miscount of a double zero close to a contour.  The children's contours
+    also run along the first cell's sides, sampled more densely than its
+    own, so c must lie more than 4 r inside it.  Stops at a cell that meets
+    the leaf rule.  None when the first cell's sides or cuts are already
+    too close.
+    """
+    if not cell.contains(c, slack=-4.0 * r):
+        return None
+    deepest = None
+    while True:
+        quads, gap = _cut_gap(cell, c)
+        size = max(cell.re_max - cell.re_min, cell.im_max - cell.im_min)
+        if gap <= max(4.0 * r, size / 16.0):
+            return deepest
+        k = _child(quads, c)
+        path, cell = path + (k,), quads[k]
+        deepest = path, cell
+        if _is_leaf(path, cell, 2):
+            return deepest
+
+
+def _clear(cell, z):
+    """z lies inside cell, more than four base-sample spacings from each
+    side (a side's spacing is its length over BOUNDARY_SAMPLES / 4, so the
+    margin to the horizontal sides scales with the cell's width)."""
+    sx = 4.0 * (cell.re_max - cell.re_min) / (BOUNDARY_SAMPLES // 4)
+    sy = 4.0 * (cell.im_max - cell.im_min) / (BOUNDARY_SAMPLES // 4)
+    return (min(z.real - cell.re_min, cell.re_max - z.real) > sy
+            and min(z.imag - cell.im_min, cell.im_max - z.imag) > sx)
 
 
 def _subdivide(f, w, wind, stats=None):
@@ -302,59 +367,76 @@ def _subdivide(f, w, wind, stats=None):
     relative to |center|: Newton started from the center of a large cell
     can walk into a neighboring basin, so isolation alone is not enough.
     The search runs level by level: one _windings call carries the
-    children of every pending cell, and a cell whose split fails tries its
-    next split in the next call.
+    children of every pending cell.  A cell whose split fails tries its
+    next split in the next call; when the split failed at the noise floor
+    (_STALLS, _UNSETTLED), all its remaining splits are counted in that
+    call, and the first that succeeds, in order, is taken.
 
     A winding-1 cell that is not yet small is isolated and not split level
-    by level.  Once no cell of winding 2 or more is pending, one _run_tasks
-    batch locates the zeros of all isolated cells (_locate), and each
-    located zero picks its (0.5, 0.5) descent to a leaf (_descent).  Only
-    that leaf's contour is counted, with the next level's windows; a count
-    of 1 with no dip makes it a leaf, certified because it lies inside a
-    cell holding exactly one zero.  A cell whose zero is not located, lies
-    near a cut, or whose leaf does not count 1 is split level by level, its
-    whole subtree with it.
+    by level; nor is a winding-2 cell whose parent's split left its two
+    zeros together.  Once no other cell of winding 2 or more is pending,
+    one _run_tasks batch locates the zero of every isolated cell and the
+    critical point of every such pair (_locate).  Each located zero picks
+    its (0.5, 0.5) descent to a leaf (_descent), and each pair its descent
+    while the cuts stay clear of it (_pair_descent).  Only the last cell's
+    contour is counted, with the next level's windows: a leaf that counts
+    1 with no dip is certified, as it lies inside a cell holding exactly
+    one zero; a pair's cell that counts 2 with no dip is a leaf or is split
+    level by level from there.  A cell whose zero is not located, lies
+    near a cut, or whose last cell does not count as expected is split
+    level by level; below a winding-1 cell its whole subtree is.
 
     Each cell keeps its depth-first path (the child indices from w), so the
     leaves come back in depth-first order, and the failure raised is the
     one depth-first search meets first, the smallest path; cells past a
     known failure are dropped.  stats, when given, is a dict; its
-    windows_counted, descents and descent_fallbacks counts are increased,
-    and max_depth is raised to the deepest leaf's level.
+    windows_counted, descents, descent_fallbacks and pair_descents counts
+    are increased, and max_depth is raised to the deepest leaf's level.
     """
     stats = Counter() if stats is None else stats
     leaves = []     # (path, cell, winding)
-    pending = []    # (path, cell, winding, index into _SPLITS)
+    pending = []    # (path, cell, winding, indices into _SPLITS to count)
     isolated = []   # (path, cell): winding 1, to locate and descend from
+    pairs = []      # (path, cell): winding 2 under winding 2, likewise
     fails = []      # (path, SubdivisionStall)
 
-    def place(path, cell, n, descend):
+    def place(path, cell, n, parent):
         if n == 0:
             return
         if _is_leaf(path, cell, n):
             leaves.append((path, cell, n))
-        elif n == 1 and descend:
+        elif n == 1 and parent != 1:
             isolated.append((path, cell))
+        elif n == 2 and parent == 2:
+            pairs.append((path, cell))
         else:
-            pending.append((path, cell, n, 0))
+            pending.append((path, cell, n, (0,)))
 
-    place((), w, wind, True)
-    while pending or isolated:
-        descents = []   # (path, cell, leaf path, leaf)
-        if isolated and all(n == 1 for _, _, n, _ in pending):
-            located = _run_tasks(f, [_locate(cell) for _, cell in isolated])
+    place((), w, wind, None)
+    while pending or isolated or pairs:
+        descents = []   # (path, cell, winding, last path, last cell)
+        if (isolated or pairs) and all(n == 1 for _, _, n, _ in pending):
+            located = _run_tasks(f, [_locate(cell) for _, cell in isolated]
+                                 + [_locate(cell, True) for _, cell in pairs])
             for (path, cell), z in zip(isolated, located):
                 leaf = None if z is None else _descent(path, cell, z)
                 if leaf is None:
                     stats["descent_fallbacks"] += 1
-                    pending.append((path, cell, 1, 0))
+                    pending.append((path, cell, 1, (0,)))
                 else:
-                    descents.append((path, cell) + leaf)
-            isolated = []
+                    descents.append((path, cell, 1) + leaf)
+            for (path, cell), loc in zip(pairs, located[len(isolated):]):
+                deep = None if loc is None else _pair_descent(path, cell, *loc)
+                if deep is None:
+                    pending.append((path, cell, 2, (0,)))
+                else:
+                    descents.append((path, cell, 2) + deep)
+            isolated, pairs = [], []
         batch = []
-        for path, cell, n, k in pending:
-            if k < len(_SPLITS):
-                batch.append((path, cell, n, k, _quads(cell, *_SPLITS[k])))
+        for path, cell, n, ks in pending:
+            if ks:
+                batch.append((path, cell, n, ks,
+                              [_quads(cell, *_SPLITS[k]) for k in ks]))
             elif cell.diameter < 1e-7 * (1.0 + abs(cell.center)):
                 # A multiple zero split by rounding: the fragments are
                 # closer than the evaluation noise permits separating.
@@ -370,30 +452,39 @@ def _subdivide(f, w, wind, stats=None):
             batch = [item for item in batch if item[0] < first]
             descents = [item for item in descents if item[0] < first]
             isolated = [item for item in isolated if item[0] < first]
-        windows = [q for *_, quads in batch for q in quads]
-        windows += [leaf for *_, leaf in descents]
+            pairs = [item for item in pairs if item[0] < first]
+        windows = [q for *_, splits in batch for quads in splits for q in quads]
+        windows += [last for *_, last in descents]
         if not windows:
             continue
         stats["windows_counted"] += len(windows)
         counts, dips = _windings(f, windows)
-        for j, (path, cell, n, k, quads) in enumerate(batch):
-            got = counts[4 * j:4 * j + 4]
-            dipped = any(d is not None for d in dips[4 * j:4 * j + 4])
-            if dipped or sum(got) != n:
-                pending.append((path, cell, n, k + 1))
-            else:
+        pos = 0
+        for path, cell, n, ks, splits in batch:
+            chosen = None
+            for k, quads in zip(ks, splits):
+                got, dip = counts[pos:pos + 4], dips[pos:pos + 4]
+                pos += 4
+                if chosen is None and dip == [None] * 4 and sum(got) == n:
+                    chosen = quads, got
+            if chosen is not None:
                 # a winding-1 cell here fell back: so does its subtree
-                for c, (qw, qn) in enumerate(zip(quads, got)):
-                    place(path + (c,), qw, qn, n > 1)
-        done = 4 * len(batch)
-        for (path, cell, lpath, leaf), c, d in zip(descents, counts[done:],
-                                                   dips[done:]):
-            if c == 1 and d is None:
-                stats["descents"] += 1
-                leaves.append((lpath, leaf, 1))
+                for c, (qw, qn) in enumerate(zip(*chosen)):
+                    place(path + (c,), qw, qn, n)
             else:
-                stats["descent_fallbacks"] += 1
-                pending.append((path, cell, 1, 0))
+                # at the noise floor, the remaining splits go all at once
+                rest = tuple(range(ks[-1] + 1, len(_SPLITS)))
+                noisy = any(d in (_STALLS, _UNSETTLED) for d in dip)
+                pending.append((path, cell, n, rest if noisy else rest[:1]))
+        for (path, cell, n, lpath, last), c, d in zip(descents, counts[pos:],
+                                                      dips[pos:]):
+            if c == n and d is None:
+                stats["descents" if n == 1 else "pair_descents"] += 1
+                place(lpath, last, n, None)
+            else:
+                if n == 1:
+                    stats["descent_fallbacks"] += 1
+                pending.append((path, cell, n, (0,)))
     if fails:
         raise min(fails, key=lambda item: item[0])[1]
     leaves.sort(key=lambda leaf: leaf[0])
@@ -498,21 +589,23 @@ def _run_tasks(f, tasks):
 
 
 _DIAGNOSTICS = ("f_calls", "f_points", "windows_counted", "max_depth",
-                "descents", "descent_fallbacks")
+                "descents", "descent_fallbacks", "pair_descents")
 
 
 def find_zeros(f, w, outer=None, diagnostics=None):
     """All zeros of f in w with certified multiplicities.
 
     The reported multiplicity of each zero is the winding number of f
-    around an isolating square, and their sum is checked against the outer
-    winding count.  outer, when given, is a list; the winding count of w
-    is appended to it.  diagnostics, when given, is a dict; it is updated
-    with what the call cost, also when it raises: f_calls and f_points
-    (every evaluation), and from the subdivision windows_counted (its
-    contours), max_depth (the deepest leaf's level), descents (leaves
-    reached by a located descent) and descent_fallbacks (isolated cells
-    split level by level instead).
+    around an isolating square, or 1 for a refined zero alone and well
+    inside its winding-1 leaf whose square lies inside w (see _clear), and
+    their sum is checked against the outer winding count.  outer, when
+    given, is a list; the winding count of w is appended to it.
+    diagnostics, when given, is a dict; it is updated with what the call
+    cost, also when it raises: f_calls and f_points (every evaluation), and
+    from the subdivision windows_counted (its contours), max_depth (the
+    deepest leaf's level), descents (leaves reached by a located descent),
+    descent_fallbacks (isolated cells split level by level instead) and
+    pair_descents (pairs of zeros followed down to one counted cell).
     """
     stats = dict.fromkeys(_DIAGNOSTICS, 0)
 
@@ -537,12 +630,15 @@ def _find_zeros(f, w, outer, stats):
     if wind == 0:
         return []
 
+    leaves = _subdivide(f, w, wind, stats)
     raw = _run_tasks(f, [
         _newton(leaf, fscale) if n == 1
         else _critical_point(leaf) if n == 2
         else _center(leaf, n)
-        for leaf, n in _subdivide(f, w, wind, stats)
+        for leaf, n in leaves
     ])
+    for item, (leaf, n) in zip(raw, leaves):
+        item.append(leaf if n == 1 else None)
 
     # Merge duplicates.  A multiple zero splits under rounding into a tight
     # cluster of radius about sqrt(eps)*scale, so cells resolve it as
@@ -551,36 +647,49 @@ def _find_zeros(f, w, outer, stats):
     # split error and is the accurate location of the multiple zero.
     raw.sort(key=lambda r: (r[0].real, r[0].imag))
     merged = []
-    for z, mult, ok, resid in raw:
+    for z, mult, ok, resid, leaf in raw:
         hit = None
         for item in merged:
             if abs(item[0] / item[1] - z) <= 3e-7 * (1.0 + abs(z)):
                 hit = item
                 break
         if hit is None:
-            merged.append([z * mult, mult, ok, resid])
+            merged.append([z * mult, mult, ok, resid, leaf])
         else:
             hit[0] += z * mult
             hit[1] += mult
             hit[2] = hit[2] and ok
             hit[3] = max(hit[3], resid)
+            hit[4] = None
     for item in merged:
         item[0] /= item[1]
     for item, val in zip(merged, _eval(f, [item[0] for item in merged])):
         item[3] = abs(val)
 
-    squares = []
-    for i, (z, mult, ok, resid) in enumerate(merged):
+    # The leaf certifies a simple zero: a refined zero merged with nothing,
+    # more than four base-sample spacings inside its winding-1 leaf, is the
+    # leaf's one zero (a multiple zero there would have counted as such;
+    # one close to a side can count 1).  Its square, when inside w, holds
+    # no other zero the search found, so it could count only 0 or 1, both
+    # meaning multiplicity 1, and it is not counted.
+    squares = {}
+    for i, (z, mult, ok, resid, leaf) in enumerate(merged):
         dists = [abs(z - other[0]) for j, other in enumerate(merged) if j != i]
         r_iso = max(1e-7, 0.01 * min(dists)) if dists else max(1e-7, 0.01)
-        squares.append(RootWindow(z.real - r_iso, z.real + r_iso,
-                                  z.imag - r_iso, z.imag + r_iso))
-    certified = _winding_counts(f, squares, max_retries=3)
-    records = [
-        ZeroRecord(z=complex(z), multiplicity=int(c if c > 0 else mult),
-                   refined=bool(ok), residual=float(resid))
-        for (z, mult, ok, resid), c in zip(merged, certified)
-    ]
+        square = RootWindow(z.real - r_iso, z.real + r_iso,
+                            z.imag - r_iso, z.imag + r_iso)
+        if not (ok and leaf is not None and _clear(leaf, z)
+                and w.contains(complex(square.re_min, square.im_min))
+                and w.contains(complex(square.re_max, square.im_max))):
+            squares[i] = square
+    certified = dict(zip(squares, _winding_counts(f, list(squares.values()),
+                                                  max_retries=3)))
+    records = []
+    for i, (z, mult, ok, resid, _) in enumerate(merged):
+        c = certified.get(i, 1)
+        records.append(ZeroRecord(z=complex(z),
+                                  multiplicity=int(c if c > 0 else mult),
+                                  refined=bool(ok), residual=float(resid)))
 
     total = sum(r.multiplicity for r in records)
     if total != wind:

@@ -15,7 +15,7 @@ from gyropencil.pencil import PencilSpec, RankOneCoupling
 from gyropencil import rootfind
 from gyropencil.errors import SubdivisionStall
 from gyropencil.rootfind import RootWindow, ZeroRecord
-from gyropencil.sturm import effective_q
+from gyropencil.sturm import effective_q, omega
 
 
 def perm_sign(perm):
@@ -382,6 +382,22 @@ def find_zeros_dfs(f, w):
             % (total, outer)
         )
     return records
+
+
+def count_omega(monkeypatch):
+    """Count the evaluations of omega that rootfind makes from here on.
+
+    Returns a function that gives (calls, points) so far: the number of
+    calls and the number of points they carried.
+    """
+    seen = []
+
+    def counted(lam, q, a, alpha):
+        seen.append(np.size(lam))
+        return omega(lam, q, a, alpha)
+
+    monkeypatch.setattr(rootfind, "omega", counted)
+    return lambda: (len(seen), sum(seen))
 
 
 def mirror_spec(rng):
