@@ -6,9 +6,12 @@ positions, and judges each step branch by branch: a step stands unless
 some branch's predictor misses its match by more than half that match's
 distance to the nearest other matched value.  So the grid is the targets,
 with midpoints inserted only where a branch's own predictor fails.
-Collisions are detected from branch coincidences, from real branches
-that swap order between grid points, and from changes in the nonreal
-count, then localized by golden-section search and by bisection.
+Branches meeting at a semisimple multiple value keep the velocities they
+came with, so they leave it on their own curves.  Collisions are detected
+from real branches that swap order across grid points where they
+coincide, and from changes in the nonreal count; a grid point on the
+collision is taken as it is, otherwise golden-section search or bisection
+localizes it.
 Also hosts the eigenvalue derivative formula, the +- pairing of real
 eigenvalues, and the 2*kappa_A - kappa_c count.
 """
@@ -116,8 +119,10 @@ class TrajectorySet:
     events included), grid_points, rejected_steps (one dict per refused
     step: eta_from, eta_to, and the error and half_separation of the branch
     that fails the step rule by the widest ratio), derivative_fallbacks (by
-    the exception lambda_derivative would raise) and event_spectra (the
-    spectra solved while localizing events).
+    the exception lambda_derivative would raise), event_spectra (the
+    spectra solved while localizing events) and crossing_velocities (the
+    slots of semisimple multiple values that kept their branch's velocity
+    from the previous grid point).
     """
     eta_grid: list
     branches: list
@@ -128,8 +133,10 @@ class TrajectorySet:
 class _Slots:
     """One spectrum with each eigenvalue repeated alg_mult times and sorted
     by (real, imag): the values as a list and an array, one eigenvector
-    column per slot (zero where the record has none), and which slots sit
-    beyond half the escape radius."""
+    column per slot (zero where the record has none), which slots sit
+    beyond half the escape radius, and which belong to a semisimple
+    multiple record (crossing), where branches meet with their own
+    velocities."""
 
     def __init__(self, result, n, escape):
         recs = sorted(result.records, key=lambda r: (r.lam.real, r.lam.imag))
@@ -141,6 +148,8 @@ class _Slots:
         self.vecs = np.array([r.vectors[:, 0] if r.vectors.size else zero
                               for r in slots], dtype=complex).reshape(-1, n).T
         self.far = _cabs(self.vals) > 0.5 * escape
+        self.crossing = np.array([r.alg_mult > 1 and r.geo_mult == r.alg_mult
+                                  for r in slots], dtype=bool)
 
 
 def _coincide(v):
@@ -148,31 +157,6 @@ def _coincide(v):
     relative (to v[..., i]), the dedup that separates distinct values."""
     return _cabs(v[..., :, None] - v[..., None, :]) <= \
         1e-9 * (1.0 + _cabs(v))[..., :, None]
-
-
-def _min_distinct_gap(values):
-    """Smallest distance between distinct values.
-
-    Values are deduplicated greedily in order: one that _coincide()s with
-    a value already kept is dropped.  inf when fewer than two distinct
-    values remain.
-    """
-    v = np.asarray(values, dtype=complex)
-    if v.size < 2:
-        return np.inf
-    dist = _cabs(v[:, None] - v)
-    dup = _coincide(v)
-    np.fill_diagonal(dist, np.inf)
-    if np.count_nonzero(dup) > v.size:
-        # dup[i, j], j < i: v_i repeats the earlier v_j
-        dup = np.tril(dup, -1)
-        keep = np.ones(v.size, dtype=bool)
-        for i in np.flatnonzero(dup.any(axis=1)):
-            keep[i] = not (dup[i] & keep).any()
-        if np.count_nonzero(keep) < 2:
-            return np.inf
-        dist = dist[np.ix_(keep, keep)]
-    return dist.min()
 
 
 def _separations(src, dst):
@@ -233,14 +217,15 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
 
     The traversal direction may be decreasing.  Each step from eta to
     eta + d matches the next spectrum to the predictions lam + v d (v from
-    lambda_derivative, 0 for nonreal values) and is refused, with its
-    midpoint tried first, when some matched branch misses by more than
-    half its separation (_separations: the distance from its match to the
-    nearest other match, where matches that coincide, or whose sources
-    coincide, do not count).  Spectra solved = grid points + event
-    spectra, and the grid points are the `steps` targets unless a branch's
-    own predictor fails.  Returns a TrajectorySet whose grid includes any
-    inserted points.
+    lambda_derivative, 0 for nonreal values; at a semisimple multiple
+    value, the branch's velocity from the previous grid point) and is
+    refused, with its midpoint tried first, when some matched branch misses
+    by more than half its separation (_separations: the distance from its
+    match to the nearest other match, where matches that coincide, or
+    whose sources coincide, do not count).  Spectra solved = grid points +
+    event spectra, and the grid points are the `steps` targets unless a
+    branch's own predictor fails.  Returns a TrajectorySet whose grid
+    includes any inserted points.
     """
     if steps < 2:
         raise InvalidInput("steps must be >= 2")
@@ -264,6 +249,8 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
     alive = np.arange(len(cur.lams))
     perm = alive
     vel = None                  # per grid point, set on its first step
+    prev = None                 # per alive branch: last velocity, nan if born
+    carried = 0
     rejected = []
 
     work = list(reversed(targets[1:]))
@@ -274,6 +261,12 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
         if vel is None:
             vals, far = cur.vals[perm], cur.far[perm]
             vel = tracker.velocities(cur, cur_eta)[perm]
+            if prev is not None:
+                # a multiple value's first vector is no branch's own: the
+                # branches meeting there keep the velocities they came with
+                carry = cur.crossing[perm] & ~np.isnan(prev)
+                vel[carry] = prev[carry]
+                carried += int(np.count_nonzero(carry))
         nxt = tracker.slots_at(t)
 
         nrow, ncol = vals.size, nxt.vals.size
@@ -318,13 +311,14 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
         alive = alive[hit]
         for bi, j in zip(alive.tolist(), matched.tolist()):
             branches[bi].values.append(nxt.lams[j])
-        perm = matched
+        perm, prev = matched, vel[hit]
         if matched.size < ncol:
             free = np.ones(ncol, dtype=bool)
             free[matched] = False
             born = np.flatnonzero(free)
             alive = np.concatenate((alive, len(branches) + np.arange(born.size)))
             perm = np.concatenate((matched, born))
+            prev = np.concatenate((prev, np.full(born.size, np.nan)))
             for j in born.tolist():
                 branches.append(Branch(
                     ident=len(branches),
@@ -346,6 +340,7 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
         "rejected_steps": rejected,
         "derivative_fallbacks": dict(tracker.fallbacks),
         "event_spectra": len(tracker.cache) - tracked,
+        "crossing_velocities": carried,
     }
     return tset
 
@@ -370,132 +365,70 @@ def _value_matrix(tset):
     return vals, present
 
 
-def _close_pairs(vals, present, tol_factor=1e-4):
-    """Per grid point: close[j, k] for j < k when branches j and k
-    coincide within tol_factor relative to value j, or None when no pair
-    does.  Grid points go in chunks to bound memory."""
-    npts, nb = vals.shape
-    upper = np.triu(np.ones((nb, nb), dtype=bool), 1)
-    tol = tol_factor * (1.0 + _cabs(vals))
-    chunk = max(1, 2 ** 18 // max(1, nb * nb))
-    for s in range(0, npts, chunk):
-        v, p, t = vals[s:s + chunk], present[s:s + chunk], tol[s:s + chunk]
-        close = _cabs(v[:, :, None] - v[:, None, :]) <= t[:, :, None]
-        close &= p[:, :, None] & p[:, None, :] & upper
-        for c, hit in zip(close, close.any(axis=(1, 2))):
-            yield c if hit else None
-
-
-def _coincidence_groups(close):
-    """Greedy groups at one grid point: each branch not yet grouped takes
-    every later ungrouped branch close to it; groups of one are dropped."""
-    groups = []
-    seen = np.zeros(len(close), dtype=bool)
-    for i in np.flatnonzero(close.any(axis=1)):
-        if seen[i]:
-            continue
-        grp = [int(i)] + [int(j) for j in np.flatnonzero(close[i] & ~seen)]
-        if len(grp) >= 2:
-            groups.append(grp)
-            seen[grp] = True
-    return groups
-
-
 def _order_swaps(vals, present):
-    """Per pair of consecutive grid points i, i + 1 where two branches are
-    real at both and in opposite order, not _coincide()nt at either:
-    (i, the (j, k) pairs, j < k).  Grid points go in chunks to bound
+    """Real branch pairs that swap order across a run of columns where they
+    _coincide: per column q, (q, [[p, j, k], ...]) for the pairs j < k in
+    one order at q and in the other at the column p where they were last
+    apart, coincident at every column between.  A column where either is
+    nonreal or absent forgets the order.  Grid points go in chunks to bound
     memory."""
     npts, nb = vals.shape
     upper = np.triu(np.ones((nb, nb), dtype=bool), 1)
     real = np.where(present & _is_real(vals), vals.real, np.nan)
     chunk = max(1, 2 ** 18 // max(1, nb * nb))
-    for s in range(0, npts - 1, chunk):
-        r = real[s:s + chunk + 1]
-        d = r[:, :, None] - r[:, None, :]
+    # per pair, the order it was last apart in (nan: none) and where
+    sign = np.full((1, nb, nb), np.nan)
+    col = np.zeros((1, nb, nb), dtype=int)
+    for s in range(0, npts, chunk):
+        r = real[s:s + chunk]
+        d = np.sign(r[:, :, None] - r[:, None, :])
         d[_coincide(r)] = 0.0
-        flip = (d[:-1] * d[1:] < 0.0) & upper
+        # rows that set the order: a sign, or nan to forget it; row 0 is
+        # the order carried in from the previous chunk
+        seen = np.concatenate((sign, d))
+        at = np.concatenate((col, np.broadcast_to(
+            s + np.arange(r.shape[0])[:, None, None], d.shape)))
+        last = np.where(seen != 0.0, np.arange(seen.shape[0])[:, None, None], 0)
+        np.maximum.accumulate(last, axis=0, out=last)
+        sign = np.take_along_axis(seen, last, axis=0)
+        col = np.take_along_axis(at, last, axis=0)
+        flip = (d * sign[:-1] < 0.0) & upper
         for i in np.flatnonzero(flip.any(axis=(1, 2))):
-            yield s + int(i), np.argwhere(flip[i]).tolist()
+            j, k = np.nonzero(flip[i])
+            yield s + int(i), np.column_stack((col[i, j, k], j, k)).tolist()
+        sign, col = sign[-1:], col[-1:]
 
 
 def _detect_events(spec, tracker, tset):
     grid = tset.eta_grid
-    npts = len(grid)
     events = []
-    claimed = []
     vals, present = _value_matrix(tset)
 
-    def separated(grp, i):
-        ok = [v for v in (tset.branches[b].values[i] for b in grp)
-              if v is not None]
-        if len(ok) < 2:
-            return True
-        return _min_distinct_gap(ok) > 1e-3 * (1.0 + abs(ok[0]))
-
-    # route 1: branch coincidences.  Consecutive coincident columns of one
-    # branch set form a single run; a run is a collision only if the
-    # branches separate on both flanks.  Runs reaching either end of the
-    # traversal are persistent multiple eigenvalues, not collisions.
-    runs = {}                   # branch-id set -> [start_col, end_col]
-    finished = []
-    for i, close in enumerate(_close_pairs(vals, present)):
-        here = set()
-        for grp in _coincidence_groups(close) if close is not None else ():
-            key = frozenset(tset.branches[b].ident for b in grp)
-            here.add(key)
-            if key in runs and runs[key][1] == i - 1:
-                runs[key][1] = i
-            else:
-                if key in runs:
-                    finished.append((key, runs[key]))
-                runs[key] = [i, i]
-        for key in list(runs):
-            if key not in here and runs[key][1] < i:
-                finished.append((key, runs.pop(key)))
-    finished.extend(runs.items())
-
-    for key, (s, e) in finished:
-        if s == 0 or e == npts - 1:
-            continue
-        grp = [k for k, br in enumerate(tset.branches) if br.ident in key]
-        if not (separated(grp, s - 1) and separated(grp, e + 1)):
-            continue
-        mid = _column(tset, (s + e) // 2)
-        lam = np.mean([mid[b] for b in grp if mid[b] is not None])
-        # a column whose own spectrum holds the group in one record is the
-        # collision point; search between the flanks only without one
-        held = [grid[c] for c in range(s, e + 1) if _closest_pair(
-            tracker.spectrum_at(grid[c]), lam, len(key))[0] == 0.0]
-        eta_star = held[0] if held else _refine_coincidence(
-            spec, tracker, grid[s - 1], grid[e + 1], lam, len(key))[0]
-        events.append(CollisionEvent(
-            eta_star=eta_star, lambda_star=complex(lam), kind=0,
-            participants=sorted(key),
-        ))
-        claimed.append((min(grid[s - 1], grid[e + 1]),
-                        max(grid[s - 1], grid[e + 1])))
-
-    # route 1 also takes the real crossings no column lands on: two real
-    # branches in opposite order at consecutive columns.  The search
-    # between them must find the two values coincident, or the swap is an
-    # avoided crossing the matching stepped over.
-    for i, pairs in _order_swaps(vals, present):
-        lo, hi = sorted((grid[i], grid[i + 1]))
-        if any(a <= lo and hi <= b for a, b in claimed):
-            continue
-        # a branch may swap with a multiple value: all of its branches meet
-        same_as = _coincide(np.where(present[i], vals[i], np.nan))
+    # kind 1: two real branches in opposite order at columns p and q that
+    # coincide at every column between.  A column between whose spectrum
+    # holds them in one record is the crossing.  Without one, the search
+    # between p and q must find the two values coincident, or the swap is
+    # an avoided crossing the matching stepped over.
+    for q, swaps in _order_swaps(vals, present):
         found = []
-        for j, k in pairs:
-            (a0, b0), (a1, b1) = vals[i, [j, k]].real, vals[i + 1, [j, k]].real
-            lam = a0 + (a0 - b0) / ((a0 - b0) - (a1 - b1)) * (a1 - a0)
-            eta_star, gap, lam_star = _refine_coincidence(
-                spec, tracker, grid[i], grid[i + 1], lam,
-                np.count_nonzero(same_as[[j, k]]))
+        for p, j, k in swaps:
+            # a branch may swap with a multiple value: all of its branches meet
+            same_as = _coincide(np.where(present[p], vals[p], np.nan))
+            mult = np.count_nonzero(same_as[[j, k]])
+            for c in range(p + 1, q):
+                gap, lam_star = _closest_pair(tracker.spectrum_at(grid[c]),
+                                              vals[c, j], mult)
+                if gap == 0.0:
+                    eta_star = grid[c]
+                    break
+            else:
+                (a0, b0), (a1, b1) = vals[p, [j, k]].real, vals[q, [j, k]].real
+                lam = a0 + (a0 - b0) / ((a0 - b0) - (a1 - b1)) * (a1 - a0)
+                eta_star, gap, lam_star = _refine_coincidence(
+                    spec, tracker, grid[p], grid[q], lam, mult)
+                if gap > 1e-4 * (1.0 + abs(lam_star)):
+                    continue
             tol = 1e-4 * (1.0 + abs(lam_star))
-            if gap > tol:
-                continue
             ids = {tset.branches[j].ident, tset.branches[k].ident}
             same = [ev for ev in found if abs(ev.eta_star - eta_star) <= 1e-6
                     and abs(ev.lambda_star - lam_star) <= tol]
@@ -508,14 +441,22 @@ def _detect_events(spec, tracker, tset):
                 ))
         events.extend(found)
 
-    # route 2: the nonreal branch count changes between consecutive points
-    counts = np.count_nonzero(present & ~_is_real(vals), axis=1)
+    # kinds 2 and 3: the nonreal branch count changes between consecutive
+    # columns.  The column on the real side is the collision when the
+    # branches that turn real (or nonreal) coincide there; otherwise
+    # bisection finds it.
+    nonreal = present & ~_is_real(vals)
+    counts = np.count_nonzero(nonreal, axis=1)
     for i in np.flatnonzero(counts[:-1] != counts[1:]):
-        lo, hi = sorted((grid[i], grid[i + 1]))
-        if any(a <= lo and hi <= b for a, b in claimed):
-            continue
-        eta_star, lam_star, parts = _refine_count_change(
-            spec, tracker, tset, i)
+        r = i if counts[i] < counts[i + 1] else i + 1
+        turn = np.flatnonzero(present[i] & present[i + 1]
+                              & (nonreal[i] != nonreal[i + 1]))
+        if turn.size >= 2 and _coincide(vals[r, turn])[0].all():
+            eta_star, lam_star = grid[r], complex(vals[r, turn[0]])
+            parts = sorted(tset.branches[k].ident for k in turn)
+        else:
+            eta_star, lam_star, parts = _refine_count_change(
+                spec, tracker, tset, i)
         events.append(CollisionEvent(
             eta_star=eta_star, lambda_star=lam_star, kind=0,
             participants=parts,

@@ -125,22 +125,14 @@ def discretize_double(problem):
 
     dim = 2 * n + 1
     shared = dim - 1
-    a_h = np.zeros((dim, dim))
-    for seg in range(2):
-        base = seg * n
-        for r in range(n):
-            i = base + r
-            a_h[i, i] += 2.0 / h
-            if r + 1 < n:
-                a_h[i, i + 1] += -1.0 / h
-                a_h[i + 1, i] += -1.0 / h
-        last = base + n - 1
-        a_h[last, shared] += -1.0 / h
-        a_h[shared, last] += -1.0 / h
-        a_h[shared, shared] += 1.0 / h
     wt = np.full(dim, h)
     diag_q = np.concatenate([q[:n], q[:n], q[n:n + 1]])
-    a_h[np.arange(dim), np.arange(dim)] += diag_q * wt
+    # stiffness (1/h) tridiag(-1, 2, -1) on each segment; both segment ends
+    # join the shared node, whose diagonal 2/h is the two free-end halves
+    off = np.full(dim - 1, -1.0 / h)
+    off[n - 1] = 0.0
+    a_h = np.diag(2.0 / h + diag_q * wt) + np.diag(off, 1) + np.diag(off, -1)
+    a_h[n - 1, shared] = a_h[shared, n - 1] = -1.0 / h
     m_h = np.diag(wt)
     g_h = np.zeros((dim, dim))
     g_h[shared, shared] = problem.alpha

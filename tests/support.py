@@ -727,7 +727,7 @@ def _ref_expand_slots(result):
 
 def min_distinct_gap_loop(values):
     """Greedy in-order dedup at 1e-9 relative, then the smallest pairwise
-    distance: the per-pair loop homotopy._min_distinct_gap replaced."""
+    distance: track_reference's gap between distinct values."""
     vals = [v for v in values if v is not None]
     distinct = []
     for v in vals:
@@ -759,29 +759,30 @@ def separations_loop(src, dst):
 
 
 def order_swaps_loop(vals, present):
-    """(i, [[j, k], ...]) for consecutive columns i, i + 1 where branches
-    j < k are real at both, in opposite order, and within 1e-9 relative
-    (to branch j) at neither: the per-pair loop that
-    homotopy._order_swaps does with arrays."""
+    """(q, [[p, j, k], ...]) per column q for the branches j < k that are
+    real at q in one order and at the column p where they were last apart
+    in the other, within 1e-9 relative (to branch j) at every column
+    between; a column where either is nonreal or absent forgets the order:
+    the per-pair loop that homotopy._order_swaps does with arrays."""
     out = []
     npts, nb = len(vals), len(vals[0]) if len(vals) else 0
-    for i in range(npts - 1):
-        pairs = []
+    apart = {}                  # (j, k) -> (column, difference) last apart
+    for q in range(npts):
+        swaps = []
         for j in range(nb):
             for k in range(j + 1, nb):
-                cols = (i, i + 1)
-                if not all(present[c][x] and _ref_is_real(vals[c][x])
-                           for c in cols for x in (j, k)):
+                if not all(present[q][x] and _ref_is_real(vals[q][x])
+                           for x in (j, k)):
+                    apart.pop((j, k), None)
                     continue
-                ds = []
-                for c in cols:
-                    d = vals[c][j].real - vals[c][k].real
-                    ds.append(0.0 if abs(d) <= 1e-9 * (1.0 + abs(vals[c][j].real))
-                              else d)
-                if ds[0] * ds[1] < 0.0:
-                    pairs.append([j, k])
-        if pairs:
-            out.append((i, pairs))
+                d = vals[q][j].real - vals[q][k].real
+                if abs(d) <= 1e-9 * (1.0 + abs(vals[q][j].real)):
+                    continue
+                if (j, k) in apart and apart[(j, k)][1] * d < 0.0:
+                    swaps.append([apart[(j, k)][0], j, k])
+                apart[(j, k)] = (q, d)
+        if swaps:
+            out.append((q, swaps))
     return out
 
 
@@ -1036,6 +1037,38 @@ def track_reference(spec, eta_from=0.0, eta_to=1.0, steps=101):
         ev.kind = {0: 1, -2: 2, 2: 3}.get(delta, 0)
     tset.events = events
     return tset
+
+
+def double_stiffness_loop(problem):
+    """A of sturm.discretize_double assembled node by node: each segment's
+    stencil added entry by entry, then the lumped potential on the
+    diagonal, with the same snap of a resonant constant potential."""
+    n = problem.n
+    h = problem.a / (n + 1)
+    q = effective_q(problem).copy()
+    if problem.q_kind == "const" and q[0] < 0:
+        root = np.sqrt(-q[0]) * problem.a / np.pi
+        j = int(round(root))
+        if j >= 1 and abs(root - j) <= 1e-6:
+            q[:] = -(2.0 / h**2) * (1.0 - np.cos(j * np.pi / (n + 1)))
+    dim = 2 * n + 1
+    shared = dim - 1
+    a_h = np.zeros((dim, dim))
+    for seg in range(2):
+        base = seg * n
+        for r in range(n):
+            i = base + r
+            a_h[i, i] += 2.0 / h
+            if r + 1 < n:
+                a_h[i, i + 1] += -1.0 / h
+                a_h[i + 1, i] += -1.0 / h
+        last = base + n - 1
+        a_h[last, shared] += -1.0 / h
+        a_h[shared, last] += -1.0 / h
+        a_h[shared, shared] += 1.0 / h
+    diag_q = np.concatenate([q[:n], q[:n], q[n:n + 1]])
+    a_h[np.arange(dim), np.arange(dim)] += diag_q * np.full(dim, h)
+    return a_h
 
 
 def shoot_rk4_reference(lam, problem):

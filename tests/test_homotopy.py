@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gyropencil import fixtures, homotopy, sturm
@@ -265,21 +265,31 @@ def test_track_reports_type1_crossing_between_targets(type1, ends, steps):
     assert_crossings_found(spec, curves, ends, steps, cross)
 
 
+# a grid point on a crossing: A = diag(1, 0.25) meets at eta = 0.75, and
+# s = 2.861 at eta = 0.25 with c = s^2 - 0.25 s
 @settings(max_examples=15, deadline=None)
 @given(st.lists(st.floats(0.1, 4.0), min_size=1, max_size=3),
-       st.floats(0.1, 4.0), st.integers(11, 31), st.booleans())
-def test_track_reports_random_type1_crossings(type1, c, steps, backward):
+       st.floats(0.1, 4.0), st.integers(11, 1001), st.booleans(),
+       st.booleans())
+@example([1.0], 0.25, 5, False, False)
+@example([1.0], 0.25, 405, False, False)
+@example([2.861 ** 2], 2.861 ** 2 - 0.25 * 2.861, 9, True, False)
+def test_track_reports_random_type1_crossings(type1, c, steps, backward,
+                                              on_target):
+    if on_target:
+        # move c so the first type I value is met at the target nearest
+        # to where it was met
+        a, grid = type1[0], np.linspace(0.0, 1.0, steps)
+        side = np.sign(a - c)
+        eta = grid[np.argmin(np.abs(grid - abs(a - c) / np.sqrt(a)))]
+        c = a - side * eta * np.sqrt(a)
+        assume(c >= 0.1)
     spec, curves, cross = _type1_crossings(type1, c)
     roots = sorted(np.sqrt(type1 + [c]))
     etas = [s * (a - c) / np.sqrt(a) for a in type1 for s in (1.0, -1.0)]
-    # crossings clear of the ends, of each other and of the targets (a
-    # grid point on a crossing leaves the two branches one double value,
-    # and which continues where is not decided there); distinct type I
-    # values
+    # crossings clear of the ends and of each other; distinct type I values
     assume(all(abs(e) > 0.05 and abs(e - 1.0) > 0.05 for e in etas))
     assume(all(np.diff(sorted(e for e, _, _ in cross)) > 0.02))
-    assume(all(np.min(np.abs(np.linspace(0.0, 1.0, steps) - e)) > 1e-4
-               for e, _, _ in cross))
     assume(all(np.diff(roots) > 0.05))
     ends = (1.0, 0.0) if backward else (0.0, 1.0)
     assert_crossings_found(spec, curves, ends, steps, cross)
@@ -356,19 +366,6 @@ def test_batched_derivatives_fallbacks():
     assert vanish[0] and not_eig[1]
 
 
-def test_min_distinct_gap_matches_loop():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        base = rng.normal(size=6) + 1j * rng.normal(size=6) * rng.integers(2)
-        # repeats within the 1e-9 dedup tolerance, some of them chained
-        picks = base[rng.integers(0, 6, size=int(rng.integers(0, 10)))]
-        jitter = rng.choice([0.0, 3e-10, 1e-9, 2e-9], size=picks.size)
-        vals = np.concatenate((base[:int(rng.integers(0, 7))], picks + jitter))
-        rng.shuffle(vals)
-        vals = [complex(v) for v in vals]
-        assert homotopy._min_distinct_gap(vals) == support.min_distinct_gap_loop(vals)
-
-
 def test_separations_match_loop():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -385,20 +382,29 @@ def test_separations_match_loop():
         assert got.tolist() == support.separations_loop(src.tolist(), dst.tolist())
 
 
+def _swap_columns(rng, npts, nb):
+    vals = rng.normal(size=(npts, nb)) + 0j
+    vals[rng.random((npts, nb)) < 0.15] += 1j
+    # runs of columns where one branch repeats another, within, at and
+    # beyond the 1e-9 dedup
+    for _ in range(int(rng.integers(0, 4))):
+        if nb >= 2:
+            i = rng.integers(npts)
+            run = slice(i, rng.integers(i, npts) + 1)
+            j, k = rng.choice(nb, size=2, replace=False)
+            vals[run, j] = vals[run, k] + rng.choice([0.0, 3e-10, -3e-10, 1e-9, 2e-9])
+    present = rng.random((npts, nb)) > 0.1
+    vals[~present] = 0.0
+    return vals, present
+
+
 def test_order_swaps_match_loop():
     rng = np.random.default_rng(13)
-    for _ in range(200):
-        npts, nb = int(rng.integers(1, 6)), int(rng.integers(0, 6))
-        vals = rng.normal(size=(npts, nb)) + 0j
-        vals[rng.random((npts, nb)) < 0.15] += 1j
-        # values within, at and beyond the 1e-9 dedup of another branch
-        for _ in range(int(rng.integers(0, 4))):
-            if nb >= 2:
-                i = rng.integers(npts)
-                j, k = rng.choice(nb, size=2, replace=False)
-                vals[i, j] = vals[i, k] + rng.choice([0.0, 3e-10, -3e-10, 1e-9, 2e-9])
-        present = rng.random((npts, nb)) > 0.1
-        vals[~present] = 0.0
+    # 260 branches make chunks of 3 columns, so orders carry across chunks
+    shapes = [(int(rng.integers(1, 8)), int(rng.integers(0, 6)))
+              for _ in range(300)] + [(8, 260)]
+    for npts, nb in shapes:
+        vals, present = _swap_columns(rng, npts, nb)
         got = [(i, pairs) for i, pairs in homotopy._order_swaps(vals, present)]
         assert got == support.order_swaps_loop(vals.tolist(), present.tolist())
 
@@ -421,14 +427,21 @@ def _slot_fallbacks(spec, tset):
 # outruns its predictor once
 _REFUSED = {("w1", (0.0, 1.0)): 1}
 
+# slots that keep their velocity per case, 0 unless listed: the grid point
+# eta = 0.75 is on the crossing, where both branches keep theirs
+_CARRIED = {("crossing", (0.0, 1.0)): 2}
+
+_DIAGNOSED = {"w1": fixtures.w1, "w3": fixtures.w3,
+              "crossing": lambda: _type1_crossings([1.0], 0.25)[0]}
+
 
 @pytest.mark.parametrize("name,ends,steps,events", [
     ("w3", (0.0, 1.0), 101, 1), ("w3", (1.0, 0.0), 101, 1),
     ("w1", (0.5, 1.0), 51, 0), ("w1", (1.0, 0.0), 51, 0),
-    ("w1", (0.0, 1.0), 51, 0),
+    ("w1", (0.0, 1.0), 51, 0), ("crossing", (0.0, 1.0), 5, 1),
 ])
 def test_track_diagnostics(monkeypatch, name, ends, steps, events):
-    spec = getattr(fixtures, name)()
+    spec = _DIAGNOSED[name]()
     solved = []
 
     def counted(s, eta):
@@ -453,6 +466,7 @@ def test_track_diagnostics(monkeypatch, name, ends, steps, events):
     # the double eigenvalue in one record, so no search spends a spectrum
     assert diag["event_spectra"] == 0
     assert diag["derivative_fallbacks"] == _slot_fallbacks(spec, tset)
+    assert diag["crossing_velocities"] == _CARRIED.get((name, ends), 0)
 
 
 def test_track_diagnostics_w3_collision_fallbacks():

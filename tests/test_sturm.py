@@ -30,6 +30,24 @@ def test_hand_assembled_single_stencil():
     assert spec.rank_one.e_index == 3
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 30])
+@pytest.mark.parametrize("q", [
+    dict(q_kind="const", q_value=0.0),
+    dict(q_kind="const", q_value=4.0),        # resonant at a = pi: snapped
+    dict(q_kind="const", q_value=2.5),        # negative q, not resonant
+    dict(q_kind="const", q_value=-2.5),
+    dict(q_kind="sampled", q_values=None),
+], ids=["zero", "resonant", "nonresonant", "positive", "sampled"])
+def test_double_stiffness_matches_loop(n, q):
+    # the array assembly reproduces the node-by-node loop bit for bit
+    if q["q_kind"] == "sampled":
+        q = dict(q, q_values=tuple(np.random.default_rng(n).normal(size=n + 1)))
+    p = sturm.SLProblem(variant="double", a=float(np.pi), alpha=1.0, n=n,
+                        paper_sign_convention=True, **q)
+    assert sturm.discretize(p).a.tobytes() == \
+        support.double_stiffness_loop(p).tobytes()
+
+
 def test_potential_enters_through_mass_weights():
     n = 6
     rng = np.random.default_rng(5)
