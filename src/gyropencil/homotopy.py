@@ -27,7 +27,7 @@ from .errors import (
     MatchingAmbiguous,
     NotAnEigenvalue,
 )
-from .pencil import _is_real, count_negative_modes, evaluate, spectrum
+from .pencil import _is_real, count_negative_modes, evaluate, spectra, spectrum
 
 
 def lambda_derivative(spec, lam, y, eta):
@@ -136,20 +136,25 @@ class _Slots:
     column per slot (zero where the record has none), which slots sit
     beyond half the escape radius, and which belong to a semisimple
     multiple record (crossing), where branches meet with their own
-    velocities."""
+    velocities.  On the modal route such a record's first vector is its
+    coupled one, if it holds a coupled value; its first type2_mult slots
+    take that vector, and the rest (type I, still) do not move."""
 
     def __init__(self, result, n, escape):
         recs = sorted(result.records, key=lambda r: (r.lam.real, r.lam.imag))
-        slots = [r for r in recs for _ in range(r.alg_mult)]
+        slots = [(r, i) for r in recs for i in range(r.alg_mult)]
         zero = np.zeros(n)
-        self.lams = [r.lam for r in slots]
+        self.lams = [r.lam for r, _ in slots]
         self.vals = np.array(self.lams, dtype=complex)
-        self.has_vec = np.array([r.vectors.size > 0 for r in slots], dtype=bool)
+        self.has_vec = np.array([r.vectors.size > 0 for r, _ in slots], dtype=bool)
         self.vecs = np.array([r.vectors[:, 0] if r.vectors.size else zero
-                              for r in slots], dtype=complex).reshape(-1, n).T
+                              for r, _ in slots], dtype=complex).reshape(-1, n).T
         self.far = _cabs(self.vals) > 0.5 * escape
         self.crossing = np.array([r.alg_mult > 1 and r.geo_mult == r.alg_mult
-                                  for r in slots], dtype=bool)
+                                  for r, _ in slots], dtype=bool)
+        modal = result.diagnostics.get("route") == "modal"
+        self.still = self.crossing & np.array([modal and i >= r.type2_mult
+                                               for r, i in slots], dtype=bool)
 
 
 def _coincide(v):
@@ -182,6 +187,11 @@ class _Tracker:
         self.stack = np.vstack((np.eye(spec.n), spec.m, spec.g, spec.a))
         self.fallbacks = {"NotAnEigenvalue": 0, "DenominatorVanishes": 0}
 
+    def prefetch(self, etas):
+        """Solve the spectra at etas in one batched call (pencil.spectra)."""
+        keys = [float(eta) for eta in etas]
+        self.cache.update(zip(keys, spectra(self.spec, keys)))
+
     def spectrum_at(self, eta):
         key = float(eta)
         if key not in self.cache:
@@ -198,11 +208,12 @@ class _Tracker:
 
     def velocities(self, slots, eta):
         """d lambda / d eta per slot; 0.0 for nonreal slots, slots without
-        a vector and the fallbacks, which are counted."""
+        a vector, still slots and the fallbacks, which are counted."""
         use = _is_real(slots.vals) & slots.has_vec
         vel = np.zeros(slots.vals.size)
         vel[use], not_eig, vanish = _velocities(
             self.spec, self.stack, slots.vals.real[use], slots.vecs[:, use], eta)
+        vel[slots.still] = 0.0
         self.fallbacks["NotAnEigenvalue"] += int(np.count_nonzero(not_eig))
         self.fallbacks["DenominatorVanishes"] += int(np.count_nonzero(vanish))
         return vel
@@ -215,17 +226,22 @@ class _Tracker:
 def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
     """Track all eigenvalue branches from eta_from to eta_to.
 
-    The traversal direction may be decreasing.  Each step from eta to
-    eta + d matches the next spectrum to the predictions lam + v d (v from
-    lambda_derivative, 0 for nonreal values; at a semisimple multiple
-    value, the branch's velocity from the previous grid point) and is
-    refused, with its midpoint tried first, when some matched branch misses
-    by more than half its separation (_separations: the distance from its
-    match to the nearest other match, where matches that coincide, or
-    whose sources coincide, do not count).  Spectra solved = grid points +
-    event spectra, and the grid points are the `steps` targets unless a
-    branch's own predictor fails.  Returns a TrajectorySet whose grid
-    includes any inserted points.
+    The traversal direction may be decreasing, and the spectra at the
+    `steps` targets come from one pencil.spectra call.  Each step from eta
+    to eta + d matches the next spectrum to the predictions lam + v d and
+    is refused, with its midpoint tried first, when some matched branch
+    misses by more than half its separation (_separations: the distance
+    from its match to the nearest other match, where matches that
+    coincide, or whose sources coincide, do not count).  v comes from
+    lambda_derivative, 0 for nonreal values.  At a semisimple multiple
+    value a branch keeps its velocity from the previous grid point.  At
+    the first grid point there is none: the modal route gives the record's
+    type I slots 0 and its coupled slot the velocity of its coupled vector
+    (the closed form -d_eta f / d_lam f of the secular function f), and
+    the companion route gives every slot the record's first vector's
+    velocity.  Spectra solved = grid points + event spectra, and the grid
+    points are the `steps` targets unless a branch's own predictor fails.
+    Returns a TrajectorySet whose grid includes any inserted points.
     """
     if steps < 2:
         raise InvalidInput("steps must be >= 2")
@@ -239,6 +255,8 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
 
     tracker = _Tracker(spec)
     targets = list(np.linspace(eta_from, eta_to, steps))
+    # every target is solved: one batched call solves them all up front
+    tracker.prefetch(targets)
     big = 1e3 * tracker.escape
 
     grid = [targets[0]]

@@ -2,7 +2,8 @@
 
 M and G are real symmetric positive semidefinite, A real symmetric, and the
 joint kernel of the three matrices is trivial.  The featured case carries a
-rank-one coupling G = b e e^T.  spectrum() takes one of two routes:
+rank-one coupling G = b e e^T.  spectrum() solves one eta and spectra() a
+list of them, by one of two routes:
 
 - M definite with an axis rank-one G (the modal route): the modes of
   (A, M) are solved once per spec.  Modes without a component on the
@@ -11,7 +12,8 @@ rank-one coupling G = b e e^T.  spectrum() takes one of two routes:
   f(lam) = 1 - eta b lam sum_k w_k^2 / (lam^2 - mu_k) times the pole
   product, solved per eta (eigvals of a small companion below a size
   crossover).  Inclusion discs around them certify the multiplicities, and
-  records take geo, types and vectors from the modal structure.
+  records take geo, types and vectors from the modal structure.  spectra()
+  runs each step once over a chunk of etas.
 - every other pencil (the companion route): substitute nu = lambda - sigma
   with L(sigma, eta) invertible, reverse mu = 1/nu, and solve the standard
   companion eigenproblem of the reversed polynomial.  Eigenvalues at
@@ -336,14 +338,44 @@ def _is_real(lam):
     return abs(lam.imag) <= 1e-7 * (1.0 + abs(lam.real))
 
 
-def _simple_pairs(spec, eta, lams, vecs):
+def _matmul_blocks(a, b, block):
+    """a @ b.real, column j of b belonging to block block[j] (one block
+    when block is None), with one stacked matmul per distinct block width.
+
+    BLAS picks its kernel by the shape and memory order of the operands, so
+    one product over the columns of many blocks can differ in the last bits
+    from the product over one block.  A stacked matmul whose items keep the
+    memory order of b (C order, or F order as fancy indexing x[:, cols]
+    leaves it) multiplies each block exactly as a @ b.real would for a b
+    holding that block's columns alone, in their order.
+    """
+    widths = [] if block is None else np.bincount(block)
+    if np.count_nonzero(widths) <= 1:
+        return a @ b.real
+    rows = b.shape[0]
+    out = np.empty((a.shape[0], b.shape[1]))
+    order = np.argsort(block, kind="stable")
+    starts = np.cumsum(widths) - widths
+    for w in np.unique(widths[widths > 0]).tolist():
+        cols = order[(starts[widths == w][:, None] + np.arange(w)).ravel()]
+        if b.flags.c_contiguous:
+            items = np.ascontiguousarray(b[:, cols].reshape(rows, -1, w).transpose(1, 0, 2))
+        else:
+            items = b.T[cols].reshape(-1, w, rows).transpose(0, 2, 1)
+        out[:, cols] = np.matmul(a, items.real).transpose(1, 0, 2).reshape(a.shape[0], -1)
+    return out
+
+
+def _simple_pairs(spec, eta, lams, vecs, block=None):
     """Unit eigenvectors and residuals ||L(lam, eta) v|| for simple values.
 
-    Column j of vecs belongs to lams[j].  A vector whose imaginary part is
-    rounding noise is made exactly real.  The residuals come from one
-    product with the stack [A; G's nonzero rows; M] (M left out when
-    diagonal), so they may differ from a per-value evaluate() in the last
-    bits.
+    Column j of vecs belongs to lams[j] (and eta[j] for an array eta).  A
+    vector whose imaginary part is rounding noise is made exactly real.
+    The residuals come from one product with the stack [A; G's nonzero
+    rows; M] (M left out when diagonal), so they may differ from a
+    per-value evaluate() in the last bits.  Columns from several spectra
+    carry their spectrum's number in block (_matmul_blocks), which keeps
+    each column's bits those of its spectrum alone.
     """
     nrm = np.linalg.norm(vecs, axis=0)
     vecs = vecs / np.where(nrm > 0.0, nrm, 1.0)
@@ -352,12 +384,13 @@ def _simple_pairs(spec, eta, lams, vecs):
     vecs[:, noise] = vecs[:, noise].real
     n, rows = spec.n, spec.g_rows
     stack = spec.residual_stack
-    prod = stack @ vecs.real
+    prod = _matmul_blocks(stack, vecs, block)
     cplx = np.flatnonzero(~noise)
     if cplx.size or np.any(lams.imag):
         prod = prod.astype(complex)
         if cplx.size:
-            prod[:, cplx] += 1j * (stack @ vecs.imag[:, cplx])
+            prod[:, cplx] += 1j * _matmul_blocks(stack, vecs.imag[:, cplx],
+                                                 None if block is None else block[cplx])
         v = vecs
     else:
         lams, v = lams.real, vecs.real
@@ -735,12 +768,14 @@ def _secular_values(mu, w, c):
 
 
 def _companion_eigvals(mu, w, c):
-    """The 2m coupled values from eigvals of [[0, I], [D, c w w^T]]."""
+    """The 2m coupled values from eigvals of [[0, I], [D, c w w^T]], one
+    row per entry of c (a scalar c gives one row's shape)."""
     m = mu.size
-    comp = np.zeros((2 * m, 2 * m))
-    comp[:m, m:] = np.eye(m)
-    comp[m:, :m] = np.diag(mu)
-    comp[m:, m:] = c * np.outer(w, w)
+    c = np.asarray(c)
+    comp = np.zeros(c.shape + (2 * m, 2 * m))
+    comp[..., :m, m:] = np.eye(m)
+    comp[..., m:, :m] = np.diag(mu)
+    comp[..., m:, m:] = c[..., None, None] * np.outer(w, w)
     try:
         return np.linalg.eigvals(comp)
     except np.linalg.LinAlgError as exc:
@@ -753,40 +788,49 @@ def _inclusion_radii(z, q, cq, q_err):
     connected component of k discs holding exactly k (Gerschgorin on the
     Weierstrass corrections W_j = P(z_j) / prod_{i != j} (z_j - z_i);
     Carstensen, Numer. Math. 1991).  The radius is n (|W_j| + its rounding
-    bound), and the center z_j.
+    bound), and the center z_j.  z and cq may be stacks, one row per
+    secular function.
 
     The rounding bound on P(z_j) takes each distance z - q_l uncertain by
     4 eps |z| plus q_err[l], the uncertainty of the pole (_pole_errors).
     """
-    n = z.size
-    gaps = np.abs(z[:, None] - z[None, :])
-    if np.count_nonzero(gaps == 0.0) > n:
+    shape = z.shape
+    n = shape[-1]
+    z = z.reshape(-1, n)
+    cq = np.reshape(cq, (-1, 1, q.size))
+    gaps = np.abs(z[:, :, None] - z[:, None, :])
+    equal = np.flatnonzero(np.count_nonzero(gaps == 0.0, axis=(1, 2)) > n)
+    if equal.size:
         # Weierstrass corrections need distinct approximations: a run of
         # equal ones (a multiple root hit exactly) is spread by sqrt(eps)
         # about its value, where a multiple root's approximations settle
         z = z.copy()
-        order = np.lexsort((z.imag, z.real))
-        zs = z[order]
-        start = 0
-        for i in range(1, n + 1):
-            if i == n or zs[i] != zs[start]:
-                if i - start > 1:
-                    step = np.sqrt(_EPS) * max(1.0, abs(zs[start]))
-                    z[order[start:i]] += step * (np.arange(i - start) - 0.5 * (i - start - 1))
-                start = i
-        gaps = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(gaps, 1.0)
-    d = z[:, None] - q
-    err = (4.0 * _EPS) * np.abs(z)[:, None] + q_err
+        for t in equal.tolist():
+            zt = z[t]
+            order = np.lexsort((zt.imag, zt.real))
+            zs = zt[order]
+            start = 0
+            for i in range(1, n + 1):
+                if i == n or zs[i] != zs[start]:
+                    if i - start > 1:
+                        step = np.sqrt(_EPS) * max(1.0, abs(zs[start]))
+                        zt[order[start:i]] += step * (np.arange(i - start)
+                                                      - 0.5 * (i - start - 1))
+                    start = i
+            gaps[t] = np.abs(zt[:, None] - zt[None, :])
+    diag = np.arange(n)
+    gaps[:, diag, diag] = 1.0
+    d = z[:, :, None] - q
+    err = (4.0 * _EPS) * np.abs(z)[:, :, None] + q_err
     ad = np.abs(d)
     zero = ad == 0.0
     if zero.any():
         ad = np.where(zero, 1e-3 * err, ad)
         d = np.where(zero, ad, d)
-    f = 1.0 - (cq / d).sum(axis=1)
-    bound = (1.0 + (cq / ad).sum(axis=1)) * (8.0 * _EPS + (err / ad).sum(axis=1))
-    logw = np.log(ad).sum(axis=1) - np.log(gaps).sum(axis=1)
-    return z, n * np.exp(logw) * (np.abs(f) + bound)
+    f = 1.0 - (cq / d).sum(axis=2)
+    bound = (1.0 + (cq / ad).sum(axis=2)) * (8.0 * _EPS + (err / ad).sum(axis=2))
+    logw = np.log(ad).sum(axis=2) - np.log(gaps).sum(axis=2)
+    return z.reshape(shape), (n * np.exp(logw) * (np.abs(f) + bound)).reshape(shape)
 
 
 def _pole_errors(q, mu_max):
@@ -811,17 +855,18 @@ def _companion_links(lams, zero_tol):
 
 def _components(near):
     """The connected components of the graph with the symmetric, reflexive
-    link matrix near: each node is labelled with the smallest index in its
-    component."""
-    n = near.shape[0]
-    label = np.arange(n)
+    link matrix near (or of each graph of a stack of them): each node is
+    labelled with the smallest index in its component."""
+    n = near.shape[-1]
+    # node j of graph t is node t * n + j of the whole stack
+    label = np.arange(near.size // max(1, n)).reshape(near.shape[:-1])
     while True:
         # each node takes the smallest label among the nodes it links to,
         # then the label that label points to
-        new = np.where(near, label, n).min(axis=1, initial=n)
-        new = new[new]
+        new = np.where(near, label[..., None, :], label.size).min(axis=-1, initial=label.size)
+        new = new.ravel()[new]
         if np.array_equal(new, label):
-            return label
+            return new % max(1, n)
         label = new
 
 
@@ -870,8 +915,9 @@ def _records(rep, alg, spread, col_rec, vecs, resids):
     ]
 
 
-def _modal_records(spec, eta):
-    """Every record of the modal route, its types and vectors by structure.
+def _modal_records(spec, etas):
+    """Every record of the modal route at each of etas, its types and
+    vectors by structure.
 
     A degenerate group of decoupled modes is one record with
     alg = geo = type1 = its size.  The coupled values come from eigvals of
@@ -882,41 +928,55 @@ def _modal_records(spec, eta):
     the components of all discs holding it).  Every value within the zero
     band forms one zero record.  A coupled record's vector is
     Phi_c (lam^2 - D_c)^{-1} w_c; type1 counts the decoupled modes in a
-    record.  Returns the records and their type I counts.
+    record.  Each step runs once over all etas: on stacks with a row per
+    eta, or over one numbering of the records of all etas.  Returns per
+    eta the records and their type I counts.
     """
     md = _modes(spec)
     mu_c, w_c = md.mu[md.cpl], md.w_c
-    c = eta * spec.rank_one.b
+    etas = np.array(etas, dtype=float)
+    c = etas * spec.rank_one.b
+    ntar = c.size
     if md.cpl.size >= _SECULAR_MIN_M:
-        z = _secular_values(mu_c, w_c, c)
+        z = np.array([_secular_values(mu_c, w_c, ci) for ci in c.tolist()])
     else:
-        z = _companion_eigvals(mu_c, w_c, c)
-    centers, radii = _inclusion_radii(z, md.q, c * md.q_weight, md.q_err)
-    nz = z.size
+        z = _companion_eigvals(mu_c, w_c, c).astype(complex)
+    centers, radii = _inclusion_radii(z, md.q, c[:, None] * md.q_weight, md.q_err)
+    nz, nd = z.shape[1], md.d_val.size
 
     # labels: 0 for the zero band, then the components of the coupled discs
     # outside it together with the decoupled group means as discs of radius
-    # 0, so a group joins the component of any disc holding its mean
-    label = np.zeros(nz + md.d_val.size, dtype=int)
-    out = np.flatnonzero(np.abs(z) > _ZERO_BAND * spec.scale)
-    cz = np.concatenate([centers[out], md.g_mean])
-    cr = np.concatenate([radii[out], np.zeros(md.g_mean.size)])
-    comp = 1 + _components(np.abs(cz[:, None] - cz) <= cr[:, None] + cr)
-    label[out] = comp[:out.size]
-    label[nz + md.d_out] = comp[out.size:][md.d_group]
-    label = _relabel(label)
-    alg, rep, spread = _groups(label, np.concatenate([z, md.d_val]))
+    # 0, so a group joins the component of any disc holding its mean; a
+    # disc in the zero band links to nothing
+    out = np.abs(z) > _ZERO_BAND * spec.scale
+    ng = md.g_mean.size
+    cz = np.concatenate([centers, np.broadcast_to(md.g_mean, (ntar, ng))], axis=1)
+    cr = np.concatenate([radii, np.zeros((ntar, ng))], axis=1)
+    keep = np.concatenate([out, np.ones((ntar, ng), dtype=bool)], axis=1)
+    near = np.abs(cz[:, :, None] - cz[:, None, :]) <= cr[:, :, None] + cr[:, None, :]
+    near &= keep[:, :, None] & keep[:, None, :]
+    near |= np.eye(nz + ng, dtype=bool)
+    comp = 1 + _components(near)
+    label = np.zeros((ntar, nz + nd), dtype=int)
+    label[:, :nz] = np.where(out, comp[:, :nz], 0)
+    label[:, nz + md.d_out] = comp[:, nz:][:, md.d_group]
+    # one numbering of the records of all etas, eta by eta
+    label = _relabel((label + (nz + ng + 1) * np.arange(ntar)[:, None]).ravel())
+    label = label.reshape(ntar, nz + nd)
+    ends = label.max(axis=1) + 1
+    alg, rep, spread = _groups(label.ravel(), np.concatenate(
+        [z, np.broadcast_to(md.d_val, (ntar, nd))], axis=1).ravel())
     nrec = alg.size
 
     # kernel columns: one coupled vector per record holding a coupled value,
     # then one per decoupled mode
-    crec = np.flatnonzero(np.bincount(label[:nz], minlength=nrec))
-    drec = label[nz:][md.d_col]
+    crec = np.flatnonzero(np.bincount(label[:, :nz].ravel(), minlength=nrec))
+    drec = label[:, nz:][:, md.d_col].ravel()
     type1 = np.bincount(drec, minlength=nrec)
     col_rec = np.concatenate([crec, drec])
-    col_lam = rep[col_rec]
+    col_eta = np.repeat(np.arange(ntar), np.diff(ends, prepend=0))[col_rec]
     p = md.q[:md.cpl.size]
-    lam = col_lam[:crec.size]
+    lam = rep[crec]
     den = (lam[None, :] - p[:, None]) * (lam[None, :] + p[:, None])
     hit = den == 0.0
     if hit.any():
@@ -926,13 +986,17 @@ def _modal_records(spec, eta):
         y[:, pinned] = hit[:, pinned]
     else:
         y = w_c[:, None] / den
-    cvecs = (md.phi_c @ y.real).astype(complex)
+    owner = col_eta[:crec.size]
+    cvecs = _matmul_blocks(md.phi_c, y, owner).astype(complex)
     cplx = np.flatnonzero(y.imag.any(axis=0))
     if cplx.size:
-        cvecs[:, cplx] += 1j * (md.phi_c @ y.imag[:, cplx])
-    vecs = np.hstack([cvecs, md.d_vecs])
-    vecs, resids = _simple_pairs(spec, eta, col_lam, vecs)
-    return _records(rep, alg, spread, col_rec, vecs, resids), type1.tolist()
+        cvecs[:, cplx] += 1j * _matmul_blocks(md.phi_c, y.imag[:, cplx], owner[cplx])
+    vecs = np.hstack([cvecs, np.tile(md.d_vecs, ntar)])
+    vecs, resids = _simple_pairs(spec, etas[col_eta], rep[col_rec], vecs, col_eta)
+    records = _records(rep, alg, spread, col_rec, vecs, resids)
+    type1 = type1.tolist()
+    return [(records[lo:hi], type1[lo:hi])
+            for lo, hi in zip([0] + ends[:-1].tolist(), ends.tolist())]
 
 
 def _companion_values(spec, eta):
@@ -999,23 +1063,57 @@ def _companion_records(spec, eta, lams, vecs):
                     np.concatenate(col_res))
 
 
-def spectrum(spec, eta):
-    """All finite eigenvalues of L(., eta) with multiplicities and types."""
-    if not (-1e-12 <= eta <= 1.0 + 1e-12):
-        raise InvalidInput("eta must lie in [0, 1], got %r" % (eta,))
-    eta = min(max(eta, 0.0), 1.0)
+# Elements allowed in each batched temporary of spectra(): a chunk holds as
+# many etas as keep the largest within it, and at least one
+_BATCH_ELEMENTS = 2 ** 18
+
+
+def spectra(spec, etas):
+    """spectrum(spec, eta) for each of etas, in order.
+
+    On the modal route the etas go in chunks, and each step of
+    _modal_records runs once per chunk, so a track's targets share the
+    per-call overhead.  A chunk holds as many etas as keep every batched
+    temporary (companions, disc links, kernel columns) within
+    _BATCH_ELEMENTS elements, and one eta when a single one exceeds it.
+    The companion route solves eta by eta.  The results are bitwise those
+    of one call per eta.
+    """
+    for eta in etas:
+        if not (-1e-12 <= eta <= 1.0 + 1e-12):
+            raise InvalidInput("eta must lie in [0, 1], got %r" % (eta,))
+    etas = [min(max(eta, 0.0), 1.0) for eta in etas]
     # the modal route: M definite (the nonreal_region test), axis rank-one G
     if spec.rank_one is not None and spec.m_definite:
-        records, type1 = _modal_records(spec, eta)
-        discarded, classified = 0, True
-        diagnostics = {"route": "modal", "type1_from": "modes"}
-    else:
+        md = _modes(spec)
+        m = md.cpl.size
+        # the largest per-eta temporaries: the disc links over coupled values
+        # and group means, and the residual products over kernel columns
+        links = (2 * m + md.g_mean.size) ** 2
+        cols = spec.residual_stack.shape[0] * (2 * m + md.d_vecs.shape[1])
+        size = max(1, _BATCH_ELEMENTS // max(links, cols))
+        solved = []
+        for s in range(0, len(etas), size):
+            solved.extend(_modal_records(spec, etas[s:s + size]))
+        solver = "secular" if m >= _SECULAR_MIN_M else "eigvals"
+        return [_result(spec, eta, records, type1, 0, True, {
+            "route": "modal", "type1_from": "modes", "coupled_modes": m,
+            "coupled_solver": solver}) for eta, (records, type1) in zip(etas, solved)]
+    out = []
+    for eta in etas:
         sigma, lams, vecs, discarded = _companion_values(spec, eta)
         records = _companion_records(spec, eta, lams, vecs)
         classified = spec.rank_one is not None and spec.ker_ma_trivial
         type1 = _vector_type1(spec, eta, records) if classified else [0] * len(records)
-        diagnostics = {"route": "companion", "shift": sigma, "type1_from":
-                       "kernel_vectors" if classified else "unclassified"}
+        out.append(_result(spec, eta, records, type1, discarded, classified, {
+            "route": "companion", "shift": sigma, "type1_from":
+            "kernel_vectors" if classified else "unclassified"}))
+    return out
+
+
+def _result(spec, eta, records, type1, discarded, classified, diagnostics):
+    """The SpectrumResult of records with their type I counts: types set,
+    records sorted by (real, imag)."""
     diagnostics["discarded_infinite"] = int(discarded)
     # without an axis rank-one G and ker M ∩ ker A = {0}, all type II
     for rec, t1 in zip(records, type1):
@@ -1032,6 +1130,11 @@ def spectrum(spec, eta):
         scale=spec.scale,
         diagnostics=diagnostics,
     )
+
+
+def spectrum(spec, eta):
+    """All finite eigenvalues of L(., eta) with multiplicities and types."""
+    return spectra(spec, [eta])[0]
 
 
 def geometric_multiplicity(spec, lam, eta):

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gyropencil import fixtures, homotopy, sturm
+from gyropencil import fixtures, homotopy, serialize, sturm
 from gyropencil.errors import (
     DenominatorVanishes, HypothesisViolated, NotAnEigenvalue,
 )
-from gyropencil.pencil import PencilSpec, spectrum
+from gyropencil.pencil import PencilSpec, RankOneCoupling, spectra, spectrum
 
 import support
 
@@ -313,6 +313,64 @@ def test_track_solves_one_spectrum_per_target(make, ends, steps):
     assert diag["spectra_solved"] == steps + diag["event_spectra"]
 
 
+@pytest.mark.parametrize("make,ends,steps", [
+    (fixtures.w3, (0.0, 1.0), 101),
+    (lambda: _double_string(6, seed=1), (0.0, 1.0), 21),
+], ids=["w3", "string6-permuted"])
+def test_track_solves_its_targets_in_one_batch(monkeypatch, make, ends, steps):
+    batches = []
+
+    def counted(s, etas):
+        batches.append(list(etas))
+        return spectra(s, etas)
+
+    monkeypatch.setattr(homotopy, "spectra", counted)
+    got = homotopy.track(make(), *ends, steps=steps)
+    assert batches == [list(np.linspace(*ends, steps))]
+    # the same track from one spectrum per target
+    monkeypatch.setattr(homotopy, "spectra",
+                        lambda s, etas: [spectrum(s, eta) for eta in etas])
+    want = homotopy.track(make(), *ends, steps=steps)
+    assert serialize.tracks_to_csv(got) == serialize.tracks_to_csv(want)
+    assert serialize.events_to_csv(got.events) == serialize.events_to_csv(want.events)
+    assert got.diagnostics == want.diagnostics
+
+
+@pytest.mark.parametrize("end", [1.0, 0.0])
+def test_first_grid_velocities_on_a_crossing(monkeypatch, end):
+    # on the modal route A = diag(1, 0.25) meets the type I value 1 with the
+    # type II root (eta + sqrt(eta^2 + 1)) / 2 at eta = 0.75, in one
+    # semisimple double record: at the first grid point its type I slot
+    # stands still and its coupled slot moves at d/d eta of the root
+    _, curves, _ = _type1_crossings([1.0], 0.25)
+    spec = PencilSpec(np.eye(2), np.diag([0.0, 1.0]), np.diag([1.0, 0.25]),
+                      rank_one=RankOneCoupling(b=1.0, e_index=1))
+    seen = []
+    velocities = homotopy._Tracker.velocities
+
+    def spy(self, slots, eta):
+        vel = velocities(self, slots, eta)
+        seen.append((eta, slots.vals, vel))
+        return vel
+
+    monkeypatch.setattr(homotopy._Tracker, "velocities", spy)
+    tset = homotopy.track(spec, 0.75, end, steps=11)
+    eta, vals, vel = seen[0]
+    assert eta == 0.75
+    root = np.sqrt(eta ** 2 + 1.0)
+    want = sorted([(-1.0, 0.0), (1.0, 0.0), ((eta + root) / 2, (1.0 + eta / root) / 2),
+                   ((eta - root) / 2, (1.0 - eta / root) / 2)])
+    got = sorted(zip(np.round(vals.real, 8), vel))
+    assert np.allclose(np.abs(vals.imag), 0.0)
+    for (lw, vw), (lg, vg) in zip(want, got):
+        assert abs(lg - lw) <= 1e-8 and abs(vg - vw) <= 1e-10, (want, got)
+    # and every branch stays on its curve
+    grid = np.array(tset.eta_grid)
+    for b in tset.branches:
+        vals = np.array(b.values, dtype=complex)
+        assert min(np.max(np.abs(vals - f(grid))) for f in curves) <= 1e-8, b.ident
+
+
 def _scalar_derivative(spec, lam, vec, eta):
     try:
         return homotopy.lambda_derivative(spec, lam, vec, eta)
@@ -448,7 +506,12 @@ def test_track_diagnostics(monkeypatch, name, ends, steps, events):
         solved.append(eta)
         return spectrum(s, eta)
 
+    def counted_batch(s, etas):
+        solved.extend(etas)
+        return spectra(s, etas)
+
     monkeypatch.setattr(homotopy, "spectrum", counted)
+    monkeypatch.setattr(homotopy, "spectra", counted_batch)
     tset = homotopy.track(spec, *ends, steps=steps)
     diag = tset.diagnostics
     assert len(tset.events) == events

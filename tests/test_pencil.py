@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gyropencil import checks, fixtures, linalg, pencil, sturm
-from gyropencil.errors import ConditionViolation, MassNotDefinite
+from gyropencil.errors import ConditionViolation, GyropencilError, MassNotDefinite
 from gyropencil.pencil import (
     PencilSpec, RankOneCoupling,
     choose_shift, classify_type, evaluate, geometric_multiplicity,
@@ -393,7 +393,12 @@ def test_spectrum_diagnostics():
     prob = dataclasses.replace(fixtures.sl_double_q4(), n=12)
     res = spectrum(sturm.discretize(prob), 1.0)
     assert res.diagnostics == {"route": "modal", "type1_from": "modes",
+                               "coupled_modes": 13, "coupled_solver": "eigvals",
                                "discarded_infinite": 0}
+    prob = dataclasses.replace(fixtures.sl_double_q4(), n=47)
+    assert spectrum(sturm.discretize(prob), 1.0).diagnostics == {
+        "route": "modal", "type1_from": "modes", "coupled_modes": 48,
+        "coupled_solver": "secular", "discarded_infinite": 0}
     # a dense G is typed by nothing
     spec = PencilSpec(np.diag([1.0, 0.0]), np.eye(2), np.eye(2))
     assert spectrum(spec, 0.5).diagnostics["type1_from"] == "unclassified"
@@ -454,6 +459,64 @@ def test_modal_route_matches_linearization(kind, seed, eta):
         got = (rec.alg_mult, rec.geo_mult, rec.type1_mult, rec.type2_mult)
         lam, alg, geo, type1 = ref[j]
         assert got == (alg, geo, type1, alg - type1), (rec.lam, got, ref[j])
+
+
+def _double_string(rng):
+    """The q = 4 double string at n = 3, 12, 35 or 47: 4, 13, 36 and 48
+    coupled modes, on both sides of the secular crossover."""
+    n = int(rng.choice([3, 12, 35, 47]))
+    return sturm.discretize(dataclasses.replace(fixtures.sl_double_q4(), n=n))
+
+
+_SPECTRA_GENERATORS = dict(_GENERATORS, **{
+    "copies": lambda rng: support.with_decoupled_copies(
+        support.rand_condition1_spec(rng), float(rng.uniform(0.5, 2.0)), 2),
+    "double": _double_string,
+    "definite": support.rand_definite_spec,
+    "singular": support.identity_block_spec,
+})
+
+
+def _bits(res):
+    """Everything a SpectrumResult holds, floats by repr (exact, and -0.0
+    apart from 0.0) and vectors by their bytes."""
+    return (repr(res.eta), res.n_finite, res.discarded_infinite, repr(res.scale),
+            repr(res.diagnostics),
+            [(repr(r.lam), r.alg_mult, r.geo_mult, r.type1_mult, r.type2_mult,
+              repr(r.residual), r.zero_flagged, r.types_classified, repr(r.spread),
+              r.vectors.shape, r.vectors.dtype, r.vectors.tobytes())
+             for r in res.records])
+
+
+def _outcome(solve):
+    """solve(), or the type and message of the GyropencilError it raises."""
+    try:
+        return solve()
+    except GyropencilError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_SPECTRA_GENERATORS)), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from([0.0, 1e-9, 0.3, 0.6, 1.0]) | st.floats(0.0, 1.0),
+                min_size=1, max_size=10),
+       st.sampled_from([1, 300, 3000, pencil._BATCH_ELEMENTS]),
+       st.sampled_from([None, 0, 10**9]))
+@example("kernel", 7, [0.0, 0.5, 0.0, 1.0], 300, None)
+@example("double", 1, [0.0, 1e-9, 0.3, 1.0, 0.6], 3000, None)
+def test_spectra_match_spectrum_bitwise(kind, seed, etas, budget, crossover):
+    # eta = 0 puts the coupled values on their poles, the kernel specs hold
+    # values in the zero band, a small element budget makes chunks end
+    # inside the list, and a crossover moved to 0 or past every m sends
+    # every spec to the secular solver or to eigvals
+    spec = _SPECTRA_GENERATORS[kind](np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pencil, "_BATCH_ELEMENTS", budget)
+        if crossover is not None:
+            mp.setattr(pencil, "_SECULAR_MIN_M", crossover)
+        got = _outcome(lambda: [_bits(r) for r in pencil.spectra(spec, etas)])
+        want = _outcome(lambda: [_bits(spectrum(spec, eta)) for eta in etas])
+    assert got == want
 
 
 @settings(max_examples=60, deadline=None)
