@@ -45,7 +45,6 @@ from .homotopy import (
     CollisionEvent,
     PairingReport,
     TrajectorySet,
-    classify_events,
     count_identity,
     lambda_derivative,
     pair_spectrum,

@@ -25,6 +25,7 @@ from .pencil import (
     count_negative_modes,
     nonreal_region,
     nonsimple_real_interval,
+    spectra,
     spectrum,
     validate_condition_I,
 )
@@ -479,7 +480,11 @@ def check_type2_interlacing(spec, eta=1.0, result=None):
     return checks
 
 
-def run_all(spec, eta=1.0, result=None, axis_etas=(0.3, 0.7, 1.0)):
+# the etas whose spectra check_type1_axes compares, besides the one checked
+_AXIS_ETAS = (0.3, 0.7, 1.0)
+
+
+def run_all(spec, eta=1.0, result=None):
     """Every applicable checker on one spec; gate violations downgrade."""
     report = VerificationReport()
     cond = spec.condition_report or validate_condition_I(spec)
@@ -512,11 +517,8 @@ def run_all(spec, eta=1.0, result=None, axis_etas=(0.3, 0.7, 1.0)):
         # gate first: the extra spectra are only worth solving when the
         # check applies
         _gate_type1(spec)
-        spectra = [result]
-        for e in axis_etas:
-            if abs(e - eta) > 1e-12:
-                spectra.append(spectrum(spec, e))
-        report.add(check_type1_axes(spec, spectra))
+        axes = spectra(spec, [e for e in _AXIS_ETAS if abs(e - eta) > 1e-12])
+        report.add(check_type1_axes(spec, [result] + axes))
     except (HypothesisViolated, PreconditionKerMA) as exc:
         report.add(skipped("type1_on_axes_symmetric", str(exc)))
     try:
@@ -526,7 +528,7 @@ def run_all(spec, eta=1.0, result=None, axis_etas=(0.3, 0.7, 1.0)):
     return report
 
 
-def run_sl(problem, eta=1.0, axis_etas=(0.3, 0.7, 1.0)):
+def run_sl(problem, eta=1.0):
     """Discretize a boundary problem and verify every applicable statement.
 
     The single-segment variant additionally asserts that no eigenvalue is
@@ -536,7 +538,7 @@ def run_sl(problem, eta=1.0, axis_etas=(0.3, 0.7, 1.0)):
 
     spec = sturm.discretize(problem)
     result = spectrum(spec, eta)
-    report = run_all(spec, eta=eta, result=result, axis_etas=axis_etas)
+    report = run_all(spec, eta=eta, result=result)
     if problem.variant == "single":
         if not result.types_classified:
             report.add(skipped("single_all_type2", "type classification unavailable"))

@@ -7,11 +7,12 @@ some branch's predictor misses its match by more than half that match's
 distance to the nearest other matched value.  So the grid is the targets,
 with midpoints inserted only where a branch's own predictor fails.
 Branches meeting at a semisimple multiple value keep the velocities they
-came with, so they leave it on their own curves.  Collisions are detected
-from real branches that swap order across grid points where they
-coincide, and from changes in the nonreal count; a grid point on the
-collision is taken as it is, otherwise golden-section search or bisection
-localizes it.
+came with, so they leave it on their own curves.  Collisions are named
+by the branches that meet: real branches that swap order across grid
+points where they coincide (kind 1), and branches that turn real or
+nonreal where the nonreal count changes (kinds 2 and 3); a grid point on
+the collision is taken as it is, otherwise golden-section search or
+bisection localizes it.
 Also hosts the eigenvalue derivative formula, the +- pairing of real
 eigenvalues, and the 2*kappa_A - kappa_c count.
 """
@@ -107,7 +108,7 @@ class Branch:
 class CollisionEvent:
     eta_star: float
     lambda_star: complex
-    kind: int               # 1|2|3 per the collision taxonomy; 0 = unknown
+    kind: int               # 1|2|3 per the collision taxonomy; 0 = mixed
     participants: list
 
 
@@ -350,8 +351,7 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
 
     tset = TrajectorySet(eta_grid=grid, branches=branches, events=[])
     tracked = len(tracker.cache)
-    _detect_events(spec, tracker, tset)
-    classify_events(tset)
+    _detect_events(tracker, tset)
     tset.diagnostics = {
         "spectra_solved": len(tracker.cache),
         "grid_points": len(grid),
@@ -361,14 +361,6 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
         "crossing_velocities": carried,
     }
     return tset
-
-
-def _column(tset, i):
-    return [b.values[i] for b in tset.branches]
-
-
-def _nonreal_col_count(tset, i):
-    return sum(1 for v in _column(tset, i) if v is not None and not _is_real(v))
 
 
 def _value_matrix(tset):
@@ -417,7 +409,9 @@ def _order_swaps(vals, present):
         sign, col = sign[-1:], col[-1:]
 
 
-def _detect_events(spec, tracker, tset):
+def _detect_events(tracker, tset):
+    """Collisions named by the branches that meet, each with its kind set
+    where it is found."""
     grid = tset.eta_grid
     events = []
     vals, present = _value_matrix(tset)
@@ -443,7 +437,7 @@ def _detect_events(spec, tracker, tset):
                 (a0, b0), (a1, b1) = vals[p, [j, k]].real, vals[q, [j, k]].real
                 lam = a0 + (a0 - b0) / ((a0 - b0) - (a1 - b1)) * (a1 - a0)
                 eta_star, gap, lam_star = _refine_coincidence(
-                    spec, tracker, grid[p], grid[q], lam, mult)
+                    tracker, grid[p], grid[q], lam, mult)
                 if gap > 1e-4 * (1.0 + abs(lam_star)):
                     continue
             tol = 1e-4 * (1.0 + abs(lam_star))
@@ -454,30 +448,44 @@ def _detect_events(spec, tracker, tset):
                 same[0].participants = sorted(ids.union(same[0].participants))
             else:
                 found.append(CollisionEvent(
-                    eta_star=eta_star, lambda_star=complex(lam_star), kind=0,
+                    eta_star=eta_star, lambda_star=complex(lam_star), kind=1,
                     participants=sorted(ids),
                 ))
         events.extend(found)
 
-    # kinds 2 and 3: the nonreal branch count changes between consecutive
-    # columns.  The column on the real side is the collision when the
-    # branches that turn real (or nonreal) coincide there; otherwise
-    # bisection finds it.
+    # kinds 2 and 3: the nonreal count changes between consecutive columns
+    # and at least two branches present at both turn, real to nonreal or
+    # back (fewer: a pair born from or escaping to infinity, no event).
+    # They are the participants; kind 2 if they all land on the real axis
+    # in traversal order, 3 if they all leave it, else 0.  The column on
+    # the real side is the collision when they coincide there; otherwise
+    # bisection on the count finds it, and the collision value is the
+    # closest pair of records there near their mean on the real side.
     nonreal = present & ~_is_real(vals)
     counts = np.count_nonzero(nonreal, axis=1)
     for i in np.flatnonzero(counts[:-1] != counts[1:]):
-        r = i if counts[i] < counts[i + 1] else i + 1
         turn = np.flatnonzero(present[i] & present[i + 1]
                               & (nonreal[i] != nonreal[i + 1]))
-        if turn.size >= 2 and _coincide(vals[r, turn])[0].all():
+        if turn.size < 2:
+            continue
+        # nonreal at i and real at i + 1: landing on the real axis
+        lands = nonreal[i, turn]
+        kind = 0
+        if turn.size == 2 and lands.all():
+            kind = 2
+        elif turn.size == 2 and not lands.any():
+            kind = 3
+        r = i + 1 if lands.all() else i
+        if _coincide(vals[r, turn])[0].all():
             eta_star, lam_star = grid[r], complex(vals[r, turn[0]])
-            parts = sorted(tset.branches[k].ident for k in turn)
         else:
-            eta_star, lam_star, parts = _refine_count_change(
-                spec, tracker, tset, i)
+            eta_star = _bisect_count_change(tracker, grid[i], grid[i + 1])
+            real_side = np.where(lands, vals[i + 1, turn], vals[i, turn])
+            lam_star = complex(_closest_pair(tracker.spectrum_at(eta_star),
+                                             real_side.mean(), turn.size)[1])
         events.append(CollisionEvent(
-            eta_star=eta_star, lambda_star=lam_star, kind=0,
-            participants=parts,
+            eta_star=eta_star, lambda_star=lam_star, kind=kind,
+            participants=sorted(tset.branches[k].ident for k in turn),
         ))
 
     events.sort(key=lambda e: e.eta_star)
@@ -496,7 +504,7 @@ def _closest_pair(res, lam, mult):
     return abs(close[0].lam - close[1].lam), 0.5 * (close[0].lam + close[1].lam)
 
 
-def _refine_coincidence(spec, tracker, eta_a, eta_b, lam, mult):
+def _refine_coincidence(tracker, eta_a, eta_b, lam, mult):
     """Golden-section search for the eta minimizing the local gap near
     lam where mult branches collide: one spectrum per iteration, down to
     a bracket of 1e-6.  Returns the bracket's midpoint and the smallest
@@ -525,9 +533,8 @@ def _refine_coincidence(spec, tracker, eta_a, eta_b, lam, mult):
     return 0.5 * (a + b), gap, mid
 
 
-def _refine_count_change(spec, tracker, tset, i):
-    grid = tset.eta_grid
-    a, b = grid[i], grid[i + 1]
+def _bisect_count_change(tracker, a, b):
+    """The eta in [a, b], to 1e-6, where the nonreal count changes."""
     ca = tracker.nonreal_count(a)
     while abs(b - a) > 1e-6:
         mid = 0.5 * (a + b)
@@ -535,66 +542,7 @@ def _refine_count_change(spec, tracker, tset, i):
             a = mid
         else:
             b = mid
-    eta_star = 0.5 * (a + b)
-    res = tracker.spectrum_at(eta_star)
-    # the colliding pair is the closest pair among near-real records
-    best, lam_star = np.inf, 0.0 + 0.0j
-    recs = res.records
-    for p in range(len(recs)):
-        if recs[p].alg_mult > 1:
-            if best > 0.0:
-                best, lam_star = 0.0, recs[p].lam
-            continue
-        for q_ in range(p + 1, len(recs)):
-            d = abs(recs[p].lam - recs[q_].lam)
-            if d < best:
-                best = d
-                lam_star = 0.5 * (recs[p].lam + recs[q_].lam)
-    if abs(lam_star.imag) <= 1e-4 * (1.0 + abs(lam_star)):
-        lam_star = complex(lam_star.real, 0.0)
-    col = _column(tset, i)
-    order = sorted(
-        (k for k, v in enumerate(col) if v is not None),
-        key=lambda k: abs(col[k] - lam_star),
-    )
-    parts = sorted(tset.branches[k].ident for k in order[:2])
-    return eta_star, lam_star, parts
-
-
-def classify_events(tset):
-    """Assign collision kinds from the nonreal count across each event.
-
-    Counts are sampled one margin away from eta_star on each side, in
-    traversal order: refined grid points pile up around the collision and
-    the immediately adjacent columns can sit on one side of it, so the
-    nearest columns are not reliable.  Unchanged count -> kind 1 (real
-    crossing), down by 2 -> kind 2 (complex pair lands on the real axis),
-    up by 2 -> kind 3 (two reals leave it).
-    """
-    grid = np.asarray(tset.eta_grid)
-    if grid.size < 2:
-        return tset
-    direction = 1.0 if grid[-1] >= grid[0] else -1.0
-    margin = 1e-4
-    for ev in tset.events:
-        signed = (grid - ev.eta_star) * direction
-        lo = np.nonzero(signed <= -margin)[0]
-        hi = np.nonzero(signed >= margin)[0]
-        before = int(lo[-1]) if lo.size else 0
-        after = int(hi[0]) if hi.size else grid.size - 1
-        if before == after:
-            ev.kind = 0
-            continue
-        delta = _nonreal_col_count(tset, after) - _nonreal_col_count(tset, before)
-        if delta == 0:
-            ev.kind = 1
-        elif delta == -2:
-            ev.kind = 2
-        elif delta == 2:
-            ev.kind = 3
-        else:
-            ev.kind = 0
-    return tset
+    return 0.5 * (a + b)
 
 
 @dataclass

@@ -744,17 +744,37 @@ def _aberth(q, cq, fixed, guesses):
     return u
 
 
+def _at_poles(q, cq):
+    """Whether every root of P(z) = prod_l (z - q_l) f(z) rounds to its
+    own pole.
+
+    With s = sum |cq|, the disc of radius 4 s about a pole holds exactly one
+    root when 8 s is at most the distance to every other pole (Rouche on
+    (z - q) f(z)), and 16 s <= eps |q| puts that disc within half an ulp
+    of q.  A real and an imaginary pole are at least min |q| apart.
+    """
+    s = np.abs(cq).sum()
+    if not 16.0 * s <= _EPS * np.abs(q).min(initial=np.inf):
+        return False
+    real = q.imag == 0.0
+    gaps = np.concatenate([np.diff(np.sort(q.real[real])),
+                           np.diff(np.sort(q.imag[~real]))])
+    return 8.0 * s <= gaps.min(initial=np.inf)
+
+
 def _secular_values(mu, w, c):
     """The 2m coupled values, the roots of prod_k (lam^2 - mu_k) f(lam).
 
-    At c = eta b = 0 they are the poles +-sqrt(mu).  Otherwise the real
+    At c = eta b = 0, and whenever every root rounds to its pole
+    (_at_poles: c so small that the iterations below would seek offsets
+    lost to rounding), they are the poles +-sqrt(mu).  Otherwise the real
     roots that the poles bracket come from _real_secular_roots; a zero mu
     adds the exact root 0; the rest (at most 2 kappa_c, kappa_c the count
     of mu < 0) come from Aberth iteration started at the first-order
     location q + cq of the imaginary poles q = +-i sqrt(-mu).
     """
     q, cq = _poles(mu, w, c)
-    if c == 0.0:
+    if _at_poles(q, cq):
         return q
     fixed = _real_secular_roots(mu, w, c)
     if np.any(mu == 0.0):

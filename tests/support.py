@@ -1018,6 +1018,13 @@ def track_reference(spec, eta_from=0.0, eta_to=1.0, steps=101):
         lo, hi = sorted((grid[i], grid[i + 1]))
         if any(a <= lo and hi <= b for a, b in claimed):
             continue
+        # a collision turns at least two branches present at both points;
+        # fewer is a pair born from or escaping to infinity
+        flips = [b for b in tset.branches
+                 if None not in b.values[i:i + 2]
+                 and _ref_is_real(b.values[i]) != _ref_is_real(b.values[i + 1])]
+        if len(flips) < 2:
+            continue
         eta_star, lam_star, parts = refine_count_change(i)
         events.append(homotopy.CollisionEvent(
             eta_star=eta_star, lambda_star=lam_star, kind=0, participants=parts))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from gyropencil import checks, fixtures, linalg, sturm
+from gyropencil import checks, fixtures, linalg, serialize, sturm
 from gyropencil.errors import EnumerationAmbiguous, HypothesisViolated
 from gyropencil.pencil import (
-    EigenRecord, PencilSpec, RankOneCoupling, SpectrumResult, spectrum,
+    EigenRecord, PencilSpec, RankOneCoupling, SpectrumResult, spectra, spectrum,
 )
 
 import support
@@ -263,6 +263,28 @@ def test_run_sl_double_q4_type1_axes_symmetric(n):
     by_name = {c.name: c for c in rep.checks}
     assert by_name["type1_on_axes_symmetric"].status == "pass", (
         by_name["type1_on_axes_symmetric"].details)
+
+
+@pytest.mark.parametrize("make,eta", [
+    (lambda: sturm.discretize(dataclasses.replace(fixtures.sl_double_q4(), n=12)), 1.0),
+    (lambda: sturm.discretize(dataclasses.replace(fixtures.sl_double_q4(), n=40)), 0.5),
+    (fixtures.w3, 0.7),
+], ids=["double12", "double40-secular", "w3"])
+def test_run_all_solves_the_axis_etas_in_one_batch(monkeypatch, make, eta):
+    spec = make()
+    batches = []
+
+    def counted(s, etas):
+        batches.append(list(etas))
+        return spectra(s, etas)
+
+    monkeypatch.setattr(checks, "spectra", counted)
+    got = serialize.report_to_dict(checks.run_all(spec, eta=eta))
+    assert batches == [[e for e in (0.3, 0.7, 1.0) if e != eta]]
+    # the same report from one spectrum per eta
+    monkeypatch.setattr(checks, "spectra",
+                        lambda s, etas: [spectrum(s, e) for e in etas])
+    assert serialize.report_to_dict(checks.run_all(spec, eta=eta)) == got
 
 
 def test_verify_computes_spec_invariants_once(monkeypatch):

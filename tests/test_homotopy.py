@@ -93,6 +93,46 @@ def test_track_w3_collision_event_reversed():
     assert abs(tset.events[0].eta_star - 0.6) <= 1e-6
 
 
+@pytest.mark.parametrize("steps", [11, 12, 101, 401])
+@pytest.mark.parametrize("ends", [(0.0, 1.0), (1.0, 0.0)])
+def test_track_w2_births_and_escapes_are_not_events(ends, steps):
+    # det L = -eta lambda^3 - 1: the three cube roots of -1/eta are
+    # distinct for every eta > 0, so no two branches meet.  They come from
+    # infinity at eta = 0, which changes the nonreal count there.
+    tset = homotopy.track(fixtures.w2(), *ends, steps=steps)
+    assert tset.events == []
+    for i, eta in enumerate(tset.eta_grid):
+        vals = sorted((b.values[i] for b in tset.branches
+                       if b.values[i] is not None), key=lambda z: (z.real, z.imag))
+        if eta == 0.0:
+            assert vals == []
+            continue
+        roots = sorted(np.roots([-eta, 0.0, 0.0, -1.0]), key=lambda z: (z.real, z.imag))
+        assert np.allclose(vals, roots, rtol=1e-8, atol=0.0), eta
+
+
+def _w3_with_decoupled_double():
+    """W3 plus the decoupled double value +-2: det L = (lambda^2 - 1)
+    (lambda^2 - eta lambda + 0.09) (lambda^2 - 4)^2, whose coupled pair
+    meets at 0.3 when eta = 0.6."""
+    return PencilSpec(np.eye(4), np.diag([0.0, 1.0, 0.0, 0.0]),
+                      np.diag([1.0, -0.09, 4.0, 4.0]))
+
+
+@pytest.mark.parametrize("ends,kind", [((0.0, 1.0), 2), ((1.0, 0.0), 3)])
+def test_track_collision_between_targets_beside_a_multiple_value(ends, kind):
+    # at 12 steps eta = 0.6 lies between targets; the double value +-2
+    # elsewhere in the spectrum is not the collision
+    tset = homotopy.track(_w3_with_decoupled_double(), *ends, steps=12)
+    coupled = [b.ident for b in tset.branches if np.ptp(b.values) > 1e-3]
+    assert len(coupled) == 2
+    ev, = tset.events
+    assert ev.kind == kind
+    assert abs(ev.eta_star - 0.6) <= 1e-6
+    assert abs(ev.lambda_star - 0.3) <= 1e-3
+    assert ev.participants == coupled
+
+
 def test_track_escape_toward_zero_eta():
     # the moving W1 branch blows up as eta -> 0 and is marked escaped
     tset = homotopy.track(fixtures.w1(), 1.0, 0.0, steps=51)

@@ -153,3 +153,22 @@ def test_private_src_definitions_have_src_references():
                 if refs[node.name] <= own:
                     unreferenced.add(node.name)
     assert unreferenced == set()
+
+
+def test_private_src_function_parameters_are_read():
+    # a parameter an underscore function never reads is passed for nothing:
+    # every caller computes an argument the function ignores
+    src = pathlib.Path(linalg.__file__).parent
+    unread = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                args = node.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                          + [a for a in (args.vararg, args.kwarg) if a is not None]]
+                read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+                unread.update("%s.%s(%s)" % (path.stem, node.name, p)
+                              for p in params if p not in read)
+    assert unread == set()

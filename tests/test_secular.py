@@ -183,3 +183,18 @@ def test_inclusion_discs_hold_every_root():
         owner.append(labels[inside[0]])
     assert np.array_equal(np.bincount(owner, minlength=labels.max() + 1),
                           np.bincount(labels))
+
+
+def test_tiny_eta_values_are_the_poles():
+    # n = 47 takes the secular route; below eta ~ 1e-18 every coupled value
+    # rounds to its pole, which the iterations cannot resolve as an offset
+    spec = sturm.discretize(dataclasses.replace(fixtures.sl_double_q4(), n=47))
+    assert pencil._modes(spec).cpl.size >= pencil._SECULAR_MIN_M
+    ref = spectrum(spec, 1e-30).records
+    for eta in (1e-60, 1e-100, 1e-200, 1e-300, 5e-324):
+        got = spectrum(spec, eta).records
+        assert len(got) == len(ref), eta
+        for a, b in zip(got, ref):
+            assert (a.alg_mult, a.geo_mult, a.type1_mult, a.type2_mult) == (
+                b.alg_mult, b.geo_mult, b.type1_mult, b.type2_mult), (eta, b.lam)
+            assert abs(a.lam - b.lam) <= 1e-12 * abs(b.lam), (eta, b.lam)

@@ -123,6 +123,17 @@ def test_fixture_files_on_disk(fixture_dir):
     assert double.paper_sign_convention
 
 
+def test_write_all_reproduces_the_fixture_files(tmp_path, fixture_dir):
+    # the CLI tests and the benchmark read the committed files
+    paths = fixtures.write_all(str(tmp_path / "fixtures"))
+    names = sorted(os.path.basename(p) for p in paths)
+    assert names == sorted(os.listdir(fixture_dir))
+    for path in paths:
+        with open(path, "rb") as fh, \
+                open(os.path.join(fixture_dir, os.path.basename(path)), "rb") as ref:
+            assert fh.read() == ref.read(), path
+
+
 def test_spectrum_to_dict_shape():
     res = spectrum(fixtures.w1(), 1.0)
     d = serialize.spectrum_to_dict(res)
