@@ -11,8 +11,8 @@ came with, so they leave it on their own curves.  Collisions are named
 by the branches that meet: real branches that swap order across grid
 points where they coincide (kind 1), and branches that turn real or
 nonreal where the nonreal count changes (kinds 2 and 3); a grid point on
-the collision is taken as it is, otherwise golden-section search or
-bisection localizes it.
+the collision is taken as it is, otherwise golden-section search localizes
+a crossing and a count change lies in the step rule's 1e-6 bracket.
 Also hosts the eigenvalue derivative formula, the +- pairing of real
 eigenvalues, and the 2*kappa_A - kappa_c count.
 """
@@ -69,22 +69,22 @@ def _cabs(z):
     return np.hypot(z.real, z.imag)
 
 
-def _velocities(spec, stack, lam, vecs, eta):
+def _velocities(spec, lam, vecs, resid, eta):
     """lambda_derivative for many real eigenpairs at once.
 
-    lam holds real eigenvalues, the columns of vecs their eigenvectors, and
-    stack is [I; M; G; A].  Same residual test and denominator floor as
-    the scalar formula, with sums that may round differently.  Returns the
+    lam holds real eigenvalues, the columns of vecs their unit eigenvectors
+    and resid their residuals ||L(lam, eta) v||, as EigenRecord.residual
+    holds them.  Same residual test and denominator floor as the scalar
+    formula, with sums that may round differently; M V is a row scaling
+    when M is diagonal, and G V takes only G's nonzero rows.  Returns the
     velocities, 0.0 where lambda_derivative raises, and the masks of its
     NotAnEigenvalue and DenominatorVanishes cases.
     """
-    prod = (stack @ vecs).reshape(4, spec.n, -1)
-    yy, myy, gyy = np.einsum("ij,kij->kj", vecs.conj(), prod[:3]).real
-    if not yy.all():
-        raise InvalidInput("eigenvector must be nonzero")
-    res = (lam * lam) * prod[1] - (lam * eta) * prod[2] - prod[3]
-    rr = np.einsum("ij,ij->j", res.conj(), res).real
-    not_eig = np.sqrt(rr / yy) > 1e-7 * (1.0 + lam ** 2) * spec.scale
+    rows = spec.g_rows
+    mv = spec.m @ vecs if spec.m_diag is None else spec.m_diag[:, None] * vecs
+    myy = np.einsum("ij,ij->j", vecs.conj(), mv).real
+    gyy = np.einsum("ij,ij->j", vecs[rows].conj(), spec.g[rows] @ vecs).real
+    not_eig = resid > 1e-7 * (1.0 + lam ** 2) * spec.scale
     two_lm = 2.0 * lam * myy
     eta_g = eta * gyy
     denom = two_lm - eta_g
@@ -132,27 +132,22 @@ class TrajectorySet:
 
 
 class _Slots:
-    """One spectrum with each eigenvalue repeated alg_mult times and sorted
-    by (real, imag): the values as a list and an array, one eigenvector
-    column per slot (zero where the record has none), which slots sit
-    beyond half the escape radius, and which belong to a semisimple
-    multiple record (crossing), where branches meet with their own
+    """One spectrum with each eigenvalue repeated alg_mult times, in the
+    records' (real, imag) order: per slot its record and value, whether it
+    sits beyond half the escape radius, and whether its record is a
+    semisimple multiple one (crossing), where branches meet with their own
     velocities.  On the modal route such a record's first vector is its
-    coupled one, if it holds a coupled value; its first type2_mult slots
-    take that vector, and the rest (type I, still) do not move."""
+    coupled one, if it holds one: its first type2_mult slots take it, and
+    the rest (type I, still) do not move."""
 
-    def __init__(self, result, n, escape):
-        recs = sorted(result.records, key=lambda r: (r.lam.real, r.lam.imag))
-        slots = [(r, i) for r in recs for i in range(r.alg_mult)]
-        zero = np.zeros(n)
-        self.lams = [r.lam for r, _ in slots]
+    def __init__(self, result, escape):
+        slots = [(r, i) for r in result.records for i in range(r.alg_mult)]
+        self.recs = [r for r, _ in slots]
+        self.lams = [r.lam for r in self.recs]
         self.vals = np.array(self.lams, dtype=complex)
-        self.has_vec = np.array([r.vectors.size > 0 for r, _ in slots], dtype=bool)
-        self.vecs = np.array([r.vectors[:, 0] if r.vectors.size else zero
-                              for r, _ in slots], dtype=complex).reshape(-1, n).T
         self.far = _cabs(self.vals) > 0.5 * escape
         self.crossing = np.array([r.alg_mult > 1 and r.geo_mult == r.alg_mult
-                                  for r, _ in slots], dtype=bool)
+                                  for r in self.recs], dtype=bool)
         modal = result.diagnostics.get("route") == "modal"
         self.still = self.crossing & np.array([modal and i >= r.type2_mult
                                                for r, i in slots], dtype=bool)
@@ -185,7 +180,6 @@ class _Tracker:
         self.cache = {}
         self.slots = {}
         self.escape = 1e6 * max(1.0, spec.spec_norm)
-        self.stack = np.vstack((np.eye(spec.n), spec.m, spec.g, spec.a))
         self.fallbacks = {"NotAnEigenvalue": 0, "DenominatorVanishes": 0}
 
     def prefetch(self, etas):
@@ -203,25 +197,24 @@ class _Tracker:
         """The slots at eta, kept while a refused step may try eta again."""
         key = float(eta)
         if key not in self.slots:
-            self.slots[key] = _Slots(self.spectrum_at(key), self.spec.n,
-                                     self.escape)
+            self.slots[key] = _Slots(self.spectrum_at(key), self.escape)
         return self.slots[key]
 
     def velocities(self, slots, eta):
-        """d lambda / d eta per slot; 0.0 for nonreal slots, slots without
-        a vector, still slots and the fallbacks, which are counted."""
-        use = _is_real(slots.vals) & slots.has_vec
+        """d lambda / d eta per slot from its record's first vector and
+        residual; 0.0 for nonreal slots, still slots and the fallbacks,
+        which are counted."""
+        use = np.flatnonzero(_is_real(slots.vals))
+        recs = [slots.recs[k] for k in use.tolist()]
+        vecs = np.array([r.vectors[:, 0] for r in recs]).reshape(-1, self.spec.n).T
         vel = np.zeros(slots.vals.size)
         vel[use], not_eig, vanish = _velocities(
-            self.spec, self.stack, slots.vals.real[use], slots.vecs[:, use], eta)
+            self.spec, slots.vals.real[use], vecs,
+            np.array([r.residual for r in recs]), eta)
         vel[slots.still] = 0.0
         self.fallbacks["NotAnEigenvalue"] += int(np.count_nonzero(not_eig))
         self.fallbacks["DenominatorVanishes"] += int(np.count_nonzero(vanish))
         return vel
-
-    def nonreal_count(self, eta):
-        res = self.spectrum_at(eta)
-        return sum(r.alg_mult for r in res.records if not _is_real(r.lam))
 
 
 def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
@@ -261,7 +254,7 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
     big = 1e3 * tracker.escape
 
     grid = [targets[0]]
-    cur = _Slots(tracker.spectrum_at(targets[0]), spec.n, tracker.escape)
+    cur = _Slots(tracker.spectrum_at(targets[0]), tracker.escape)
     branches = [Branch(ident=i, values=[lam]) for i, lam in enumerate(cur.lams)]
     # the branches alive at the current grid point are its slots: alive[k]
     # holds slot perm[k], and alive stays sorted
@@ -458,9 +451,11 @@ def _detect_events(tracker, tset):
     # back (fewer: a pair born from or escaping to infinity, no event).
     # They are the participants; kind 2 if they all land on the real axis
     # in traversal order, 3 if they all leave it, else 0.  The column on
-    # the real side is the collision when they coincide there; otherwise
-    # bisection on the count finds it, and the collision value is the
-    # closest pair of records there near their mean on the real side.
+    # the real side is the collision when they coincide there.  Otherwise
+    # the step rule has bracketed it to 1e-6: on any longer step the pair
+    # misses its predictions by over half its separation (by the imaginary
+    # part, or by the split), so the collision is the bracket's midpoint,
+    # its value the closest pair of records there near their real-side mean.
     nonreal = present & ~_is_real(vals)
     counts = np.count_nonzero(nonreal, axis=1)
     for i in np.flatnonzero(counts[:-1] != counts[1:]):
@@ -479,7 +474,7 @@ def _detect_events(tracker, tset):
         if _coincide(vals[r, turn])[0].all():
             eta_star, lam_star = grid[r], complex(vals[r, turn[0]])
         else:
-            eta_star = _bisect_count_change(tracker, grid[i], grid[i + 1])
+            eta_star = 0.5 * (grid[i] + grid[i + 1])
             real_side = np.where(lands, vals[i + 1, turn], vals[i, turn])
             lam_star = complex(_closest_pair(tracker.spectrum_at(eta_star),
                                              real_side.mean(), turn.size)[1])
@@ -531,18 +526,6 @@ def _refine_coincidence(tracker, eta_a, eta_b, lam, mult):
             m2, g2 = a + inv * (b - a), None
     gap, mid = min(seen, key=lambda s: s[0], default=(np.inf, lam))
     return 0.5 * (a + b), gap, mid
-
-
-def _bisect_count_change(tracker, a, b):
-    """The eta in [a, b], to 1e-6, where the nonreal count changes."""
-    ca = tracker.nonreal_count(a)
-    while abs(b - a) > 1e-6:
-        mid = 0.5 * (a + b)
-        if tracker.nonreal_count(mid) == ca:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 @dataclass

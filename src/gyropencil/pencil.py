@@ -123,6 +123,7 @@ class PencilSpec:
         self.norm_m = float(np.max(np.abs(m_eigs))) if self.n else 0.0
         self.norm_g = float(np.max(np.abs(g_eigs))) if self.n else 0.0
         self.norm_a = float(np.max(np.abs(a_eigs))) if self.n else 0.0
+        self._a_eigs = a_eigs
         self.spec_norm = max(self.norm_m, self.norm_g, self.norm_a)
         self.scale = max(1.0, self.spec_norm)
         self._ker_ma = None
@@ -158,9 +159,11 @@ class PencilSpec:
 
         The engineered kernels carried by the discretizations are exact
         only to ~1e-13 * norm, so the machine-eps default is too sharp here.
+        A's singular values are the moduli of its eigenvalues, which the
+        spec already holds; the stack [A; G] takes a rank SVD.
         """
         na = max(self.norm_a, np.finfo(float).tiny)
-        n_ker = self.n - linalg.rank_with_tol(self.a, tol=1e-8 * na)
+        n_ker = int(np.count_nonzero(np.abs(self._a_eigs) <= 1e-8 * na))
         stack = np.vstack([self.a, self.g])
         p = self.n - linalg.rank_with_tol(stack, tol=1e-8 * max(na, self.norm_g))
         return n_ker, p
@@ -562,10 +565,11 @@ _SECULAR_MAXIT = 80
 
 def _poles(mu, w, c):
     """Poles q = +-sqrt(mu) and weights c w^2 / 2 of the secular function
-    f(lam) = 1 - c lam sum_k w_k^2 / (lam^2 - mu_k) = 1 - sum_l cq_l / (lam - q_l)."""
+    f(lam) = 1 - c lam sum_k w_k^2 / (lam^2 - mu_k) = 1 - sum_l cq_l / (lam - q_l),
+    a row of weights per row of c."""
     p = np.sqrt(mu.astype(complex))
     cq = 0.5 * c * w * w
-    return np.concatenate([p, -p]), np.concatenate([cq, cq])
+    return np.concatenate([p, -p]), np.concatenate([cq, cq], axis=-1)
 
 
 def _real_secular_roots(mu, w, c):
@@ -745,21 +749,37 @@ def _aberth(q, cq, fixed, guesses):
 
 
 def _at_poles(q, cq):
-    """Whether every root of P(z) = prod_l (z - q_l) f(z) rounds to its
-    own pole.
+    """Per row of weights cq: whether every root of
+    P(z) = prod_l (z - q_l) f(z) rounds to its own pole (_pole_roots).
 
-    With s = sum |cq|, the disc of radius 4 s about a pole holds exactly one
-    root when 8 s is at most the distance to every other pole (Rouche on
-    (z - q) f(z)), and 16 s <= eps |q| puts that disc within half an ulp
-    of q.  A real and an imaginary pole are at least min |q| apart.
+    With s = sum |cq|, the disc of radius 4 s about a nonzero pole holds
+    exactly one root when 8 s is at most the distance to every other pole
+    (Rouche on (z - q) f(z)), and 16 s <= eps |q| puts that disc within
+    half an ulp of q.  A real and an imaginary pole are at least min |q|
+    apart, and a nonzero pole is |q| from the zero pole of a coupled mode
+    with mu = 0.
     """
-    s = np.abs(cq).sum()
-    if not 16.0 * s <= _EPS * np.abs(q).min(initial=np.inf):
-        return False
+    s = np.abs(cq).sum(axis=-1)
+    q = q[q != 0.0]
     real = q.imag == 0.0
     gaps = np.concatenate([np.diff(np.sort(q.real[real])),
                            np.diff(np.sort(q.imag[~real]))])
-    return 8.0 * s <= gaps.min(initial=np.inf)
+    return (16.0 * s <= _EPS * np.abs(q).min(initial=np.inf)) & (
+        8.0 * s <= gaps.min(initial=np.inf))
+
+
+def _pole_roots(q, cq):
+    """The roots where _at_poles holds, per row of cq: the poles, except
+    that the double zero pole of a coupled mode with mu = 0 gives the roots
+    0 and C, the sum of its weights: (z - 0)^2 f(z) = z (z - C) + O(z^2 s),
+    so C is exact to relative C s / min |q|^2, below rounding.  A
+    subnormal C is taken as 0, since dividing a complex by it overflows."""
+    z = np.broadcast_to(q, cq.shape).copy()
+    zero = np.flatnonzero(q == 0.0)
+    if zero.size:
+        c0 = cq[..., zero].sum(axis=-1)
+        z[..., zero[0]] += np.where(c0 < np.finfo(float).tiny, 0.0, c0)
+    return z
 
 
 def _secular_values(mu, w, c):
@@ -767,7 +787,7 @@ def _secular_values(mu, w, c):
 
     At c = eta b = 0, and whenever every root rounds to its pole
     (_at_poles: c so small that the iterations below would seek offsets
-    lost to rounding), they are the poles +-sqrt(mu).  Otherwise the real
+    lost to rounding), they are the poles +-sqrt(mu) (_pole_roots).  Otherwise the real
     roots that the poles bracket come from _real_secular_roots; a zero mu
     adds the exact root 0; the rest (at most 2 kappa_c, kappa_c the count
     of mu < 0) come from Aberth iteration started at the first-order
@@ -775,7 +795,7 @@ def _secular_values(mu, w, c):
     """
     q, cq = _poles(mu, w, c)
     if _at_poles(q, cq):
-        return q
+        return _pole_roots(q, cq)
     fixed = _real_secular_roots(mu, w, c)
     if np.any(mu == 0.0):
         fixed = np.append(fixed, 0.0)
@@ -961,6 +981,11 @@ def _modal_records(spec, etas):
         z = np.array([_secular_values(mu_c, w_c, ci) for ci in c.tolist()])
     else:
         z = _companion_eigvals(mu_c, w_c, c).astype(complex)
+        # where the roots round to their poles, eigvals' rounding noise
+        # would be all of their offsets
+        q, cq = _poles(mu_c, w_c, c[:, None])
+        at = (c > 0.0) & _at_poles(q, cq)
+        z[at] = _pole_roots(q, cq[at])
     centers, radii = _inclusion_radii(z, md.q, c[:, None] * md.q_weight, md.q_err)
     nz, nd = z.shape[1], md.d_val.size
 
@@ -998,9 +1023,13 @@ def _modal_records(spec, etas):
     p = md.q[:md.cpl.size]
     lam = rep[crec]
     den = (lam[None, :] - p[:, None]) * (lam[None, :] + p[:, None])
-    hit = den == 0.0
+    # a value on a pole (eta = 0), or so near one that w_c / den would
+    # overflow (a zero record on a coupled mu = 0 at tiny eta): the kernel
+    # is that mode, the other entries w_k / den_k lost beside its own
+    absden = np.abs(den)
+    hit = absden <= np.minimum(absden.min(axis=0, initial=np.inf),
+                               1e-140 * np.abs(w_c).max(initial=1.0))
     if hit.any():
-        # a value on a pole (eta = 0): the kernel is that mode
         pinned = hit.any(axis=0)
         y = w_c[:, None] / np.where(hit, 1.0, den)
         y[:, pinned] = hit[:, pinned]

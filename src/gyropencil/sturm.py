@@ -63,84 +63,70 @@ def effective_q(problem):
     return -vals if problem.paper_sign_convention else vals
 
 
-def _require_coupling(problem):
+def _string_pencil(problem, q, segments):
+    """Pencil of string segments joined at the eigenparameter node.
+
+    Each segment has the unknowns y_1..y_{n+1} at x_i = i h, h = a/(n+1),
+    the Dirichlet value at 0 eliminated, and q on them; segments[k] numbers
+    them, all ending on the last unknown, the joint.  A segment adds
+    stiffness (1/h) tridiag(-1, 2, -1) with free-end diagonal 1/h and the
+    potential lumped with the mass weights (h, ..., h, h/2).
+    """
     if problem.alpha <= 0:
         raise InvalidInput("discretization requires alpha > 0")
-
-
-def discretize_single(problem):
-    """Pencil for the clamped string with boundary eigenparameter.
-
-    Unknowns y_1..y_{n+1} at x_i = i h, h = a/(n+1); the Dirichlet value at
-    0 is eliminated.  Stiffness (1/h) tridiag(-1, 2, -1) with free-end
-    diagonal 1/h, potential lumped with the mass weights (h, ..., h, h/2).
-    """
-    if problem.variant != "single":
-        raise InvalidInput("single-variant problem required")
-    _require_coupling(problem)
     n1 = problem.n + 1
     h = problem.a / n1
-    q = effective_q(problem)
-
     w = np.full(n1, h)
     w[-1] = 0.5 * h
     main = np.full(n1, 2.0 / h)
     main[-1] = 1.0 / h
-    off = np.full(n1 - 1, -1.0 / h)
-    a_h = np.diag(main + q * w) + np.diag(off, 1) + np.diag(off, -1)
-    m_h = np.diag(w)
-    g_h = np.zeros((n1, n1))
+    dim = int(np.max(segments)) + 1
+    m_h, g_h, a_h = (np.zeros((dim, dim)) for _ in range(3))
+    for nodes in segments:
+        m_h[nodes, nodes] += w
+        a_h[nodes, nodes] += main + q * w
+        a_h[nodes[:-1], nodes[1:]] = a_h[nodes[1:], nodes[:-1]] = -1.0 / h
     g_h[-1, -1] = problem.alpha
     return PencilSpec(
         m_h, g_h, a_h,
-        rank_one=RankOneCoupling(b=problem.alpha, e_index=n1 - 1),
+        rank_one=RankOneCoupling(b=problem.alpha, e_index=dim - 1),
         m_kind="diag",
     )
+
+
+def discretize_single(problem):
+    """Pencil for the clamped string with boundary eigenparameter: one
+    segment whose free end carries it (_string_pencil)."""
+    if problem.variant != "single":
+        raise InvalidInput("single-variant problem required")
+    return _string_pencil(problem, effective_q(problem), [np.arange(problem.n + 1)])
 
 
 def discretize_double(problem):
     """Pencil for two identical strings joined at the eigenparameter node.
 
     Ordering: segment-1 interior (n), segment-2 interior (n), shared node
-    last; dimension 2n+1.  Both segments carry the same potential, so the
-    antisymmetric combinations (u, -u, 0) decouple from the boundary node
-    and persist for every coupling strength.
+    last; dimension 2n+1.  The shared node takes both free-end halves.
+    Both segments carry the same potential, so the antisymmetric
+    combinations (u, -u, 0) decouple from the boundary node and persist for
+    every coupling strength.
     """
     if problem.variant != "double":
         raise InvalidInput("double-variant problem required")
-    _require_coupling(problem)
     n = problem.n
-    n1 = n + 1
-    h = problem.a / n1
     q = effective_q(problem).copy()
 
     # a resonant constant potential is snapped onto the grid value so the
     # antisymmetric resonance sits exactly in ker A_h instead of a few
     # grid-error units away from it
     if problem.q_kind == "const" and q[0] < 0:
+        h = problem.a / (n + 1)
         root = np.sqrt(-q[0]) * problem.a / np.pi
         j = int(round(root))
         if j >= 1 and abs(root - j) <= 1e-6:
-            q[:] = -(2.0 / h**2) * (1.0 - np.cos(j * np.pi / n1))
+            q[:] = -(2.0 / h**2) * (1.0 - np.cos(j * np.pi / (n + 1)))
 
-    dim = 2 * n + 1
-    shared = dim - 1
-    wt = np.full(dim, h)
-    diag_q = np.concatenate([q[:n], q[:n], q[n:n + 1]])
-    # stiffness (1/h) tridiag(-1, 2, -1) on each segment; both segment ends
-    # join the shared node, whose diagonal 2/h is the two free-end halves
-    off = np.full(dim - 1, -1.0 / h)
-    off[n - 1] = 0.0
-    a_h = np.diag(2.0 / h + diag_q * wt) + np.diag(off, 1) + np.diag(off, -1)
-    a_h[n - 1, shared] = a_h[shared, n - 1] = -1.0 / h
-    m_h = np.diag(wt)
-    g_h = np.zeros((dim, dim))
-    g_h[shared, shared] = problem.alpha
-    return PencilSpec(
-        m_h, g_h, a_h,
-        rank_one=RankOneCoupling(b=problem.alpha, e_index=shared),
-        m_kind="diag",
-    )
+    return _string_pencil(problem, q, [np.r_[0:n, 2 * n], np.r_[n:2 * n, 2 * n]])
 
 
 def discretize(problem):

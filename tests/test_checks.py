@@ -289,8 +289,9 @@ def test_run_all_solves_the_axis_etas_in_one_batch(monkeypatch, make, eta):
 
 def test_verify_computes_spec_invariants_once(monkeypatch):
     # lambda_min(M + G), the two kernel dimensions and kappa_A are spec
-    # level: one eigvalsh(M + G), the two kernel ranks (M > 0 skips the
-    # validation rank), and kappa_A from the cached modes
+    # level: one eigvalsh(M + G), one kernel rank (dim ker A comes from A's
+    # eigenvalues, and M > 0 skips the validation rank), and kappa_A from
+    # the cached modes
     counts = {"eigvalsh": 0, "rank": 0}
     eigvalsh, rank = np.linalg.eigvalsh, linalg.rank_with_tol
 
@@ -315,4 +316,4 @@ def test_verify_computes_spec_invariants_once(monkeypatch):
     assert rep.all_pass
     by_name = {c.name: c for c in rep.checks}
     assert by_name["type2_count_identity"].status == "pass"
-    assert counts == {"eigvalsh": 1, "rank": 2}
+    assert counts == {"eigvalsh": 1, "rank": 1}

@@ -11,7 +11,7 @@ from gyropencil import fixtures, homotopy, serialize, sturm
 from gyropencil.errors import (
     DenominatorVanishes, HypothesisViolated, NotAnEigenvalue,
 )
-from gyropencil.pencil import PencilSpec, RankOneCoupling, spectra, spectrum
+from gyropencil.pencil import PencilSpec, RankOneCoupling, evaluate, spectra, spectrum
 
 import support
 
@@ -249,6 +249,87 @@ def test_track_matches_reference_on_double_string_n10():
     assert_same_tracks(_double_string(10), (0.0, 1.0), 41)
 
 
+def _count_change_brackets(tset):
+    """Per grid interval where two or more branches present at both ends
+    turn real or nonreal: (i, the branches that turn, whether they
+    coincide on the real side)."""
+    grid, out = tset.eta_grid, []
+    for i in range(len(grid) - 1):
+        turn, real_side = [], []
+        for b in tset.branches:
+            u, v = b.values[i], b.values[i + 1]
+            if u is None or v is None:
+                continue
+            ru = abs(u.imag) <= 1e-7 * (1.0 + abs(u.real))
+            rv = abs(v.imag) <= 1e-7 * (1.0 + abs(v.real))
+            if ru != rv:
+                turn.append(b.ident)
+                real_side.append(u if ru else v)
+        if len(turn) >= 2:
+            lam = real_side[0]
+            out.append((i, turn, all(abs(x - lam) <= 1e-9 * (1.0 + abs(lam))
+                                     for x in real_side)))
+    return out
+
+
+def assert_count_changes_bracketed(tset):
+    """Every count change off the grid lies in a grid interval of at most
+    1e-6, the step rule's bracket, and its event sits at the midpoint."""
+    grid = tset.eta_grid
+    found = _count_change_brackets(tset)
+    for i, turn, on_grid in found:
+        lo, hi = sorted(grid[i:i + 2])
+        ev = [e for e in tset.events if e.kind != 1 and lo <= e.eta_star <= hi
+              and e.participants == sorted(turn)]
+        assert len(ev) == 1, (i, turn)
+        if not on_grid:
+            assert abs(grid[i + 1] - grid[i]) <= 1e-6, (grid[i], grid[i + 1])
+            assert ev[0].eta_star == 0.5 * (grid[i] + grid[i + 1])
+    return len(found)
+
+
+def _kind2_string(variant, q, alpha):
+    return lambda: sturm.discretize(sturm.SLProblem(
+        variant=variant, q_kind="const", q_value=q, a=float(np.pi), alpha=alpha,
+        n=10, paper_sign_convention=True))
+
+
+@pytest.mark.parametrize("steps", [11, 12, 33])
+@pytest.mark.parametrize("ends", [(0.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("make", [
+    fixtures.w1, fixtures.w2, fixtures.w3, _kind2_string("double", 6.0, 1.0),
+    _kind2_string("single", 6.0, 3.0), _kind2_string("single", 2.5, 3.0),
+], ids=["w1", "w2", "w3", "double-q6", "single-q6", "single-q2.5"])
+def test_count_changes_bracketed_by_the_step_rule(make, ends, steps):
+    assert_count_changes_bracketed(homotopy.track(make(), *ends, steps=steps))
+
+
+def _strong_rank_one(rng):
+    """A random rank-one spec whose coupling is scaled so that nonreal
+    pairs land on the real axis inside [0, 1]."""
+    spec = support.rand_condition1_spec(rng, n_max=6)
+    k = float(rng.uniform(2.0, 40.0))
+    return PencilSpec(spec.m, k * spec.g, spec.a, rank_one=RankOneCoupling(
+        b=k * spec.rank_one.b, e_index=spec.rank_one.e_index))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(5, 33))
+def test_random_count_changes_bracketed_by_the_step_rule(seed, steps):
+    spec = _strong_rank_one(np.random.default_rng(seed))
+    for ends in ((0.0, 1.0), (1.0, 0.0)):
+        assert_count_changes_bracketed(homotopy.track(spec, *ends, steps=steps))
+
+
+def test_strong_rank_one_tracks_change_count():
+    # the random draws above meet count changes: a third of the tracks do
+    found = 0
+    for seed in range(20):
+        spec = _strong_rank_one(np.random.default_rng(seed))
+        found += assert_count_changes_bracketed(homotopy.track(spec, 0.0, 1.0, steps=12))
+    assert found >= 3
+
+
 def _type1_crossings(type1, c):
     """M = I, G = e_n e_n^T, A = diag(type1, c).  The leading coordinates
     are decoupled: their roots +-sqrt(a) are type I values.  The last one
@@ -418,9 +499,21 @@ def _scalar_derivative(spec, lam, vec, eta):
         return type(exc)
 
 
+def _residuals(spec, lam, vecs, eta):
+    """||L(lam, eta) v|| / ||v|| per column, as lambda_derivative tests it."""
+    return np.array([np.linalg.norm(evaluate(spec, lam[k], eta) @ vecs[:, k])
+                     / np.linalg.norm(vecs[:, k]) for k in range(lam.size)])
+
+
+def _slot_vectors(spec, slots, use):
+    """The first vector of each used slot's record, one column per slot."""
+    return np.array([slots.recs[k].vectors[:, 0] for k in use],
+                    dtype=complex).reshape(-1, spec.n).T
+
+
 def assert_batched_matches_scalar(spec, lam, vecs, eta):
-    stack = homotopy._Tracker(spec).stack
-    vel, not_eig, vanish = homotopy._velocities(spec, stack, lam, vecs, eta)
+    vel, not_eig, vanish = homotopy._velocities(
+        spec, lam, vecs, _residuals(spec, lam, vecs, eta), eta)
     for k in range(lam.size):
         want = _scalar_derivative(spec, lam[k], vecs[:, k], eta)
         assert not_eig[k] == (want is NotAnEigenvalue), k
@@ -444,7 +537,7 @@ def test_batched_derivatives_match_scalar(seed):
         use = np.flatnonzero([abs(v.imag) <= 1e-7 * (1.0 + abs(v.real))
                               for v in slots.vals])
         assert_batched_matches_scalar(spec, slots.vals.real[use],
-                                      slots.vecs[:, use], eta)
+                                      _slot_vectors(spec, slots, use), eta)
         checked += use.size
     assert checked > 0
 
@@ -457,10 +550,10 @@ def test_batched_derivatives_fallbacks():
     real = np.flatnonzero(np.abs(slots.vals.imag) <= 1e-9)
     e2 = np.array([[0.0], [1.0]], dtype=complex)
     lam = np.concatenate(([0.3, 5.0], slots.vals.real[real]))
-    vecs = np.hstack((e2, e2, slots.vecs[:, real]))
+    vecs = np.hstack((e2, e2, _slot_vectors(spec, slots, real)))
     assert_batched_matches_scalar(spec, lam, vecs, 0.6)
     _, not_eig, vanish = homotopy._velocities(
-        spec, homotopy._Tracker(spec).stack, lam, vecs, 0.6)
+        spec, lam, vecs, _residuals(spec, lam, vecs, 0.6), 0.6)
     assert vanish[0] and not_eig[1]
 
 

@@ -532,6 +532,19 @@ def test_ker_ma_shortcut_matches_rank(kind, seed):
     assert spec.ker_ma_trivial == (rank == spec.n)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_SPECTRA_GENERATORS)), st.integers(0, 2**32 - 1))
+@example("kernel", 7)
+def test_kernel_dim_matches_rank(kind, seed):
+    # dim ker A counts A's eigenvalues within the rank cutoff 1e-8 ||A||:
+    # the verdict of the rank SVD of A at that cutoff
+    spec = _SPECTRA_GENERATORS[kind](np.random.default_rng(seed))
+    for s in (spec, fixtures.w1(), fixtures.w2(), fixtures.w3(),
+              _double_string(np.random.default_rng(seed))):
+        na = max(s.norm_a, np.finfo(float).tiny)
+        assert s.kernel_dims[0] == s.n - linalg.rank_with_tol(s.a, tol=1e-8 * na)
+
+
 def test_ker_ma_rank_runs_only_for_singular_mass(monkeypatch):
     for spec in (fixtures.w1(), fixtures.w2()):
         assert not spec.m_definite

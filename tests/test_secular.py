@@ -198,3 +198,65 @@ def test_tiny_eta_values_are_the_poles():
             assert (a.alg_mult, a.geo_mult, a.type1_mult, a.type2_mult) == (
                 b.alg_mult, b.geo_mult, b.type1_mult, b.type2_mult), (eta, b.lam)
             assert abs(a.lam - b.lam) <= 1e-12 * abs(b.lam), (eta, b.lam)
+
+
+_TINY_ETAS = (1e-100, 1e-160, 1e-200, 1e-300, 1e-305, 1e-308, 2.2e-311, 5e-324)
+
+
+@pytest.mark.parametrize("make", [
+    fixtures.w3, lambda: _double(3), lambda: _double(12),
+    lambda: sturm.discretize(dataclasses.replace(fixtures.sl_single_q4(), n=3)),
+    lambda: sturm.discretize(dataclasses.replace(fixtures.sl_single_q4(), n=12)),
+    lambda: support.with_decoupled_copies(
+        support.rand_condition1_spec(np.random.default_rng(0)),
+        float(np.random.default_rng(0).uniform(0.5, 2.0)), 2),
+    # a coupled mode with mu = 0: the zero record's coupled vector sits
+    # next to its pole, where w / (lam^2 - mu) overflowed
+    lambda: pencil.PencilSpec(np.eye(3), np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, -2.0]),
+                              rank_one=pencil.RankOneCoupling(b=1.0, e_index=0)),
+], ids=["w3", "double-n3", "double-n12", "single-n3", "single-n12", "copies0", "zero-mode"])
+def test_tiny_eta_eigvals_source_values_are_the_poles(make):
+    # below the crossover eigvals gives the coupled values; where each
+    # rounds to its pole its rounding noise would be all of the offset,
+    # and the inclusion discs and coupled vectors overflowed (warnings are
+    # errors in this suite)
+    spec = make()
+    assert pencil._modes(spec).cpl.size < pencil._SECULAR_MIN_M
+    ref = spectrum(spec, 1e-30).records
+    for eta in _TINY_ETAS:
+        got = spectrum(spec, eta).records
+        assert len(got) == len(ref), eta
+        # matched by value: the record near 0 sorts before the imaginary
+        # poles once its offset rounds to 0
+        cost = np.abs(np.array([a.lam for a in got])[:, None]
+                      - np.array([b.lam for b in ref])[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        for a, b in zip([got[k] for k in rows], [ref[k] for k in cols]):
+            assert (a.alg_mult, a.geo_mult, a.type1_mult, a.type2_mult) == (
+                b.alg_mult, b.geo_mult, b.type1_mult, b.type2_mult), (eta, b.lam)
+            assert abs(a.lam - b.lam) <= 1e-12 * max(1.0, abs(b.lam)), (eta, b.lam)
+            assert np.allclose(np.linalg.norm(a.vectors, axis=0), 1.0, rtol=0.0,
+                               atol=1e-12), (eta, a.lam)
+            assert a.residual <= 1e-12 * spec.scale * (1.0 + abs(a.lam) ** 2)
+
+
+def test_coupled_zero_mode_at_tiny_coupling():
+    # mu = 0 is a double pole: the iterations lost the root c w_0^2 to
+    # rounding and raised NoConvergence below c ~ 1e-60.  The zero pair's
+    # roots are 0 and c w_0^2 (to relative O(c^2)), the others their poles
+    mu = np.array([-1.0, 0.0, 0.5, 2.0, 3.0])
+    w = np.array([0.5, 0.6, 0.7, 0.4, 0.3])
+    p = np.sqrt(mu.astype(complex))
+    for c in (1e-10, 1e-20, 1e-40, 1e-60, 1e-200, 1e-300, 5e-324):
+        got = pencil._secular_values(mu, w, c)
+        small = sorted(got, key=abs)[:2]
+        assert small[0] == 0.0
+        assert abs(small[1] - c * w[1] ** 2) <= 1e-14 * c * w[1] ** 2, c
+        if c >= 1e-40:
+            want = support.mp_secular_roots(mu, w, c)
+            assert _worst_match(got, want) <= 1e-12
+            assert abs(sorted(want, key=abs)[1] - small[1]) <= 1e-12 * abs(small[1])
+        else:
+            poles = np.concatenate([p, -p])[np.concatenate([mu, mu]) != 0.0]
+            assert np.array_equal(np.sort_complex(got[np.abs(got) > 1e-3]),
+                                  np.sort_complex(poles)), c

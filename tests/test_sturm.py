@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -314,3 +316,32 @@ def test_problem_validation():
     with pytest.raises(InvalidInput):
         sturm.SLProblem(variant="single", q_kind="sampled",
                         q_values=(1.0, 2.0), n=5)
+
+
+@pytest.mark.parametrize("n", [2, 5, 30])
+@pytest.mark.parametrize("sign", [False, True], ids=["plain", "paper"])
+@pytest.mark.parametrize("q", [
+    dict(q_kind="const", q_value=0.0),
+    dict(q_kind="const", q_value=4.0),
+    dict(q_kind="const", q_value=-2.5),
+    dict(q_kind="sampled", q_values=None),
+], ids=["zero", "q4", "negative", "sampled"])
+def test_double_string_is_two_single_strings_joined(n, sign, q):
+    # each segment of the double string is the single string, whose free
+    # end is the shared node; there the two segments' halves add up.  At
+    # a = 2.3 no constant potential is resonant, so none is snapped
+    if q["q_kind"] == "sampled":
+        q = dict(q, q_values=tuple(np.random.default_rng(n).normal(size=n + 1)))
+    p = sturm.SLProblem(variant="double", a=2.3, alpha=1.7, n=n,
+                        paper_sign_convention=sign, **q)
+    double = sturm.discretize(p)
+    single = sturm.discretize(dataclasses.replace(p, variant="single"))
+    segs = [np.r_[0:n, 2 * n], np.r_[n:2 * n, 2 * n]]
+    for seg in segs:
+        for got, want in ((double.m, single.m), (double.a, single.a)):
+            block = got[np.ix_(seg, seg)].copy()
+            block[-1, -1] *= 0.5
+            assert block.tobytes() == want.tobytes()
+    assert not double.a[np.ix_(segs[0][:-1], segs[1][:-1])].any()
+    assert double.g.tobytes() == np.pad(single.g[-1:, -1:], (2 * n, 0)).tobytes()
+    assert double.rank_one == sturm.RankOneCoupling(b=1.7, e_index=2 * n)
