@@ -71,11 +71,17 @@ class EigenDecomposition:
 
 
 def eigen_standard(mat):
-    """Nonsymmetric eigendecomposition, sorted by (Re, Im)."""
+    """Nonsymmetric eigendecomposition, sorted by (Re, Im).  A (T, m, m)
+    stack of matrices is solved item by item, each item as one call would
+    solve it, and sorted on its own."""
     mat = np.asarray(mat)
     try:
         vals, vecs = np.linalg.eig(mat)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("eig failed: %s" % exc)
-    order = np.lexsort((vals.imag, vals.real))
-    return EigenDecomposition(values=vals[order], vectors=vecs[:, order])
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    if order.ndim == 1:
+        return EigenDecomposition(values=vals[order], vectors=vecs[:, order])
+    item = np.arange(order.shape[0])[:, None]
+    return EigenDecomposition(values=vals[item, order],
+                              vectors=vecs[item, :, order].swapaxes(1, 2))

@@ -12,14 +12,17 @@ list of them, by one of two routes:
   f(lam) = 1 - eta b lam sum_k w_k^2 / (lam^2 - mu_k) times the pole
   product, solved per eta (eigvals of a small companion below a size
   crossover).  Inclusion discs around them certify the multiplicities, and
-  records take geo, types and vectors from the modal structure.  spectra()
-  runs each step once over a chunk of etas.
+  records take geo, types and vectors from the modal structure.
 - every other pencil (the companion route): substitute nu = lambda - sigma
   with L(sigma, eta) invertible, reverse mu = 1/nu, and solve the standard
   companion eigenproblem of the reversed polynomial.  Eigenvalues at
   infinity (singular M) show up as mu ~ 0 and are discarded but counted.
   A record's type I part is the part of its kernel vectors without a
-  component on the coupling axis.
+  component on the coupling axis.  Each eta takes its own shift, and the
+  companions of a chunk of etas come from one stacked solve and go
+  through one stacked eig.
+
+On both routes spectra() runs each step once over a chunk of etas.
 
 Both routes group values into records by one connected-components pass
 over a link matrix, each with its own link rule: meeting inclusion discs
@@ -254,8 +257,10 @@ class SpectrumResult:
     n_finite: int
     discarded_infinite: int
     scale: float
-    # route ("modal", "companion"), shift (companion only), discarded_infinite
-    # and type1_from ("modes", "kernel_vectors", "unclassified")
+    # route ("modal", "companion"), shift (companion only), discarded_infinite,
+    # type1_from ("modes", "kernel_vectors", "unclassified") and more per
+    # route: coupled_modes and coupled_solver (modal), type1_svd_fallbacks
+    # (companion: records whose type split took _vector_type1's SVD)
     diagnostics: dict = field(default_factory=dict, compare=False)
     # record values for find(), built on first use; records do not change
     # once the result is returned
@@ -343,22 +348,36 @@ def _is_real(lam):
 
 def _matmul_blocks(a, b, block):
     """a @ b.real, column j of b belonging to block block[j] (one block
-    when block is None), with one stacked matmul per distinct block width.
+    when block is None), with one product per block when the blocks are
+    wide and one stacked matmul per distinct block width when they are
+    narrow.
 
     BLAS picks its kernel by the shape and memory order of the operands, so
     one product over the columns of many blocks can differ in the last bits
-    from the product over one block.  A stacked matmul whose items keep the
+    from the product over one block.  A product over a copy of one block's
+    columns, or a stacked matmul whose items are such copies, keeps the
     memory order of b (C order, or F order as fancy indexing x[:, cols]
-    leaves it) multiplies each block exactly as a @ b.real would for a b
-    holding that block's columns alone, in their order.
+    leaves it) and so multiplies each block exactly as a @ b.real would for
+    a b holding that block's columns alone, in their order.  The stacking
+    copies grow with the entries of b and the per-block calls with the
+    number of blocks: per block is the faster once the blocks average 700
+    entries of b (measured crossover, one BLAS thread).
     """
     widths = [] if block is None else np.bincount(block)
-    if np.count_nonzero(widths) <= 1:
+    nblocks = np.count_nonzero(widths)
+    if nblocks <= 1:
         return a @ b.real
     rows = b.shape[0]
-    out = np.empty((a.shape[0], b.shape[1]))
     order = np.argsort(block, kind="stable")
     starts = np.cumsum(widths) - widths
+    if b.size >= 700 * nblocks:
+        prods = []
+        for lo, w in zip(starts[widths > 0].tolist(), widths[widths > 0].tolist()):
+            cols = order[lo:lo + w]
+            part = b.take(cols, axis=1) if b.flags.c_contiguous else b.T[cols].T
+            prods.append(a @ part.real)
+        return np.concatenate(prods, axis=1).take(np.argsort(order), axis=1)
+    out = np.empty((a.shape[0], b.shape[1]))
     for w in np.unique(widths[widths > 0]).tolist():
         cols = order[(starts[widths == w][:, None] + np.arange(w)).ravel()]
         if b.flags.c_contiguous:
@@ -400,6 +419,12 @@ def _simple_pairs(spec, eta, lams, vecs, block=None):
     mv = prod[n + rows.size:] if spec.m_diag is None else spec.m_diag[:, None] * v
     resid = (lams * lams) * mv - prod[:n]
     resid[rows] -= (lams * eta) * prod[n:n + rows.size]
+    # with F-ordered vecs, resid mixes memory orders, and numpy picks the
+    # order of the result by the number of columns; down an F-ordered
+    # array a column is summed pairwise whatever the other columns, so
+    # each norm is that of its spectrum alone
+    if vecs.flags.f_contiguous:
+        resid = np.asfortranarray(resid)
     return vecs, np.linalg.norm(resid, axis=0)
 
 
@@ -415,11 +440,15 @@ def _vector_type1(spec, eta, records):
     by about eps / gap next to a close value, so a record whose hypot lies
     below 1e-6 * that bound takes the stack's nullity itself, as does a
     record at lam = 0 (within the zero band), whose kernel is ker A ∩ ker G.
+
+    eta is one coupling for all records or one per record.  Returns the
+    type I counts and the mask of the records that took the stack's SVD.
     """
     if not records:
-        return []
+        return [], np.zeros(0, dtype=bool)
     b, e, n = spec.rank_one.b, spec.rank_one.e_index, spec.n
     lams = np.array([rec.lam for rec in records], dtype=complex)
+    eta = np.broadcast_to(np.asarray(eta, dtype=float), lams.shape)
     geo = np.array([rec.geo_mult for rec in records])
     rho = np.array([rec.residual for rec in records])
     spreads = np.array([rec.spread for rec in records])
@@ -430,14 +459,15 @@ def _vector_type1(spec, eta, records):
     tol = _kernel_tol(spec, lams, eta, spreads, smax, 2 * n)
     type1 = geo - (dist > tol)
     zero = alam <= _ZERO_BAND * spec.scale
+    svd = zero | ((dist > tol) & (dist <= 1e-6 * smax))
     import scipy.linalg as sla
-    for i in np.flatnonzero(zero | ((dist > tol) & (dist <= 1e-6 * smax))):
-        lam, e_i, sp = (0.0, 0.0, 0.0) if zero[i] else (lams[i], eta, spreads[i])
+    for i in np.flatnonzero(svd):
+        lam, e_i, sp = (0.0, 0.0, 0.0) if zero[i] else (lams[i], eta[i], spreads[i])
         lam = lam if lam.imag else lam.real
         svals = sla.svdvals(np.vstack([evaluate(spec, lam, e_i), spec.g[spec.g_rows]]),
                             check_finite=False)
         type1[i] = n - np.count_nonzero(svals > _kernel_tol(spec, lam, e_i, sp, svals[0], 2 * n))
-    return type1.tolist()
+    return type1.tolist(), svd
 
 
 @dataclass
@@ -885,12 +915,13 @@ def _companion_links(lams, zero_tol):
     """Links between values within the gap 1e-6 max(1, mean of their |.|),
     and between all values inside the zero band |lam| <= zero_tol: a
     defective zero pair can split symmetrically by slightly more than the
-    gap and must still report as one eigenvalue at the origin."""
+    gap and must still report as one eigenvalue at the origin.  A stack of
+    value rows gives a stack of link matrices."""
     mags = np.abs(lams)
-    near = np.abs(lams[:, None] - lams) <= 1e-6 * np.maximum(
-        1.0, 0.5 * (mags[:, None] + mags))
+    near = np.abs(lams[..., :, None] - lams[..., None, :]) <= 1e-6 * np.maximum(
+        1.0, 0.5 * (mags[..., :, None] + mags[..., None, :]))
     zero = mags <= zero_tol
-    return near | (zero[:, None] & zero)
+    return near | (zero[..., :, None] & zero[..., None, :])
 
 
 def _components(near):
@@ -1048,59 +1079,96 @@ def _modal_records(spec, etas):
             for lo, hi in zip([0] + ends[:-1].tolist(), ends.tolist())]
 
 
-def _companion_values(spec, eta):
-    """The shift, the finite values, their vectors and the number of
-    infinite ones, from the shifted, reversed companion of the pencil."""
-    n = spec.n
-    sigma = choose_shift(spec, eta)
-    l0 = evaluate(spec, sigma, eta)
-    p1 = 2.0 * sigma * spec.m - eta * spec.g
-    p2 = spec.m
-    import scipy.linalg as sla
-    lu, piv = sla.lu_factor(l0, check_finite=False)
-    # one refinement pass; the companion blocks must be accurate enough that
-    # defective clusters split below the clustering gap
-    b2 = sla.lu_solve((lu, piv), p2, check_finite=False)
-    b2 += sla.lu_solve((lu, piv), p2 - l0 @ b2, check_finite=False)
-    b1 = sla.lu_solve((lu, piv), p1, check_finite=False)
-    b1 += sla.lu_solve((lu, piv), p1 - l0 @ b1, check_finite=False)
+def _companion_values(spec, etas, sigmas):
+    """The finite values of the shifted, reversed companion of the pencil
+    at each of etas, with the shifts sigmas: one stacked solve for the
+    blocks of all the companions and one stacked eig of them.
 
-    comp = np.zeros((2 * n, 2 * n))
-    comp[:n, n:] = np.eye(n)
-    comp[n:, :n] = -b2
-    comp[n:, n:] = -b1
+    Returns the owner (index into etas) of each finite value, the values
+    and their vectors (columns), eta by eta and in each eta's eig order;
+    which etas' eigenvalues all came out real; and the number of infinite
+    values per eta.
+    """
+    n = spec.n
+    s = np.array(sigmas)[:, None, None]
+    e = np.array(etas)[:, None, None]
+    # L(sigma, eta) as evaluate() forms it, and [M | 2 sigma M - eta G]
+    l0 = (s * s) * spec.m - (s * e) * spec.g - spec.a
+    rhs = np.concatenate([np.broadcast_to(spec.m, l0.shape), 2.0 * s * spec.m - e * spec.g],
+                         axis=2)
+    try:
+        blocks = np.linalg.solve(l0, rhs)
+        # one refinement pass; the companion blocks must be accurate enough
+        # that defective clusters split below the clustering gap
+        blocks += np.linalg.solve(l0, rhs - l0 @ blocks)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence("solve failed: %s" % exc)
+    comp = np.zeros((len(etas), 2 * n, 2 * n))
+    comp[:, :n, n:] = np.eye(n)
+    comp[:, n:] = -blocks
     dec = linalg.eigen_standard(comp)
-    mus = dec.values
-    vecs = dec.vectors
+    mus, vecs = dec.values, dec.vectors
+    real = ~np.any(mus.imag != 0.0, axis=1)
 
     tau_inf = 1e-10 * max(1.0, spec.spec_norm)
     # defective chains at infinity split at sqrt(eps) under rounding, which
-    # lands above tau_inf; catch those by their vanishing mass content
+    # lands above tau_inf; catch those by their vanishing mass content (the
+    # vectors taken as complex, so an eta's test does not depend on whether
+    # another eta of the stack made the stack complex)
     tau_soft = 1e-7 * max(1.0, spec.spec_norm)
-    m_floor = 1e-6 * spec.norm_m
     amus = np.abs(mus)
     keep = amus >= tau_inf
-    for i in np.flatnonzero(keep & (amus < tau_soft)):
-        v = vecs[:n, i]
-        nv = np.linalg.norm(v)
-        if nv > 0.0 and np.linalg.norm(spec.m @ v) <= m_floor * nv:
-            keep[i] = False
-    finite_idx = np.flatnonzero(keep)
-    return sigma, sigma + 1.0 / mus[finite_idx], vecs[:n, finite_idx], 2 * n - finite_idx.size
+    t, j = np.nonzero(keep & (amus < tau_soft))
+    if t.size:
+        v = vecs[t, :n, j].astype(complex)
+        nv = np.linalg.norm(v, axis=1)
+        mv = np.linalg.norm(np.matmul(spec.m, v[:, :, None])[:, :, 0], axis=1)
+        keep[t, j] = (nv == 0.0) | (mv > 1e-6 * spec.norm_m * nv)
+    t, j = np.nonzero(keep)
+    return (t, np.array(sigmas)[t] + 1.0 / mus[t, j], vecs[t, :n, j].T, real,
+            2 * n - np.bincount(t, minlength=len(etas)))
 
 
-def _companion_records(spec, eta, lams, vecs):
-    """Records of the companion route, grouped by _companion_links.  A
-    record of one value keeps its eigenvector; a record of several takes
-    geo and a kernel basis from an SVD of L at its mean."""
-    import scipy.linalg as sla
-    n = spec.n
-    label = _relabel(_components(_companion_links(lams, _ZERO_BAND * spec.scale)))
+def _companion_records(spec, etas, owner, lams, vecs, real):
+    """Records of the companion route from _companion_values, and the eta
+    (index into etas) of each.
+
+    The values are grouped by _companion_links on a padded stack with a
+    link matrix per eta, into one numbering of the records of all etas,
+    eta by eta.  A record of one value keeps its eigenvector; a record of
+    several takes geo and a kernel basis from an SVD of L at its mean.
+    """
+    n, ntar = spec.n, len(etas)
+    counts = np.bincount(owner, minlength=ntar)
+    width = int(counts.max(initial=0))
+    valid = np.arange(width) < counts[:, None]
+    padded = np.zeros((ntar, width), dtype=lams.dtype)
+    padded[valid] = lams
+    near = _companion_links(padded, _ZERO_BAND * spec.scale)
+    near &= valid[:, :, None] & valid[:, None, :]
+    near |= np.eye(width, dtype=bool)
+    label = _relabel(_components(near)[valid] + width * owner)
     alg, rep, spread = _groups(label, lams)
+    rec_eta = np.zeros(alg.size, dtype=int)
+    rec_eta[label] = owner
+
+    # solved alone, an eta whose eigenvalues are all real has real vectors,
+    # and _simple_pairs' products take their path by dtype: the simple
+    # values of such etas go in one call as real, the others in a second
     simple = alg[label] == 1
-    kvecs, resids = _simple_pairs(spec, eta, lams[simple], vecs[:, simple])
-    cols, col_res, col_rec = [kvecs], [resids], [label[simple]]
+    cols, col_res, col_rec = [np.zeros((n, 0))], [np.zeros(0)], [np.zeros(0, dtype=int)]
+    for is_real in (True, False):
+        part = simple & (real[owner] == is_real)
+        if part.any():
+            v = np.asfortranarray(vecs[:, part].real) if is_real else vecs[:, part]
+            kvecs, resids = _simple_pairs(spec, np.array(etas)[owner[part]], lams[part], v,
+                                          owner[part])
+            cols.append(kvecs)
+            col_res.append(resids)
+            col_rec.append(label[part])
+    import scipy.linalg as sla
     for k in np.flatnonzero(alg > 1).tolist():
+        eta = etas[rec_eta[k]]
         _, s, vh = sla.svd(evaluate(spec, _real_if_zero_imag(complex(rep[k])), eta),
                            check_finite=False)
         tol = _kernel_tol(spec, rep[k], eta, spread[k], float(s[0]), n)
@@ -1108,8 +1176,50 @@ def _companion_records(spec, eta, lams, vecs):
         cols.append(vh[n - geo:].conj().T)
         col_res.append(np.full(geo, s[n - geo]))
         col_rec.append(np.full(geo, k))
-    return _records(rep, alg, spread, np.concatenate(col_rec), np.hstack(cols),
-                    np.concatenate(col_res))
+    cols = np.hstack(cols)
+    records = _records(rep, alg, spread, np.concatenate(col_rec), cols, np.concatenate(col_res))
+    # alone, such an eta's records share one real array, unless one of
+    # them holds several values (its SVD basis is complex)
+    real_vecs = real & (np.bincount(rec_eta[alg > 1], minlength=ntar) == 0)
+    if np.iscomplexobj(cols) and real_vecs.any():
+        for rec, t in zip(records, rec_eta.tolist()):
+            if real_vecs[t]:
+                rec.vectors = rec.vectors.real
+    return records, rec_eta
+
+
+def _companion_spectra(spec, etas):
+    """spectrum() at each of etas on the companion route, each step run
+    once over all of them.
+
+    Each eta takes its own shift (choose_shift).  An eta without one
+    raises only once the etas before it are solved, so the first eta to
+    fail gives the error, as it would alone.
+    """
+    ntar = len(etas)
+    sigmas = []
+    for eta in etas:
+        try:
+            sigmas.append(choose_shift(spec, eta))
+        except ShiftExhausted:
+            if sigmas:
+                _companion_spectra(spec, etas[:len(sigmas)])
+            raise
+    owner, lams, vecs, real, discarded = _companion_values(spec, etas, sigmas)
+    records, rec_eta = _companion_records(spec, etas, owner, lams, vecs, real)
+    classified = spec.rank_one is not None and spec.ker_ma_trivial
+    if classified:
+        type1, svd = _vector_type1(spec, np.array(etas)[rec_eta], records)
+    else:
+        type1, svd = [0] * len(records), np.zeros(len(records), dtype=bool)
+    fallbacks = np.bincount(rec_eta[svd], minlength=ntar).tolist()
+    ends = np.cumsum(np.bincount(rec_eta, minlength=ntar)).tolist()
+    return [_result(spec, eta, records[lo:hi], type1[lo:hi], d, classified, {
+        "route": "companion", "shift": sigma,
+        "type1_from": "kernel_vectors" if classified else "unclassified",
+        "type1_svd_fallbacks": f})
+        for eta, sigma, d, f, lo, hi in zip(etas, sigmas, discarded.tolist(), fallbacks,
+                                            [0] + ends[:-1], ends)]
 
 
 # Elements allowed in each batched temporary of spectra(): a chunk holds as
@@ -1120,13 +1230,16 @@ _BATCH_ELEMENTS = 2 ** 18
 def spectra(spec, etas):
     """spectrum(spec, eta) for each of etas, in order.
 
-    On the modal route the etas go in chunks, and each step of
-    _modal_records runs once per chunk, so a track's targets share the
-    per-call overhead.  A chunk holds as many etas as keep every batched
-    temporary (companions, disc links, kernel columns) within
-    _BATCH_ELEMENTS elements, and one eta when a single one exceeds it.
-    The companion route solves eta by eta.  The results are bitwise those
-    of one call per eta.
+    The etas go in chunks, and each step of the route runs once per chunk,
+    so a track's targets share the per-call overhead.  A chunk holds as
+    many etas as keep every batched temporary within _BATCH_ELEMENTS
+    elements, and one eta when a single one exceeds it: on the modal route
+    the disc links over coupled values and group means and the residual
+    products over kernel columns (_modal_records); on the companion route
+    the companions and their eigenvectors, the value links and the
+    residual products (_companion_spectra: one stacked solve and one
+    stacked eig, each eta with its own shift).  The results are bitwise
+    those of one call per eta.
     """
     for eta in etas:
         if not (-1e-12 <= eta <= 1.0 + 1e-12):
@@ -1136,27 +1249,24 @@ def spectra(spec, etas):
     if spec.rank_one is not None and spec.m_definite:
         md = _modes(spec)
         m = md.cpl.size
-        # the largest per-eta temporaries: the disc links over coupled values
-        # and group means, and the residual products over kernel columns
-        links = (2 * m + md.g_mean.size) ** 2
-        cols = spec.residual_stack.shape[0] * (2 * m + md.d_vecs.shape[1])
-        size = max(1, _BATCH_ELEMENTS // max(links, cols))
-        solved = []
-        for s in range(0, len(etas), size):
-            solved.extend(_modal_records(spec, etas[s:s + size]))
-        solver = "secular" if m >= _SECULAR_MIN_M else "eigvals"
-        return [_result(spec, eta, records, type1, 0, True, {
-            "route": "modal", "type1_from": "modes", "coupled_modes": m,
-            "coupled_solver": solver}) for eta, (records, type1) in zip(etas, solved)]
+        per_eta = max((2 * m + md.g_mean.size) ** 2,
+                      spec.residual_stack.shape[0] * (2 * m + md.d_vecs.shape[1]))
+        diagnostics = {"route": "modal", "type1_from": "modes", "coupled_modes": m,
+                       "coupled_solver": "secular" if m >= _SECULAR_MIN_M else "eigvals"}
+
+        def solve(part):
+            return [_result(spec, eta, records, type1, 0, True, dict(diagnostics))
+                    for eta, (records, type1) in zip(part, _modal_records(spec, part))]
+    else:
+        # the companions' eigenvectors and the residual products, complex
+        # (two elements per entry)
+        n = spec.n
+        per_eta = 2 * max(4 * n * n, spec.residual_stack.shape[0] * 2 * n)
+        solve = functools.partial(_companion_spectra, spec)
+    size = max(1, _BATCH_ELEMENTS // max(1, per_eta))
     out = []
-    for eta in etas:
-        sigma, lams, vecs, discarded = _companion_values(spec, eta)
-        records = _companion_records(spec, eta, lams, vecs)
-        classified = spec.rank_one is not None and spec.ker_ma_trivial
-        type1 = _vector_type1(spec, eta, records) if classified else [0] * len(records)
-        out.append(_result(spec, eta, records, type1, discarded, classified, {
-            "route": "companion", "shift": sigma, "type1_from":
-            "kernel_vectors" if classified else "unclassified"}))
+    for s in range(0, len(etas), size):
+        out.extend(solve(etas[s:s + size]))
     return out
 
 
@@ -1211,7 +1321,7 @@ def classify_type(spec, record, eta=1.0):
         raise InvalidInput("type classification requires the rank-one flag")
     if not spec.ker_ma_trivial:
         raise PreconditionKerMA("ker M ∩ ker A must be trivial")
-    t1 = min(_vector_type1(spec, eta, [record])[0], record.alg_mult)
+    t1 = min(_vector_type1(spec, eta, [record])[0][0], record.alg_mult)
     return t1, record.alg_mult - t1
 
 

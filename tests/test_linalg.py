@@ -50,6 +50,19 @@ def test_eigen_standard_sorted_with_residuals():
             1.0, linalg.max_abs(m))
 
 
+def test_eigen_standard_stack_matches_single_calls():
+    # each item of a stack is solved and sorted as one call alone, bit for
+    # bit; the stack is complex as soon as one item has nonreal values
+    rng = np.random.default_rng(5)
+    sym = rng.normal(size=(6, 6))
+    stack = np.stack([rng.normal(size=(6, 6)), sym + sym.T, rng.normal(size=(6, 6))])
+    dec = linalg.eigen_standard(stack)
+    for t, mat in enumerate(stack):
+        one = linalg.eigen_standard(mat)
+        assert np.array_equal(dec.values[t], one.values)
+        assert np.array_equal(dec.vectors[t], one.vectors)
+
+
 def test_smallest_singular_value():
     m = np.diag([4.0, 0.5, 2.0])
     assert linalg.smallest_singular_value(m) == pytest.approx(0.5)

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gyropencil import checks, fixtures, linalg, pencil, sturm
-from gyropencil.errors import ConditionViolation, GyropencilError, MassNotDefinite
+from gyropencil.errors import (
+    ConditionViolation, GyropencilError, MassNotDefinite, NoConvergence, ShiftExhausted,
+)
 from gyropencil.pencil import (
     PencilSpec, RankOneCoupling,
     choose_shift, classify_type, evaluate, geometric_multiplicity,
@@ -389,7 +391,15 @@ def test_companion_types_take_no_stacked_svd(monkeypatch):
 def test_spectrum_diagnostics():
     res = spectrum(fixtures.w1(), 1.0)
     assert res.diagnostics == {"route": "companion", "shift": choose_shift(fixtures.w1(), 1.0),
-                               "type1_from": "kernel_vectors", "discarded_infinite": 1}
+                               "type1_from": "kernel_vectors", "type1_svd_fallbacks": 0,
+                               "discarded_infinite": 1}
+    # the value 0 lies in the zero band, so its record takes the stacked
+    # nullity's SVD; the value eta b = 0.5 does not
+    spec = PencilSpec(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+                      rank_one=RankOneCoupling(1.0, 0))
+    res = spectrum(spec, 0.5)
+    assert np.allclose([r.lam for r in res.records], [0.0, 0.5], rtol=0.0, atol=1e-12)
+    assert res.diagnostics["type1_svd_fallbacks"] == 1
     prob = dataclasses.replace(fixtures.sl_double_q4(), n=12)
     res = spectrum(sturm.discretize(prob), 1.0)
     assert res.diagnostics == {"route": "modal", "type1_from": "modes",
@@ -474,7 +484,24 @@ _SPECTRA_GENERATORS = dict(_GENERATORS, **{
     "double": _double_string,
     "definite": support.rand_definite_spec,
     "singular": support.identity_block_spec,
+    "w1": lambda rng: fixtures.w1(),
+    "w2": lambda rng: fixtures.w2(),
+    "shifts": lambda rng: _shift_split_spec(),
 })
+
+
+_S1 = pencil._SHIFTS[1]
+
+
+def _shift_split_spec():
+    """M = diag(1, 1, 0), G = e_1 e_1^T and A = diag(0, s1^2 - s1 / 2, 1),
+    s1 the second shift of the ladder: L(s1, eta) is singular at eta = 0.5
+    only, so the shift is s1 at eta = 0.3 and 0.7 and the next one at 0.5.
+    The values are a double 0, one infinite pair and the roots of
+    lam^2 - eta lam - A_11, nonreal at eta = 0.3 and real at 0.5 and 0.7."""
+    return PencilSpec(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 1.0, 0.0]),
+                      np.diag([0.0, _S1 ** 2 - 0.5 * _S1, 1.0]),
+                      rank_one=RankOneCoupling(1.0, 1))
 
 
 def _bits(res):
@@ -504,6 +531,9 @@ def _outcome(solve):
        st.sampled_from([None, 0, 10**9]))
 @example("kernel", 7, [0.0, 0.5, 0.0, 1.0], 300, None)
 @example("double", 1, [0.0, 1e-9, 0.3, 1.0, 0.6], 3000, None)
+@example("w1", 0, [0.5, 1.0, 0.75, 0.9, 1.0], pencil._BATCH_ELEMENTS, None)
+@example("w2", 0, [0.0, 0.5, 1.0], pencil._BATCH_ELEMENTS, None)
+@example("shifts", 0, [0.3, 0.5, 0.7], pencil._BATCH_ELEMENTS, None)
 def test_spectra_match_spectrum_bitwise(kind, seed, etas, budget, crossover):
     # eta = 0 puts the coupled values on their poles, the kernel specs hold
     # values in the zero band, a small element budget makes chunks end
@@ -517,6 +547,38 @@ def test_spectra_match_spectrum_bitwise(kind, seed, etas, budget, crossover):
         got = _outcome(lambda: [_bits(r) for r in pencil.spectra(spec, etas)])
         want = _outcome(lambda: [_bits(spectrum(spec, eta)) for eta in etas])
     assert got == want
+
+
+def test_companion_shift_per_eta():
+    # one stack of etas with two shifts: each eta keeps its own
+    spec = _shift_split_spec()
+    etas = [0.3, 0.5, 0.7]
+    shifts = [r.diagnostics["shift"] for r in pencil.spectra(spec, etas)]
+    assert shifts == [_S1, pencil._SHIFTS[2], _S1] == [choose_shift(spec, e) for e in etas]
+    for eta in etas:
+        assert spectrum(spec, eta).diagnostics["shift"] == choose_shift(spec, eta)
+
+
+@pytest.mark.parametrize("etas", [[0.3, 0.7, 0.5], [0.3, 0.5, 0.7], [0.7, 0.5], [0.5, 0.3]])
+@pytest.mark.parametrize("budget", [1, pencil._BATCH_ELEMENTS])
+def test_companion_spectra_fail_at_the_first_failing_eta(monkeypatch, etas, budget):
+    # s1 leaves L(s1, 0.5) exactly singular, so the stacked solve fails
+    # there (a LinAlgError, raised as NoConvergence); eta = 0.7 has no
+    # shift.  The batch raises what the first failing eta raises alone
+    spec = _shift_split_spec()
+
+    def shift(spec, eta):
+        if eta == 0.7:
+            raise ShiftExhausted("no candidate shift regularizes L(sigma, eta=0.7)")
+        return _S1
+
+    monkeypatch.setattr(pencil, "choose_shift", shift)
+    monkeypatch.setattr(pencil, "_BATCH_ELEMENTS", budget)
+    first = {0.5: (NoConvergence, "solve failed: Singular matrix"),
+             0.7: (ShiftExhausted, "no candidate shift regularizes L(sigma, eta=0.7)")}
+    want = first[next(eta for eta in etas if eta in first)]
+    assert _outcome(lambda: pencil.spectra(spec, etas)) == want
+    assert _outcome(lambda: [spectrum(spec, eta) for eta in etas]) == want
 
 
 @settings(max_examples=60, deadline=None)
