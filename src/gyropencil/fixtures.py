@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from . import serialize
-from .pencil import PencilSpec, RankOneCoupling
+from .pencil import PencilSpec
 from .sturm import SLProblem
 
 
@@ -19,10 +19,7 @@ def w1():
     m = np.diag([1.0, 0.0])
     g = np.diag([0.0, 1.0])
     a = np.eye(2)
-    return PencilSpec(
-        m, g, a, rank_one=RankOneCoupling(b=1.0, e_index=1),
-        m_kind="identity_block",
-    )
+    return PencilSpec(m, g, a, m_kind="identity_block")
 
 
 def w2():
@@ -30,10 +27,7 @@ def w2():
     m = np.diag([1.0, 0.0])
     g = np.diag([0.0, 1.0])
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return PencilSpec(
-        m, g, a, rank_one=RankOneCoupling(b=1.0, e_index=1),
-        m_kind="identity_block",
-    )
+    return PencilSpec(m, g, a, m_kind="identity_block")
 
 
 def w3():
@@ -41,10 +35,7 @@ def w3():
     m = np.eye(2)
     g = np.diag([0.0, 1.0])
     a = np.diag([1.0, -0.09])
-    return PencilSpec(
-        m, g, a, rank_one=RankOneCoupling(b=1.0, e_index=1),
-        m_kind="identity_block",
-    )
+    return PencilSpec(m, g, a, m_kind="identity_block")
 
 
 def sl_single_q4():

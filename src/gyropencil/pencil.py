@@ -2,8 +2,10 @@
 
 M and G are real symmetric positive semidefinite, A real symmetric, and the
 joint kernel of the three matrices is trivial.  The featured case carries a
-rank-one coupling G = b e e^T.  spectrum() solves one eta and spectra() a
-list of them, by one of two routes:
+rank-one coupling G = b e e^T on a coordinate axis; PencilSpec finds it
+from G itself (spec.rank_one), whatever form G came in, so one (M, G, A)
+always gives one answer.  spectrum() solves one eta and spectra() a list
+of them, by one of two routes:
 
 - M definite with an axis rank-one G (the modal route): the modes of
   (A, M) are solved once per spec.  Modes without a component on the
@@ -54,7 +56,8 @@ _EPS = np.finfo(float).eps
 
 @dataclass
 class RankOneCoupling:
-    """G = b * e e^T with e a coordinate axis (e_index, 0-based)."""
+    """G = b * e e^T with b > 0 and e a coordinate axis (e_index, 0-based),
+    as PencilSpec finds it from G (_axis_coupling)."""
 
     b: float
     e_index: int
@@ -83,6 +86,16 @@ def _diagonal(mat):
     return diag.copy()
 
 
+def _axis_coupling(g_diag, g_rows):
+    """RankOneCoupling(b, k) when G = b e_k e_k^T with b > 0, else None:
+    G is real diagonal (g_diag not None) and its one nonzero row holds a
+    positive entry.  An exact test on G's entries, with no tolerance."""
+    if g_diag is None or g_rows.size != 1 or not g_diag[g_rows[0]] > 0:
+        return None
+    k = int(g_rows[0])
+    return RankOneCoupling(b=float(g_diag[k]), e_index=k)
+
+
 def _eigvalsh(mat, diag):
     """Ascending eigenvalues of the symmetric part of mat.  For a diagonal
     matrix they are its sorted diagonal, which is what eigvalsh returns."""
@@ -97,17 +110,17 @@ class PencilSpec:
 
     beta = max(0, -lambda_min(A)) is the lower-bound constant of A,
     m_mass = lambda_min(M), g_top = lambda_max(G).  scale is used to make
-    thresholds dimensionless.
+    thresholds dimensionless.  rank_one is the RankOneCoupling when G's
+    only nonzero entry is a positive diagonal one, else None.
     """
 
-    def __init__(self, m, g, a, rank_one=None, validate=True, m_kind="dense"):
+    def __init__(self, m, g, a, validate=True, m_kind="dense"):
         self.m = linalg.as_matrix(m, "M")
         self.g = linalg.as_matrix(g, "G")
         self.a = linalg.as_matrix(a, "A")
         if self.m.shape != self.g.shape or self.m.shape != self.a.shape:
             raise DimensionMismatch("M, G, A must share one shape")
         self.n = self.m.shape[0]
-        self.rank_one = rank_one
         # serialization hint only; no semantic content
         self.m_kind = m_kind
 
@@ -115,8 +128,10 @@ class PencilSpec:
         self.m_diag = _diagonal(self.m)
         # the rows of G that hold a nonzero entry
         self.g_rows = np.flatnonzero(np.any(self.g != 0.0, axis=1))
+        g_diag = _diagonal(self.g)
+        self.rank_one = _axis_coupling(g_diag, self.g_rows)
         m_eigs = _eigvalsh(self.m, self.m_diag)
-        g_eigs = _eigvalsh(self.g, _diagonal(self.g))
+        g_eigs = _eigvalsh(self.g, g_diag)
         a_eigs = _eigvalsh(self.a, _diagonal(self.a))
         self.m_mass = float(m_eigs[0])
         self.g_min = float(g_eigs[0])
@@ -218,15 +233,6 @@ def validate_condition_I(spec):
     joint = (sym_m and sym_g and sym_a and spec.m_mass > bound) or (
         linalg.rank_with_tol(np.vstack([spec.m, spec.g, spec.a])) == spec.n)
     clauses.append(("joint_kernel_trivial", joint, "rank[M;G;A] vs n=%d" % spec.n))
-    if spec.rank_one is not None:
-        b = spec.rank_one.b
-        k = spec.rank_one.e_index
-        ok = b > 0 and 0 <= k < spec.n
-        if ok:
-            outer = np.zeros_like(spec.g)
-            outer[k, k] = b
-            ok = float(np.linalg.norm(spec.g - outer)) <= 1e-10 * b
-        clauses.append(("g_rank_one_consistent", ok, "b=%r e_index=%r" % (b, k)))
     return ConditionReport(clauses)
 
 
@@ -1318,7 +1324,7 @@ def classify_type(spec, record, eta=1.0):
     multiplicity is not asserted (the record should carry zero_flagged).
     """
     if spec.rank_one is None:
-        raise InvalidInput("type classification requires the rank-one flag")
+        raise InvalidInput("type classification requires G = b e_k e_k^T")
     if not spec.ker_ma_trivial:
         raise PreconditionKerMA("ker M ∩ ker A must be trivial")
     t1 = min(_vector_type1(spec, eta, [record])[0][0], record.alg_mult)

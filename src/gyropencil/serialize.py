@@ -1,9 +1,11 @@
 """JSON and CSV formats for pencils, problems, spectra, zeros, and tracks.
 
 Pencil files preserve their structural hints (diagonal mass, identity
-block, rank-one coupling), so load followed by save is byte-identical:
-floats go through json's shortest round-trip repr and the key order is
-fixed.
+block), so load followed by save is byte-identical: floats go through
+json's shortest round-trip repr and the key order is fixed.  The
+`rank_one` G kind is shorthand for b e e^T: the spec finds that coupling
+from G whatever the kind, and a spec with one is written back in
+`rank_one` form.
 """
 
 import json
@@ -11,7 +13,7 @@ import json
 import numpy as np
 
 from .errors import InvalidInput
-from .pencil import PencilSpec, RankOneCoupling
+from .pencil import PencilSpec
 from .sturm import SLProblem
 
 
@@ -74,7 +76,6 @@ def pencil_from_dict(d, validate=True):
 
     gspec = d["G"]
     _require(isinstance(gspec, dict) and "kind" in gspec, "bad G block")
-    rank_one = None
     if gspec["kind"] == "rank_one":
         b = gspec.get("b")
         e_index = gspec.get("e_index")
@@ -83,7 +84,6 @@ def pencil_from_dict(d, validate=True):
                  "e_index out of range")
         g = np.zeros((n, n))
         g[e_index, e_index] = float(b)
-        rank_one = RankOneCoupling(b=float(b), e_index=e_index)
     elif gspec["kind"] == "dense":
         g = np.asarray(gspec.get("data", []), dtype=float)
         _require(g.shape == (n, n), "G must be n by n")
@@ -96,10 +96,7 @@ def pencil_from_dict(d, validate=True):
     a = np.asarray(aspec.get("data", []), dtype=float)
     _require(a.shape == (n, n), "A must be n by n")
 
-    return PencilSpec(
-        m, g, a, rank_one=rank_one, validate=validate,
-        m_kind=mspec["kind"],
-    )
+    return PencilSpec(m, g, a, validate=validate, m_kind=mspec["kind"])
 
 
 def save_pencil(spec, path):

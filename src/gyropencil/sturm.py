@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .pencil import PencilSpec, RankOneCoupling
+from .pencil import PencilSpec
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,7 @@ def _string_pencil(problem, q, segments):
         a_h[nodes, nodes] += main + q * w
         a_h[nodes[:-1], nodes[1:]] = a_h[nodes[1:], nodes[:-1]] = -1.0 / h
     g_h[-1, -1] = problem.alpha
-    return PencilSpec(
-        m_h, g_h, a_h,
-        rank_one=RankOneCoupling(b=problem.alpha, e_index=dim - 1),
-        m_kind="diag",
-    )
+    return PencilSpec(m_h, g_h, a_h, m_kind="diag")
 
 
 def discretize_single(problem):

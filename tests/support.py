@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
-from gyropencil.pencil import PencilSpec, RankOneCoupling
+from gyropencil.pencil import PencilSpec
 from gyropencil import rootfind
 from gyropencil.errors import SubdivisionStall
 from gyropencil.rootfind import RootWindow, ZeroRecord
@@ -102,15 +102,13 @@ def rand_condition1_spec(rng, n_max=8):
     qmat = rand_orth(rng, n)
     a = qmat @ np.diag(rng.uniform(-5.0, 5.0, size=n)) @ qmat.T
     a = 0.5 * (a + a.T)
-    return PencilSpec(m, g, a, rank_one=RankOneCoupling(b=b, e_index=e_index))
+    return PencilSpec(m, g, a)
 
 
 def permuted_spec(spec, perm):
-    """The same rank-one pencil with coordinate i moved to position inv[i]."""
+    """The same pencil with coordinate i moved to position inv[i]."""
     sub = np.ix_(perm, perm)
-    e_index = int(np.argsort(perm)[spec.rank_one.e_index])
-    return PencilSpec(spec.m[sub], spec.g[sub], spec.a[sub],
-                      rank_one=RankOneCoupling(b=spec.rank_one.b, e_index=e_index))
+    return PencilSpec(spec.m[sub], spec.g[sub], spec.a[sub])
 
 
 def kernel_engineered_spec(rng, n_max=8):
@@ -155,7 +153,7 @@ def kernel_engineered_spec(rng, n_max=8):
     b = float(rng.uniform(0.2, 2.0))
     g = np.zeros((n, n))
     g[e_index, e_index] = b
-    spec = PencilSpec(m, g, a, rank_one=RankOneCoupling(b=b, e_index=e_index))
+    spec = PencilSpec(m, g, a)
     return spec, k, p
 
 
@@ -433,7 +431,7 @@ def mirror_spec(rng):
     e_index = n - 1 if rng.integers(2) else int(rng.integers(s))
     g = np.zeros((n, n))
     g[e_index, e_index] = b
-    return PencilSpec(m, g, a, rank_one=RankOneCoupling(b=b, e_index=e_index))
+    return PencilSpec(m, g, a)
 
 
 def stacked_type1(spec, lams, eta, spreads):
@@ -476,7 +474,7 @@ def identity_block_spec(rng, n_max=8):
     e_index = int(rng.integers(k, n))
     g = np.zeros((n, n))
     g[e_index, e_index] = b
-    return PencilSpec(m, g, a, rank_one=RankOneCoupling(b=b, e_index=e_index))
+    return PencilSpec(m, g, a)
 
 
 def mirror_singular_spec(rng):
@@ -506,7 +504,7 @@ def mirror_singular_spec(rng):
     b = float(rng.uniform(0.2, 2.0))
     g = np.zeros((n, n))
     g[-1, -1] = b
-    return PencilSpec(m, g, a, rank_one=RankOneCoupling(b=b, e_index=n - 1))
+    return PencilSpec(m, g, a)
 
 
 def with_decoupled_copies(spec, lam0, copies):
@@ -519,7 +517,7 @@ def with_decoupled_copies(spec, lam0, copies):
         big[:spec.n, :spec.n] = small
     m[spec.n:, spec.n:] = np.eye(copies)
     a[spec.n:, spec.n:] = lam0 * lam0 * np.eye(copies)
-    return PencilSpec(m, g, a, rank_one=spec.rank_one)
+    return PencilSpec(m, g, a)
 
 
 def _error_bound_groups(vals, bounds, zero_tol):

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from gyropencil import checks, fixtures, linalg, serialize, sturm
 from gyropencil.errors import EnumerationAmbiguous, HypothesisViolated
 from gyropencil.pencil import (
-    EigenRecord, PencilSpec, RankOneCoupling, SpectrumResult, spectra, spectrum,
+    EigenRecord, PencilSpec, SpectrumResult, spectra, spectrum,
 )
 
 import support
@@ -46,7 +46,7 @@ def test_zero_multiplicity_axis_in_kernel():
     m = np.eye(3)
     g = np.diag([1.0, 0.0, 0.0])
     a = np.diag([0.0, 1.0, 2.0])
-    spec = PencilSpec(m, g, a, rank_one=RankOneCoupling(b=1.0, e_index=0))
+    spec = PencilSpec(m, g, a)
     res = spectrum(spec, 1.0)
     assert res.find(0.0).alg_mult == 1
     c = checks.check_zero_multiplicity(spec, res)
@@ -58,7 +58,7 @@ def test_zero_multiplicity_kernel_off_axis():
     m = np.eye(3)
     g = np.diag([0.0, 0.0, 1.0])
     a = np.diag([0.0, 1.0, 2.0])
-    spec = PencilSpec(m, g, a, rank_one=RankOneCoupling(b=1.0, e_index=2))
+    spec = PencilSpec(m, g, a)
     res = spectrum(spec, 1.0)
     assert res.find(0.0).alg_mult == 2
     c = checks.check_zero_multiplicity(spec, res)
@@ -87,7 +87,7 @@ def test_type2_statistics_golden_ratio_instance():
     m = np.eye(2)
     g = np.diag([0.0, 1.0])
     a = np.diag([-1.0, 1.0])
-    spec = PencilSpec(m, g, a, rank_one=RankOneCoupling(b=1.0, e_index=1))
+    spec = PencilSpec(m, g, a)
     st = checks.type2_statistics(spec, 1.0)
     assert len(st.moduli) == 1
     assert st.moduli[0] == pytest.approx((np.sqrt(5.0) - 1.0) / 2.0)
@@ -101,7 +101,7 @@ def test_type2_statistics_all_positive_instance():
     m = np.eye(2)
     g = np.diag([0.0, 1.0])
     a = np.diag([1.0, 1.0])
-    spec = PencilSpec(m, g, a, rank_one=RankOneCoupling(b=1.0, e_index=1))
+    spec = PencilSpec(m, g, a)
     st = checks.type2_statistics(spec, 1.0)
     assert st.moduli == [pytest.approx((np.sqrt(5.0) - 1.0) / 2.0)]
     assert (st.kappa_i, st.kappa_ii, st.kappa_tilde, st.kappa_a) == (0, 0, 0.0, 0)
@@ -131,7 +131,7 @@ def test_statistics_need_definite_mass_plus_gyro():
     m = np.diag([1.0, 0.0, 0.0])
     g = np.diag([0.0, 1.0, 0.0])
     a = np.diag([0.0, 1.0, 1.0])
-    spec = PencilSpec(m, g, a, rank_one=RankOneCoupling(b=1.0, e_index=1))
+    spec = PencilSpec(m, g, a)
     with pytest.raises(HypothesisViolated):
         checks.type2_statistics(spec, 1.0)
 
@@ -209,8 +209,7 @@ def test_statistics_collision_message_order():
 
 
 def test_real_spectrum_when_a_psd():
-    spec = PencilSpec(np.eye(2), np.diag([0.0, 1.0]), np.diag([1.0, 0.25]),
-                      rank_one=RankOneCoupling(b=1.0, e_index=1))
+    spec = PencilSpec(np.eye(2), np.diag([0.0, 1.0]), np.diag([1.0, 0.25]))
     rep = checks.run_all(spec)
     by_name = {c.name: c for c in rep.checks}
     assert by_name["real_spectrum_when_a_psd"].status == "pass"

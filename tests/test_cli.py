@@ -57,6 +57,27 @@ def test_verify_pencil_pass(capsys, fixture_dir):
     assert "fail" not in statuses.values()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("name", ["W1", "W2", "W3"])
+def test_dense_g_gives_the_rank_one_payload(capsys, tmp_path, fixture_dir, name, command):
+    # the coupling is found from G, so spelling b e e^T out as a dense
+    # block changes no byte of the output
+    source = os.path.join(fixture_dir, name + ".json")
+    with open(source) as fh:
+        doc = json.load(fh)
+    n, gspec = doc["n"], doc["G"]
+    g = np.zeros((n, n))
+    g[gspec["e_index"], gspec["e_index"]] = gspec["b"]
+    doc["G"] = {"kind": "dense", "data": g.tolist()}
+    dense = os.path.join(tmp_path, name + ".json")
+    with open(dense, "w") as fh:
+        fh.write(serialize.dumps(doc))
+    outs = [run_cli(capsys, command, "--input", path, "--eta", "0.7")
+            for path in (source, dense)]
+    assert outs[0][0] == 0
+    assert outs[1] == outs[0]
+
+
 def test_verify_rejects_condition_violation_at_load(capsys, tmp_path):
     # an indefinite dense G is refused before any check runs
     doc = serialize.pencil_to_dict(fixtures.w3())

@@ -8,7 +8,7 @@ import pytest
 
 from gyropencil import linalg
 from gyropencil.errors import DimensionMismatch
-from gyropencil.pencil import PencilSpec, RankOneCoupling, count_negative_modes
+from gyropencil.pencil import PencilSpec, count_negative_modes
 
 
 def test_rank_zero_matrix():
@@ -71,7 +71,7 @@ def test_smallest_singular_value():
 def _axis_coupling(n, e_index, b=1.0):
     g = np.zeros((n, n))
     g[e_index, e_index] = b
-    return g, RankOneCoupling(b=b, e_index=e_index)
+    return g
 
 
 def test_count_negative_definite_mass():
@@ -85,8 +85,8 @@ def test_count_negative_scaled_mass():
     # lambda solves lambda m_i = a_i, so signs follow a_i for m_i > 0
     a = np.diag([-2.0, 4.0])
     m = np.diag([0.5, 8.0])
-    g, rank_one = _axis_coupling(2, 1)
-    assert count_negative_modes(PencilSpec(m, g, a, rank_one=rank_one)) == 1
+    g = _axis_coupling(2, 1)
+    assert count_negative_modes(PencilSpec(m, g, a)) == 1
     assert count_negative_modes(PencilSpec(m, np.eye(2), a)) == 1
 
 
@@ -102,8 +102,8 @@ def test_count_negative_random_congruence_invariance():
         m = r @ r.T + 0.3 * np.eye(n)
         linv = np.linalg.inv(np.linalg.cholesky(m))
         direct = int(np.sum(np.linalg.eigvalsh(linv @ a @ linv.T) < 0))
-        g, rank_one = _axis_coupling(n, int(rng.integers(n)))
-        assert count_negative_modes(PencilSpec(m, g, a, rank_one=rank_one)) == direct
+        g = _axis_coupling(n, int(rng.integers(n)))
+        assert count_negative_modes(PencilSpec(m, g, a)) == direct
         s = rng.normal(size=(n, n))
         dense_g = s @ s.T + 0.1 * np.eye(n)
         assert count_negative_modes(PencilSpec(m, dense_g, a)) == direct

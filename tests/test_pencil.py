@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from gyropencil import checks, fixtures, linalg, pencil, sturm
 from gyropencil.errors import (
-    ConditionViolation, GyropencilError, MassNotDefinite, NoConvergence, ShiftExhausted,
+    ConditionViolation, GyropencilError, InvalidInput, MassNotDefinite, NoConvergence,
+    ShiftExhausted,
 )
 from gyropencil.pencil import (
-    PencilSpec, RankOneCoupling,
+    PencilSpec,
     choose_shift, classify_type, evaluate, geometric_multiplicity,
     is_semisimple, nonreal_region, nonsimple_real_interval, spectrum,
     validate_condition_I,
@@ -157,11 +158,49 @@ def test_validate_report_without_raise():
     assert not rep.all_pass
 
 
-def test_rank_one_flag_must_match_g():
-    g = np.diag([1.0, 1.0])
-    with pytest.raises(ConditionViolation):
-        PencilSpec(np.eye(2), g, np.eye(2),
-                   rank_one=RankOneCoupling(b=1.0, e_index=1))
+@pytest.mark.parametrize("g", [
+    np.diag([1.0, 1.0]),
+    np.array([[1.0, 0.5], [0.5, 1.0]]),
+    np.ones((2, 2)),
+], ids=["two-diagonal", "off-diagonal-pair", "off-axis-rank-one"])
+def test_g_beyond_one_axis_is_not_rank_one(g):
+    # any G other than b e_k e_k^T carries no coupling: untyped, on the
+    # companion route even with M definite
+    spec = PencilSpec(np.eye(2), g, np.diag([1.0, 2.0]))
+    assert spec.rank_one is None
+    res = spectrum(spec, 0.5)
+    assert res.diagnostics["route"] == "companion"
+    assert res.diagnostics["type1_from"] == "unclassified"
+    with pytest.raises(InvalidInput, match="G = b e_k e_k"):
+        classify_type(spec, res.records[0], 0.5)
+    # one off-diagonal pair, or entry, alone: not PSD, and no coupling
+    for off in (np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([[0.0, 0.5], [0.0, 0.0]])):
+        assert PencilSpec(np.eye(2), off, np.eye(2), validate=False).rank_one is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_one_positive_diagonal_entry_is_the_coupling(n):
+    for k in range(n):
+        g = np.zeros((n, n))
+        g[k, k] = 0.75
+        spec = PencilSpec(np.eye(n), g, np.diag(np.arange(1.0, n + 1)))
+        assert (spec.rank_one.b, spec.rank_one.e_index) == (0.75, k)
+        assert spectrum(spec, 0.5).diagnostics["route"] == "modal"
+    # a negative entry is not a coupling (and not PSD)
+    g = np.zeros((n, n))
+    g[n - 1, n - 1] = -0.75
+    assert PencilSpec(np.eye(n), g, np.eye(n), validate=False).rank_one is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_permuted_coupling_moves_with_the_axis(seed):
+    rng = np.random.default_rng(seed)
+    spec = support.rand_condition1_spec(rng)
+    perm = rng.permutation(spec.n)
+    moved = support.permuted_spec(spec, perm)
+    assert moved.rank_one.b == spec.rank_one.b
+    assert perm[moved.rank_one.e_index] == spec.rank_one.e_index
 
 
 def test_choose_shift_deterministic():
@@ -395,8 +434,7 @@ def test_spectrum_diagnostics():
                                "discarded_infinite": 1}
     # the value 0 lies in the zero band, so its record takes the stacked
     # nullity's SVD; the value eta b = 0.5 does not
-    spec = PencilSpec(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
-                      rank_one=RankOneCoupling(1.0, 0))
+    spec = PencilSpec(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     res = spectrum(spec, 0.5)
     assert np.allclose([r.lam for r in res.records], [0.0, 0.5], rtol=0.0, atol=1e-12)
     assert res.diagnostics["type1_svd_fallbacks"] == 1
@@ -500,8 +538,7 @@ def _shift_split_spec():
     The values are a double 0, one infinite pair and the roots of
     lam^2 - eta lam - A_11, nonreal at eta = 0.3 and real at 0.5 and 0.7."""
     return PencilSpec(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 1.0, 0.0]),
-                      np.diag([0.0, _S1 ** 2 - 0.5 * _S1, 1.0]),
-                      rank_one=RankOneCoupling(1.0, 1))
+                      np.diag([0.0, _S1 ** 2 - 0.5 * _S1, 1.0]))
 
 
 def _bits(res):

@@ -212,8 +212,7 @@ _TINY_ETAS = (1e-100, 1e-160, 1e-200, 1e-300, 1e-305, 1e-308, 2.2e-311, 5e-324)
         float(np.random.default_rng(0).uniform(0.5, 2.0)), 2),
     # a coupled mode with mu = 0: the zero record's coupled vector sits
     # next to its pole, where w / (lam^2 - mu) overflowed
-    lambda: pencil.PencilSpec(np.eye(3), np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, -2.0]),
-                              rank_one=pencil.RankOneCoupling(b=1.0, e_index=0)),
+    lambda: pencil.PencilSpec(np.eye(3), np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, -2.0])),
 ], ids=["w3", "double-n3", "double-n12", "single-n3", "single-n12", "copies0", "zero-mode"])
 def test_tiny_eta_eigvals_source_values_are_the_poles(make):
     # below the crossover eigvals gives the coupled values; where each

@@ -51,6 +51,9 @@ def test_rank_one_expansion():
     expect[1, 1] = 2.5
     assert np.allclose(spec.g, expect)
     assert spec.rank_one.e_index == 1
+    # the same G spelled out densely is found and written back as rank_one
+    dense = dict(d, G={"kind": "dense", "data": expect.tolist()})
+    assert serialize.pencil_to_dict(serialize.pencil_from_dict(dense)) == d
 
 
 def test_schema_rejections():

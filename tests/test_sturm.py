@@ -344,4 +344,4 @@ def test_double_string_is_two_single_strings_joined(n, sign, q):
             assert block.tobytes() == want.tobytes()
     assert not double.a[np.ix_(segs[0][:-1], segs[1][:-1])].any()
     assert double.g.tobytes() == np.pad(single.g[-1:, -1:], (2 * n, 0)).tobytes()
-    assert double.rank_one == sturm.RankOneCoupling(b=1.7, e_index=2 * n)
+    assert (double.rank_one.b, double.rank_one.e_index) == (1.7, 2 * n)
