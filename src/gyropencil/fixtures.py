@@ -19,7 +19,7 @@ def w1():
     m = np.diag([1.0, 0.0])
     g = np.diag([0.0, 1.0])
     a = np.eye(2)
-    return PencilSpec(m, g, a, m_kind="identity_block")
+    return PencilSpec(m, g, a)
 
 
 def w2():
@@ -27,7 +27,7 @@ def w2():
     m = np.diag([1.0, 0.0])
     g = np.diag([0.0, 1.0])
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return PencilSpec(m, g, a, m_kind="identity_block")
+    return PencilSpec(m, g, a)
 
 
 def w3():
@@ -35,7 +35,7 @@ def w3():
     m = np.eye(2)
     g = np.diag([0.0, 1.0])
     a = np.diag([1.0, -0.09])
-    return PencilSpec(m, g, a, m_kind="identity_block")
+    return PencilSpec(m, g, a)
 
 
 def sl_single_q4():

@@ -26,10 +26,10 @@ of them, by one of two routes:
 
 On both routes spectra() runs each step once over a chunk of etas.
 
-Both routes group values into records by one connected-components pass
-over a link matrix, each with its own link rule: meeting inclusion discs
-on the modal route, the 1e-6 relative gap on the companion route.  Values
-inside the zero band form one record on both.
+Both routes group values into records by one rule, _disc_links and one
+connected-components pass: discs that meet are linked (certified
+inclusion discs on the modal route, first-order error discs on the
+companion route), and the values inside the zero band form one record.
 """
 
 import functools
@@ -114,15 +114,13 @@ class PencilSpec:
     only nonzero entry is a positive diagonal one, else None.
     """
 
-    def __init__(self, m, g, a, validate=True, m_kind="dense"):
+    def __init__(self, m, g, a, validate=True):
         self.m = linalg.as_matrix(m, "M")
         self.g = linalg.as_matrix(g, "G")
         self.a = linalg.as_matrix(a, "A")
         if self.m.shape != self.g.shape or self.m.shape != self.a.shape:
             raise DimensionMismatch("M, G, A must share one shape")
         self.n = self.m.shape[0]
-        # serialization hint only; no semantic content
-        self.m_kind = m_kind
 
         # None unless M is diagonal; then M V is a row scaling
         self.m_diag = _diagonal(self.m)
@@ -252,7 +250,8 @@ class EigenRecord:
     residual: float
     zero_flagged: bool = False
     types_classified: bool = True
-    # largest distance of a member value from lam; 0 for a record of one value
+    # uncertainty of lam: the largest distance of a member value from it, or
+    # for one value its error disc's radius (companion route; 0 on modal)
     spread: float = field(default=0.0, compare=False)
 
 
@@ -395,15 +394,17 @@ def _matmul_blocks(a, b, block):
 
 
 def _simple_pairs(spec, eta, lams, vecs, block=None):
-    """Unit eigenvectors and residuals ||L(lam, eta) v|| for simple values.
+    """Unit eigenvectors v, residuals ||L(lam, eta) v|| and slopes
+    |v^T L'(lam, eta) v|, L' = 2 lam M - eta G, of eigenpairs.
 
     Column j of vecs belongs to lams[j] (and eta[j] for an array eta).  A
     vector whose imaginary part is rounding noise is made exactly real.
     The residuals come from one product with the stack [A; G's nonzero
     rows; M] (M left out when diagonal), so they may differ from a
-    per-value evaluate() in the last bits.  Columns from several spectra
-    carry their spectrum's number in block (_matmul_blocks), which keeps
-    each column's bits those of its spectrum alone.
+    per-value evaluate() in the last bits; the slopes reuse its M v and
+    G v rows.  Columns from several spectra carry their spectrum's number
+    in block (_matmul_blocks), which keeps each column's bits those of its
+    spectrum alone.
     """
     nrm = np.linalg.norm(vecs, axis=0)
     vecs = vecs / np.where(nrm > 0.0, nrm, 1.0)
@@ -423,15 +424,18 @@ def _simple_pairs(spec, eta, lams, vecs, block=None):
     else:
         lams, v = lams.real, vecs.real
     mv = prod[n + rows.size:] if spec.m_diag is None else spec.m_diag[:, None] * v
+    gv = prod[n:n + rows.size]
     resid = (lams * lams) * mv - prod[:n]
-    resid[rows] -= (lams * eta) * prod[n:n + rows.size]
-    # with F-ordered vecs, resid mixes memory orders, and numpy picks the
-    # order of the result by the number of columns; down an F-ordered
-    # array a column is summed pairwise whatever the other columns, so
-    # each norm is that of its spectrum alone
+    resid[rows] -= (lams * eta) * gv
+    tilt = v * ((2.0 * lams) * mv)
+    tilt[rows] -= v[rows] * (eta * gv)
+    # with F-ordered vecs, resid and tilt mix memory orders, and numpy
+    # picks the order of the result by the number of columns; down an
+    # F-ordered array a column is summed pairwise whatever the other
+    # columns, so each column's sums are those of its spectrum alone
     if vecs.flags.f_contiguous:
-        resid = np.asfortranarray(resid)
-    return vecs, np.linalg.norm(resid, axis=0)
+        resid, tilt = np.asfortranarray(resid), np.asfortranarray(tilt)
+    return vecs, np.linalg.norm(resid, axis=0), np.abs(tilt.sum(axis=0))
 
 
 def _vector_type1(spec, eta, records):
@@ -917,17 +921,16 @@ def _pole_errors(q, mu_max):
     return 4.0 * _EPS * np.abs(q) + dmu / (np.abs(q) + np.sqrt(dmu))
 
 
-def _companion_links(lams, zero_tol):
-    """Links between values within the gap 1e-6 max(1, mean of their |.|),
-    and between all values inside the zero band |lam| <= zero_tol: a
-    defective zero pair can split symmetrically by slightly more than the
-    gap and must still report as one eigenvalue at the origin.  A stack of
-    value rows gives a stack of link matrices."""
-    mags = np.abs(lams)
-    near = np.abs(lams[..., :, None] - lams[..., None, :]) <= 1e-6 * np.maximum(
-        1.0, 0.5 * (mags[..., :, None] + mags[..., None, :]))
-    zero = mags <= zero_tol
-    return near | (zero[..., :, None] & zero[..., None, :])
+def _disc_links(centers, radii, zero):
+    """Link matrices of discs |z - centers[j]| <= radii[j] (a stack of
+    them, one per row): two discs outside the zero band link when they
+    meet, and the discs inside it (mask zero) link to each other only.
+    Every disc links to itself; a disc of radius -inf to nothing else."""
+    near = np.abs(centers[..., :, None] - centers[..., None, :]) <= (
+        radii[..., :, None] + radii[..., None, :])
+    near &= ~zero[..., :, None] & ~zero[..., None, :]
+    near |= zero[..., :, None] & zero[..., None, :]
+    return near | np.eye(centers.shape[-1], dtype=bool)
 
 
 def _components(near):
@@ -1028,17 +1031,13 @@ def _modal_records(spec, etas):
 
     # labels: 0 for the zero band, then the components of the coupled discs
     # outside it together with the decoupled group means as discs of radius
-    # 0, so a group joins the component of any disc holding its mean; a
-    # disc in the zero band links to nothing
+    # 0, so a group joins the component of any disc holding its mean
     out = np.abs(z) > _ZERO_BAND * spec.scale
     ng = md.g_mean.size
     cz = np.concatenate([centers, np.broadcast_to(md.g_mean, (ntar, ng))], axis=1)
     cr = np.concatenate([radii, np.zeros((ntar, ng))], axis=1)
-    keep = np.concatenate([out, np.ones((ntar, ng), dtype=bool)], axis=1)
-    near = np.abs(cz[:, :, None] - cz[:, None, :]) <= cr[:, :, None] + cr[:, None, :]
-    near &= keep[:, :, None] & keep[:, None, :]
-    near |= np.eye(nz + ng, dtype=bool)
-    comp = 1 + _components(near)
+    zero = np.concatenate([~out, np.zeros((ntar, ng), dtype=bool)], axis=1)
+    comp = 1 + _components(_disc_links(cz, cr, zero))
     label = np.zeros((ntar, nz + nd), dtype=int)
     label[:, :nz] = np.where(out, comp[:, :nz], 0)
     label[:, nz + md.d_out] = comp[:, nz:][:, md.d_group]
@@ -1078,7 +1077,7 @@ def _modal_records(spec, etas):
     if cplx.size:
         cvecs[:, cplx] += 1j * _matmul_blocks(md.phi_c, y.imag[:, cplx], owner[cplx])
     vecs = np.hstack([cvecs, np.tile(md.d_vecs, ntar)])
-    vecs, resids = _simple_pairs(spec, etas[col_eta], rep[col_rec], vecs, col_eta)
+    vecs, resids, _ = _simple_pairs(spec, etas[col_eta], rep[col_rec], vecs, col_eta)
     records = _records(rep, alg, spread, col_rec, vecs, resids)
     type1 = type1.tolist()
     return [(records[lo:hi], type1[lo:hi])
@@ -1139,39 +1138,49 @@ def _companion_records(spec, etas, owner, lams, vecs, real):
     """Records of the companion route from _companion_values, and the eta
     (index into etas) of each.
 
-    The values are grouped by _companion_links on a padded stack with a
-    link matrix per eta, into one numbering of the records of all etas,
-    eta by eta.  A record of one value keeps its eigenvector; a record of
+    Each value's disc has the first-order radius 2n (||L v|| + eps (|lam|^2
+    ||M|| + |lam| eta ||G|| + ||A||)) / |v^T L' v| (Tisseur, Linear Algebra
+    Appl. 309, 2000; the left vector of a symmetric pencil's simple value
+    is conj(v)), the denominator floored at its size at a split double
+    value.  _disc_links groups them per eta of a padded stack, into one
+    numbering of the records of all etas, eta by eta.  A record of one
+    value keeps its eigenvector and its radius as spread; a record of
     several takes geo and a kernel basis from an SVD of L at its mean.
     """
     n, ntar = spec.n, len(etas)
+    val_eta = np.array(etas)[owner]
+    # solved alone, an eta whose eigenvalues are all real has real vectors,
+    # and _simple_pairs' products take their path by dtype: the values of
+    # such etas go in one call as real, the others in a second
+    kvecs = np.zeros(vecs.shape, dtype=vecs.dtype)
+    resids, tilts = np.zeros(lams.size), np.zeros(lams.size)
+    for is_real in (True, False):
+        part = real[owner] == is_real
+        if part.any():
+            v = np.asfortranarray(vecs[:, part].real) if is_real else vecs[:, part]
+            kvecs[:, part], resids[part], tilts[part] = _simple_pairs(
+                spec, val_eta[part], lams[part], v, owner[part])
+    alam = np.abs(lams)
+    zero = alam <= _ZERO_BAND * spec.scale
+    err = resids + _EPS * (alam * (alam * spec.norm_m + val_eta * spec.norm_g) + spec.norm_a)
+    radii = 2 * n * err / np.where(zero, np.inf, np.maximum(
+        tilts, np.sqrt(_EPS) * (2.0 * alam * spec.norm_m + val_eta * spec.norm_g)))
     counts = np.bincount(owner, minlength=ntar)
     width = int(counts.max(initial=0))
     valid = np.arange(width) < counts[:, None]
-    padded = np.zeros((ntar, width), dtype=lams.dtype)
-    padded[valid] = lams
-    near = _companion_links(padded, _ZERO_BAND * spec.scale)
-    near &= valid[:, :, None] & valid[:, None, :]
-    near |= np.eye(width, dtype=bool)
-    label = _relabel(_components(near)[valid] + width * owner)
+    # padded to one row per eta with discs that link to nothing
+    centers = np.zeros(valid.shape, dtype=lams.dtype)
+    rad = np.full(valid.shape, -np.inf)
+    band = np.zeros(valid.shape, dtype=bool)
+    centers[valid], rad[valid], band[valid] = lams, radii, zero
+    label = _relabel(_components(_disc_links(centers, rad, band))[valid] + width * owner)
     alg, rep, spread = _groups(label, lams)
+    simple = alg[label] == 1
+    spread[label[simple]] = radii[simple]
     rec_eta = np.zeros(alg.size, dtype=int)
     rec_eta[label] = owner
 
-    # solved alone, an eta whose eigenvalues are all real has real vectors,
-    # and _simple_pairs' products take their path by dtype: the simple
-    # values of such etas go in one call as real, the others in a second
-    simple = alg[label] == 1
-    cols, col_res, col_rec = [np.zeros((n, 0))], [np.zeros(0)], [np.zeros(0, dtype=int)]
-    for is_real in (True, False):
-        part = simple & (real[owner] == is_real)
-        if part.any():
-            v = np.asfortranarray(vecs[:, part].real) if is_real else vecs[:, part]
-            kvecs, resids = _simple_pairs(spec, np.array(etas)[owner[part]], lams[part], v,
-                                          owner[part])
-            cols.append(kvecs)
-            col_res.append(resids)
-            col_rec.append(label[part])
+    cols, col_res, col_rec = [kvecs[:, simple]], [resids[simple]], [label[simple]]
     import scipy.linalg as sla
     for k in np.flatnonzero(alg > 1).tolist():
         eta = etas[rec_eta[k]]

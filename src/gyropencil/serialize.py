@@ -1,11 +1,13 @@
 """JSON and CSV formats for pencils, problems, spectra, zeros, and tracks.
 
-Pencil files preserve their structural hints (diagonal mass, identity
-block), so load followed by save is byte-identical: floats go through
-json's shortest round-trip repr and the key order is fixed.  The
-`rank_one` G kind is shorthand for b e e^T: the spec finds that coupling
-from G whatever the kind, and a spec with one is written back in
-`rank_one` form.
+A pencil is written in the most structured form its matrices take: M as
+`identity_block` when its diagonal is k ones followed by zeros, else as
+`diag` when it is diagonal, else `dense`; G as `rank_one` (shorthand for
+b e e^T) when the spec finds that coupling, else `dense`.  A file written
+that way loads and saves back byte-identical: floats go through json's
+shortest round-trip repr and the key order is fixed.  Other files save
+back in that form, among them a `dense` M that is diagonal, a `diag` M
+that is a 0/1 block and a `dense` G with one positive diagonal entry.
 """
 
 import json
@@ -32,14 +34,13 @@ def _require(cond, message):
 
 def pencil_to_dict(spec):
     d = {"n": int(spec.n)}
-    if spec.m_kind == "diag":
-        d["M"] = {"kind": "diag",
-                  "data": [float(x) for x in np.diag(spec.m)]}
-    elif spec.m_kind == "identity_block":
-        d["M"] = {"kind": "identity_block",
-                  "data": int(round(float(np.trace(spec.m))))}
-    else:
+    diag = spec.m_diag
+    if diag is None:
         d["M"] = {"kind": "dense", "data": _matrix_list(spec.m)}
+    elif np.array_equal(diag, np.arange(spec.n) < np.count_nonzero(diag)):
+        d["M"] = {"kind": "identity_block", "data": int(np.count_nonzero(diag))}
+    else:
+        d["M"] = {"kind": "diag", "data": [float(x) for x in diag]}
     if spec.rank_one is not None:
         d["G"] = {"kind": "rank_one",
                   "b": float(spec.rank_one.b),
@@ -96,7 +97,7 @@ def pencil_from_dict(d, validate=True):
     a = np.asarray(aspec.get("data", []), dtype=float)
     _require(a.shape == (n, n), "A must be n by n")
 
-    return PencilSpec(m, g, a, validate=validate, m_kind=mspec["kind"])
+    return PencilSpec(m, g, a, validate=validate)
 
 
 def save_pencil(spec, path):

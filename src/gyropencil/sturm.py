@@ -87,7 +87,7 @@ def _string_pencil(problem, q, segments):
         a_h[nodes, nodes] += main + q * w
         a_h[nodes[:-1], nodes[1:]] = a_h[nodes[1:], nodes[:-1]] = -1.0 / h
     g_h[-1, -1] = problem.alpha
-    return PencilSpec(m_h, g_h, a_h, m_kind="diag")
+    return PencilSpec(m_h, g_h, a_h)
 
 
 def discretize_single(problem):

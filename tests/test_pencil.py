@@ -255,18 +255,20 @@ def test_choose_shift_falls_back_to_extra_shifts():
     assert choose_shift(spec, 1.0) == pencil._SHIFTS[5] == 0.31830988618
 
 
-def _components_reference(lams, zero_tol):
-    """The companion route's grouping through scipy's connected_components."""
+def _components_reference(centers, radii, zero):
+    """Groups of discs, pair by pair through scipy's connected_components:
+    discs outside the zero band meet, discs inside it all join."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    pts = np.asarray(lams)
-    mags = np.abs(pts)
-    near = np.abs(pts[:, None] - pts[None, :]) <= 1e-6 * np.maximum(
-        1.0, 0.5 * (mags[:, None] + mags[None, :]))
-    zmask = mags <= zero_tol
-    if zero_tol > 0.0 and np.count_nonzero(zmask) > 1:
-        near |= zmask[:, None] & zmask[None, :]
+    n = len(centers)
+    near = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if zero[i] or zero[j]:
+                near[i, j] |= bool(zero[i] and zero[j])
+            else:
+                near[i, j] |= abs(centers[i] - centers[j]) <= radii[i] + radii[j]
     ncomp, labels = connected_components(csr_matrix(near), directed=False)
     clusters = [[] for _ in range(ncomp)]
     for i, lab in enumerate(labels):
@@ -282,8 +284,9 @@ def _components_reference(lams, zero_tol):
     st.sampled_from([0.0, 1e-7, 1e-3]),
 )
 def test_cluster_points_matches_connected_components(centers, seed, zero_tol):
-    # each center spawns a chain of near copies, some of them linked only
-    # through a neighbour, plus points scattered inside the zero band
+    # each center spawns a chain of near copies, each disc meeting the one
+    # before it or not, some linked only through a neighbour, plus discs
+    # of any radius inside the zero band and padding discs of radius -inf
     rng = np.random.default_rng(seed)
     pts = []
     for re, im, copies in centers:
@@ -294,11 +297,15 @@ def test_cluster_points_matches_connected_components(centers, seed, zero_tol):
             pts.append(z)
     pts.extend(complex(*rng.uniform(-1.0, 1.0, 2)) * zero_tol
                for _ in range(int(rng.integers(0, 4))))
-    pts = [pts[i] for i in rng.permutation(len(pts))]
-    label = pencil._relabel(pencil._components(
-        pencil._companion_links(np.asarray(pts), zero_tol)))
+    radii = list(rng.uniform(0.0, 6e-7, len(pts)) * (rng.uniform(size=len(pts)) < 0.8))
+    pad = int(rng.integers(0, 3))
+    pts, radii = pts + [0.0] * pad, radii + [-np.inf] * pad
+    order = rng.permutation(len(pts))
+    pts, radii = np.array(pts, dtype=complex)[order], np.array(radii)[order]
+    zero = (np.abs(pts) <= zero_tol) & np.isfinite(radii)
+    label = pencil._relabel(pencil._components(pencil._disc_links(pts, radii, zero)))
     clusters = [np.flatnonzero(label == k).tolist() for k in range(label.max() + 1)]
-    assert clusters == _components_reference(pts, zero_tol)
+    assert clusters == _components_reference(pts, radii, zero)
 
 
 def _rank_one_specs():
@@ -528,6 +535,63 @@ _SPECTRA_GENERATORS = dict(_GENERATORS, **{
 })
 
 
+def _assert_same_records(got, want, scale):
+    """Every record of want has one in got at the same value (to 1e-9
+    scale) with the same alg, geo and type1, and there are no others."""
+    assert len(got.records) == len(want.records)
+    lams = np.array([r.lam for r in got.records])
+    for rec in want.records:
+        other = got.records[int(np.argmin(np.abs(lams - rec.lam)))]
+        assert abs(other.lam - rec.lam) <= 1e-9 * scale, (rec.lam, other.lam)
+        assert ((other.alg_mult, other.geo_mult, other.type1_mult)
+                == (rec.alg_mult, rec.geo_mult, rec.type1_mult)), rec.lam
+
+
+def test_companion_route_keeps_close_simple_values_apart():
+    # G of rank two keeps this spec on the companion route; at this eta the
+    # type I value -sqrt(a) and a type II value lie 1.2e-6 apart, and
+    # each is certain to far less
+    a, c, eta = 1.6723696072969747, 2.381147154225888, 0.5480769230769231
+    spec = PencilSpec(np.eye(3), np.diag([0.0, 1.0, 1.0]), np.diag([a, c, 30.0]))
+    res = spectrum(spec, eta)
+    assert res.diagnostics["route"] == "companion"
+    near = [r for r in res.records if abs(r.lam + 1.2932019) <= 1e-5]
+    truth = sorted([(eta - np.sqrt(eta * eta + 4.0 * c)) / 2.0, -np.sqrt(a)])
+    assert [(r.alg_mult, r.geo_mult) for r in near] == [(1, 1), (1, 1)]
+    for rec, lam in zip(near, truth):
+        assert abs(rec.lam - lam) <= 1e-12
+        assert abs(rec.lam - lam) <= rec.spread <= 1e-12
+
+
+def _companion_against_modal(spec, eta):
+    res = spectrum(spec, eta)
+    assert res.diagnostics["route"] == "modal"
+    _assert_same_records(pencil._companion_spectra(spec, [eta])[0], res, spec.scale)
+
+
+@pytest.mark.parametrize("make, eta", [
+    # two simple values 5e-7 apart, -0.8782653 and -0.8782648
+    (lambda: support.mirror_spec(np.random.default_rng(72)), 0.3),
+    # the type I pair +-2.3491282i
+    (lambda: support.mirror_spec(np.random.default_rng(84)), 0.3),
+    (lambda: support.mirror_spec(np.random.default_rng(84)), 0.7),
+    (lambda: support.mirror_spec(np.random.default_rng(84)), 1.0),
+    # the type I value -7.7876599 beside its type II mirror image
+    (lambda: sturm.discretize(dataclasses.replace(fixtures.sl_double_q4(), n=12)), 0.0),
+], ids=["mirror72", "mirror84-0.3", "mirror84-0.7", "mirror84-1", "double12"])
+def test_companion_route_matches_modal_route(make, eta):
+    _companion_against_modal(make(), eta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["copies", "double", "kernel", "mirror", "random"]),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_companion_route_matches_modal_route_on_random_specs(kind, seed, eta):
+    # the M-definite axis rank-one generators: the companion route's disc
+    # links give the modal route's records
+    _companion_against_modal(_SPECTRA_GENERATORS[kind](np.random.default_rng(seed)), eta)
+
+
 _S1 = pencil._SHIFTS[1]
 
 
@@ -730,7 +794,7 @@ def test_run_sl_solves_the_modes_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", forbidden("eig"))
     monkeypatch.setattr(np.linalg, "eigvals", forbidden("eigvals"))
     monkeypatch.setattr(sla, "svd", forbidden("svd"))
-    monkeypatch.setattr(pencil, "_companion_links", forbidden("_companion_links"))
+    monkeypatch.setattr(pencil, "_companion_records", forbidden("_companion_records"))
     prob = dataclasses.replace(fixtures.sl_double_q4(), n=40)
     assert pencil._modes(sturm.discretize(prob)).cpl.size >= pencil._SECULAR_MIN_M
     calls["eigh"] = 0

@@ -20,7 +20,8 @@ def test_pencil_round_trip_fixtures():
         assert np.allclose(back.m, spec.m)
         assert np.allclose(back.g, spec.g)
         assert np.allclose(back.a, spec.a)
-        assert back.m_kind == spec.m_kind
+        assert d["M"] == {"kind": "identity_block", "data": int(np.trace(spec.m))}
+        assert serialize.pencil_to_dict(back) == d
         assert (back.rank_one is None) == (spec.rank_one is None)
 
 
@@ -54,6 +55,25 @@ def test_rank_one_expansion():
     # the same G spelled out densely is found and written back as rank_one
     dense = dict(d, G={"kind": "dense", "data": expect.tolist()})
     assert serialize.pencil_to_dict(serialize.pencil_from_dict(dense)) == d
+
+
+@pytest.mark.parametrize("m_in, m_out", [
+    ({"kind": "dense", "data": [[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 0.0]]},
+     {"kind": "diag", "data": [2.0, 3.0, 0.0]}),
+    ({"kind": "dense", "data": np.eye(3).tolist()}, {"kind": "identity_block", "data": 3}),
+    ({"kind": "diag", "data": [1.0, 1.0, 0.0]}, {"kind": "identity_block", "data": 2}),
+    ({"kind": "diag", "data": [0.0, 1.0, 1.0]}, None),
+    ({"kind": "diag", "data": [1.0, 0.5, 0.0]}, None),
+    ({"kind": "identity_block", "data": 0}, None),
+    ({"kind": "dense", "data": [[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]]}, None),
+])
+def test_m_kind_is_read_from_m(m_in, m_out):
+    # M is written in the most structured kind it takes: a 0/1 leading
+    # block as identity_block, another diagonal as diag, else dense
+    d = {"n": 3, "M": m_in, "G": {"kind": "rank_one", "b": 1.5, "e_index": 2},
+         "A": {"kind": "dense", "data": (2.0 * np.eye(3)).tolist()}}
+    back = serialize.pencil_to_dict(serialize.pencil_from_dict(d))
+    assert back == dict(d, M=m_out or m_in)
 
 
 def test_schema_rejections():
