@@ -7,14 +7,20 @@ from G itself (spec.rank_one), whatever form G came in, so one (M, G, A)
 always gives one answer.  spectrum() solves one eta and spectra() a list
 of them, by one of two routes:
 
-- M definite with an axis rank-one G (the modal route): the modes of
-  (A, M) are solved once per spec.  Modes without a component on the
-  coupling axis give the type I values +-sqrt(mu) directly; the coupled
-  values are the zeros of the secular function
-  f(lam) = 1 - eta b lam sum_k w_k^2 / (lam^2 - mu_k) times the pole
-  product, solved per eta (eigvals of a small companion below a size
-  crossover).  Inclusion discs around them certify the multiplicities, and
-  records take geo, types and vectors from the modal structure.
+- an axis rank-one G with M definite, or with M diagonal, its zero
+  entries massless coordinates whose block A00 of A is invertible (the
+  modal route): the massless coordinates are eliminated, and the modes of
+  the Schur complement S = A11 - A10 A00^-1 A01 against the massive block
+  M11 (of (A, M) itself when M is definite) are solved once per spec.
+  Modes without a component on the coupling axis give the type I values
+  +-sqrt(mu) directly; the coupled values are the zeros of the secular
+  function f(lam) = 1 + c gamma lam - c lam sum_k w_k^2 / (lam^2 - mu_k),
+  c = eta b, times the pole product, solved per eta (eigvals of a small
+  companion below a size crossover).  gamma = e^T A00^-1 e is nonzero only
+  for a massless coupling coordinate; its term adds one value near
+  -1/(c gamma).  Inclusion discs around the values certify the
+  multiplicities, and records take geo, types and vectors from the modal
+  structure.
 - every other pencil (the companion route): substitute nu = lambda - sigma
   with L(sigma, eta) invertible, reverse mu = 1/nu, and solve the standard
   companion eigenproblem of the reversed polynomial.  Eigenvalues at
@@ -370,7 +376,7 @@ def _matmul_blocks(a, b, block):
     """
     widths = [] if block is None else np.bincount(block)
     nblocks = np.count_nonzero(widths)
-    if nblocks <= 1:
+    if nblocks <= 1 or b.size == 0:
         return a @ b.real
     rows = b.shape[0]
     order = np.argsort(block, kind="stable")
@@ -482,18 +488,23 @@ def _vector_type1(spec, eta, records):
 
 @dataclass
 class Modes:
-    """Modes of (A, M) for the modal route and what follows from them
-    alone, solved once per spec.
+    """Modes of (S, M11) for the modal route and what follows from them
+    alone, solved once per spec; S = A and M11 = M when M is definite.
 
     mu holds every mode's eigenvalue, and mu_max is max(1, max |mu|); cpl
-    indexes the coupled modes (components w_c on the coupling axis,
-    vectors phi_c), and q = (sqrt(mu_c), -sqrt(mu_c)) are the poles of
-    their secular function, with weights eta b q_weight and uncertainties
-    q_err.  Each decoupled mode gives a value per sign in d_val (a zero
-    pair for a zero mode).  d_group numbers the values outside the zero
-    band (indices d_out) by degenerate run and sign, and g_mean holds each
-    such group's mean.  d_col marks the values that bring their mode's
-    vector, the columns of d_vecs (a zero pair brings one).
+    indexes the coupled modes (components w_c of w = Phi^T u, vectors
+    phi_c), and q = (sqrt(mu_c), -sqrt(mu_c)) are the poles of their
+    secular function, with weights eta b q_weight and uncertainties q_err.
+    Each decoupled mode gives a value per sign in d_val (a zero pair for a
+    zero mode).  d_group numbers the values outside the zero band (indices
+    d_out) by degenerate run and sign, and g_mean holds each such group's
+    mean.  d_col marks the values that bring their mode's vector, the
+    columns of d_vecs (a zero pair brings one).  phi_c and d_vecs are in
+    the pencil's coordinates, the massless part x0 = -A00^-1 A01 x1 filled
+    in.  With a massless coupling coordinate, gamma = e^T A00^-1 e and
+    y_e is A00^-1 e on the massless coordinates (zero elsewhere), which a
+    coupled vector adds; else gamma is 0.  eliminated counts the massless
+    coordinates.
     """
 
     mu: np.ndarray
@@ -510,12 +521,42 @@ class Modes:
     g_mean: np.ndarray
     d_col: np.ndarray
     d_vecs: np.ndarray
+    gamma: float = 0.0
+    y_e: np.ndarray = None
+    eliminated: int = 0
+
+
+def _massless_split(spec):
+    """(massless, massive) coordinate indices when the modal route may
+    eliminate the massless coordinates, else None: M is diagonal, its
+    massless coordinates are the exact zeros of its diagonal, the massive
+    ones pass the m_definite rule, and A00 (massless x massless) is
+    invertible, its eigenvalues above 1e-8 ||A|| in modulus (kernel_dims'
+    margin: below it A00 is singular at the precision of the
+    discretizations' engineered kernels)."""
+    d = spec.m_diag
+    if d is None:
+        return None
+    idx0, idx1 = np.flatnonzero(d == 0.0), np.flatnonzero(d != 0.0)
+    if idx1.size == 0 or not d[idx1].min() > 1e-10 * max(1.0, spec.norm_m):
+        return None
+    import scipy.linalg as sla
+    ev = sla.eigvalsh(spec.a[np.ix_(idx0, idx0)], check_finite=False)
+    if not np.abs(ev).min() > 1e-8 * max(spec.norm_a, np.finfo(float).tiny):
+        return None
+    return idx0, idx1
 
 
 def _modes(spec):
-    """The eta-independent part of the modal route, solved on first use.
+    """The eta-independent part of the modal route, solved on first use;
+    None (also cached) for a spec that takes the companion route.
 
-    eigh(A, M) gives M-orthonormal modes phi with w = phi[e].  Inside each
+    With M singular, the massless block is eliminated (_massless_split):
+    one solve Y = A00^-1 [A01 | e] gives S = A11 - A10 Y1, and, for a
+    massless coupling coordinate e, u = A10 A00^-1 e and
+    gamma = e^T A00^-1 e; for a massive one u is its axis in the massive
+    block.  eigh(S, M11) gives M11-orthonormal modes phi with w = Phi^T u
+    (w = phi[e] when M is definite, from eigh(A, M)).  Inside each
     group of degenerate mu whose members couple more than once, a
     Householder reflection leaves one coupled vector, and the group's mu
     become the Rayleigh quotients of the reflected vectors.  The reflection
@@ -527,13 +568,36 @@ def _modes(spec):
     |mu| <= 1e-9 max(1, max |mu|) is a zero mode.
     """
     if spec._modes is not None:
-        return spec._modes
+        return spec._modes or None
+    e = spec.rank_one.e_index
+    a, m, gamma, y_e, split = spec.a, spec.m, 0.0, None, None
+    if not spec.m_definite:
+        split = _massless_split(spec)
+        if split is None:
+            spec._modes = False
+            return None
+        idx0, idx1 = split
+        a10 = spec.a[np.ix_(idx1, idx0)]
+        rhs = np.zeros((idx0.size, idx1.size + 1))
+        rhs[:, :-1] = a10.T
+        massless = spec.m_diag[e] == 0.0
+        if massless:
+            rhs[np.searchsorted(idx0, e), -1] = 1.0
+        y = np.linalg.solve(spec.a[np.ix_(idx0, idx0)], rhs)
+        a = spec.a[np.ix_(idx1, idx1)] - a10 @ y[:, :-1]
+        a, m = 0.5 * (a + a.T), np.diag(spec.m_diag[idx1])
+        if massless:
+            u, gamma = a10 @ y[:, -1], float(y[np.searchsorted(idx0, e), -1])
+            y_e = np.zeros(spec.n)
+            y_e[idx0] = y[:, -1]
+        else:
+            e = int(np.searchsorted(idx1, e))
     import scipy.linalg as sla
     try:
-        mu, phi = sla.eigh(spec.a, spec.m, check_finite=False)
+        mu, phi = sla.eigh(a, m, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("eigh(A, M) failed: %s" % exc)
-    w = phi[spec.rank_one.e_index].copy()
+    w = phi.T @ u if y_e is not None else phi[e].copy()
     cut = 1e-8 * float(np.max(np.abs(w)))
     group = np.empty(mu.size, dtype=int)
     i = 0
@@ -554,6 +618,15 @@ def _modes(spec):
             w[i] = -head
         i = j
     mu_max = max(1.0, float(np.max(np.abs(mu))))
+    # the elimination's rounding, eps ||A|| (1 + ||Y1||) in S, joins the
+    # backward error of mu
+    mu_err = mu_max
+    if split is not None:
+        mu_err = max(mu_max, spec.norm_a * (1.0 + np.linalg.norm(y[:, :-1]))
+                     / spec.m_diag[idx1].min())
+        psi = np.empty((spec.n, mu.size))
+        psi[idx1], psi[idx0] = phi, -y[:, :-1] @ phi
+        phi = psi
     coupled = np.abs(w) > 1e-8 * float(np.max(np.abs(w)))
     cpl = np.flatnonzero(coupled)
     dec = np.flatnonzero(~coupled)
@@ -574,17 +647,19 @@ def _modes(spec):
     q = np.concatenate([p, -p])
     spec._modes = Modes(mu=mu, mu_max=mu_max, cpl=cpl, w_c=w[cpl], phi_c=phi[:, cpl],
                         q=q, q_weight=np.concatenate([w2, w2]),
-                        q_err=_pole_errors(q, mu_max), d_val=d_val,
+                        q_err=_pole_errors(q, mu_err), d_val=d_val,
                         d_out=np.flatnonzero(~d_band), d_group=d_group, g_mean=g_mean,
-                        d_col=d_col, d_vecs=phi[:, d_mode[d_col]])
+                        d_col=d_col, d_vecs=phi[:, d_mode[d_col]], gamma=gamma,
+                        y_e=y_e, eliminated=spec.n - mu.size)
     return spec._modes
 
 
 def count_negative_modes(spec):
     """kappa_A, the number of negative eigenvalues of lambda M - A for M
     definite; the threshold is -1e-8 max(1, max |mu|).  An axis rank-one
-    spec reads mu from its cached modes, any other from one eigvalsh(A, M)."""
-    if spec.rank_one is not None:
+    spec with M definite reads mu from its cached modes, any other from one
+    eigvalsh(A, M)."""
+    if spec.rank_one is not None and spec.m_definite:
         mu = _modes(spec).mu
     else:
         import scipy.linalg as sla
@@ -612,41 +687,54 @@ def _poles(mu, w, c):
     return np.concatenate([p, -p]), np.concatenate([cq, cq], axis=-1)
 
 
-def _real_secular_roots(mu, w, c):
+def _real_secular_roots(mu, w, c, lead=0.0):
     """One root of f in each gap between consecutive real poles and one
     beyond the largest, by the safeguarded middle-way rational iteration of
     LAPACK dlaed4 (Bunch, Nielsen & Sorensen 1978; Li 1993).
 
     Each root is held as an offset tau from the pole it lies nearer to, so
     roots that hug a pole keep their relative accuracy.  Modes with mu < 0
-    have no real pole and enter as a smooth term h.  Returns the roots,
-    ascending.
+    have no real pole and enter as a smooth term h, as does the linear term
+    lead lam = c gamma lam.  With that term the outer gaps hold no root,
+    one, or two (by the sign of gamma), so only the gaps between poles are
+    solved here.  c (and a nonzero lead) holds one entry per secular
+    function; the roots of all of them iterate together, each as it would
+    alone.  Returns a row of roots per entry of c, ascending.
     """
     pos = mu > 0.0
     zero = mu == 0.0
     sp = np.sqrt(mu[pos])
     q = np.concatenate([-sp, np.zeros(np.count_nonzero(zero)), sp])
-    cq = np.concatenate([0.5 * c * w[pos] ** 2, c * w[zero] ** 2, 0.5 * c * w[pos] ** 2])
+    c = c[:, None]
+    cq = np.concatenate([0.5 * c * w[pos] ** 2, c * w[zero] ** 2, 0.5 * c * w[pos] ** 2],
+                        axis=1)
     order = np.argsort(q)
-    q, cq = q[order], cq[order]
+    q, cq = q[order], cq[:, order]
     npole = q.size
     if npole == 0:
-        return np.zeros(0)
+        return np.zeros((c.size, 0))
     neg = mu < 0.0
     mu_n, cw_n = mu[neg], c * w[neg] ** 2
-    # gap g lies between poles g and g + 1; the last gap is (q_max, inf)
-    left = np.arange(npole)
+    # gap g lies between poles g and g + 1; the last gap is (q_max, inf);
+    # root k of the flat list is gap left[k] of function row[k]
+    ngap = npole if not np.any(lead) else npole - 1
+    row = np.repeat(np.arange(c.size), ngap)
+    left = np.tile(np.arange(ngap), c.size)
+    lead = np.broadcast_to(lead, c.shape[:1])[row]
+    # the rows of one function broadcast, as they did before there were more
+    pick = (lambda x, r: x[0]) if c.size == 1 else (lambda x, r: x[r])
     right = np.minimum(left + 1, npole - 1)
     last = left == npole - 1
-    total = c * float(w @ w)
+    total = c[row, 0] * float(w @ w)
     half = np.where(last, total, 0.5 * (q[right] - q[left]))
-    lo = np.zeros(npole)
+    lo = np.zeros(left.size)
     hi = np.where(last, 2.0 * total, half)
     origin = left.copy()
     tau = half.copy()
     # an interior root lies left of the midpoint iff f(mid) > 0; else take it
     # as an offset from the right pole
-    mid_f = _real_secular_eval(q, cq, mu_n, cw_n, origin, tau)[0]
+    mid_f = _real_secular_eval(q, pick(cq, row), mu_n, pick(cw_n, row), origin, tau,
+                               lead=lead)[0]
     flip = ~last & (mid_f < 0.0)
     origin[flip] = right[flip]
     tau[flip] = -half[flip]
@@ -656,9 +744,9 @@ def _real_secular_roots(mu, w, c):
         act = np.flatnonzero(~done)
         if act.size == 0:
             break
-        o = origin[act]
+        o, r = origin[act], row[act]
         f, dleft, dright, dsmooth, ferr = _real_secular_eval(
-            q, cq, mu_n, cw_n, o, tau[act], left[act])
+            q, pick(cq, r), mu_n, pick(cw_n, r), o, tau[act], left[act], lead[act])
         t = tau[act]
         conv = np.abs(f) <= ferr
         below = f < 0.0
@@ -698,15 +786,15 @@ def _real_secular_roots(mu, w, c):
     else:
         if not done.all():
             raise NoConvergence("secular iteration did not converge")
-    return np.sort(q[origin] + tau)
+    return np.sort((q[origin] + tau).reshape(c.size, ngap), axis=1)
 
 
-def _real_secular_eval(q, cq, mu_n, cw_n, origin, tau, left=None):
+def _real_secular_eval(q, cq, mu_n, cw_n, origin, tau, left=None, lead=0.0):
     """f at q[origin] + tau with the pole distances taken as offsets.
 
     Without left, returns (f,).  With left, also the slopes of the pole
-    terms up to pole left and after it, the slope of the smooth term and a
-    rounding bound on f.
+    terms up to pole left and after it, the slope of the smooth terms (the
+    linear one among them) and a rounding bound on f.
     """
     delta = (q[None, :] - q[origin][:, None]) - tau[:, None]
     with np.errstate(divide="ignore"):
@@ -718,6 +806,8 @@ def _real_secular_eval(q, cq, mu_n, cw_n, origin, tau, left=None):
     else:
         smooth = np.zeros((lam.size, 0))
     f = 1.0 + terms.sum(axis=1) - smooth.sum(axis=1)
+    if np.any(lead):
+        f = f + lead * lam
     if left is None:
         return (f,)
     slopes = terms / delta
@@ -730,47 +820,60 @@ def _real_secular_eval(q, cq, mu_n, cw_n, origin, tau, left=None):
     else:
         dsmooth = np.zeros(lam.size)
     ferr = 8.0 * _EPS * (1.0 + np.abs(terms).sum(axis=1) + np.abs(smooth).sum(axis=1))
+    if np.any(lead):
+        dsmooth = dsmooth + lead
+        ferr = ferr + 8.0 * _EPS * np.abs(lead * lam)
     ferr = ferr + _EPS * np.abs(tau) * (dleft + dright + np.abs(dsmooth))
     return f, dleft, dright, dsmooth, ferr
 
 
-def _aberth(q, cq, fixed, guesses):
+def _aberth(q, cq, fixed, guesses, lead=0.0):
     """The roots of P(z) = prod_l (z - q_l) f(z) other than the fixed ones,
-    by Aberth iteration from the guesses (Bini, Numer. Algorithms 1996).
+    by Aberth iteration from the guesses (Bini, Numer. Algorithms 1996);
+    f carries the term lead z.  One row of cq, fixed, guesses (and lead)
+    per secular function: the rows iterate together, each as it would
+    alone.
 
     A root stops moving once |f| is below its rounding bound or its
     correction is below rounding.  Near-real results are made real and the
     others paired with their conjugates, as the roots of a real polynomial.
     """
-    u = np.asarray(guesses, dtype=complex).copy()
-    if u.size == 0:
+    u = np.array(guesses, dtype=complex, order="C")
+    nrow, k = u.shape
+    if k == 0:
         return u
-    err = np.zeros(u.size)
-    done = np.zeros(u.size, dtype=bool)
+    lead = np.broadcast_to(lead, (nrow,))
+    pick = (lambda x, r: x[0]) if nrow == 1 else (lambda x, r: x[r])
+    err = np.zeros(u.shape)
+    done = np.zeros(u.shape, dtype=bool)
     for _ in range(4 * _SECULAR_MAXIT):
         act = np.flatnonzero(~done)
         if act.size == 0:
             break
-        z = u[act]
+        r, j = np.divmod(act, k)
+        z = u.ravel()[act]
         d = z[:, None] - q[None, :]
-        t = cq / d
+        t = pick(cq, r) / d
         f = 1.0 - t.sum(axis=1)
         df = (t / d).sum(axis=1)
         ferr = 8.0 * _EPS * (1.0 + np.abs(t).sum(axis=1))
+        if np.any(lead):
+            f, df = f + lead[r] * z, df + lead[r]
+            ferr = ferr + 8.0 * _EPS * np.abs(lead[r] * z)
         with np.errstate(divide="ignore", invalid="ignore"):
             logd = (1.0 / d).sum(axis=1) + df / f
-            other = z[:, None] - u[None, :]
-            other[np.arange(act.size), act] = np.inf
+            other = z[:, None] - pick(u, r)
+            other[np.arange(act.size), j] = np.inf
             rep = (1.0 / other).sum(axis=1)
             if fixed.size:
-                rep = rep + (1.0 / (z[:, None] - fixed[None, :])).sum(axis=1)
+                rep = rep + (1.0 / (z[:, None] - pick(fixed, r))).sum(axis=1)
             corr = 1.0 / (logd - rep)
         conv = np.abs(f) <= ferr
         if not np.all(np.isfinite(corr) | conv):
             raise NoConvergence("Aberth iteration hit a pole")
-        u[act] = np.where(conv, z, z - corr)
-        err[act] = np.where(conv, ferr / np.maximum(np.abs(df), _EPS), np.abs(corr))
-        done[act] = conv | (np.abs(corr) <= 2.0 * _EPS * np.abs(z))
+        u.ravel()[act] = np.where(conv, z, z - corr)
+        err.ravel()[act] = np.where(conv, ferr / np.maximum(np.abs(df), _EPS), np.abs(corr))
+        done.ravel()[act] = conv | (np.abs(corr) <= 2.0 * _EPS * np.abs(z))
     else:
         if not done.all():
             raise NoConvergence("Aberth iteration did not converge")
@@ -778,17 +881,18 @@ def _aberth(q, cq, fixed, guesses):
     tol = 10.0 * err + 4.0 * _EPS * np.abs(u)
     real = np.abs(u.imag) <= tol
     u[real] = u[real].real
-    upper = np.flatnonzero(~real & (u.imag > 0.0))
-    lower = np.flatnonzero(~real & (u.imag < 0.0))
-    if upper.size == lower.size:
-        for i in upper:
-            j = lower[np.argmin(np.abs(u[lower] - np.conj(u[i])))]
-            mean = 0.5 * (u[i] + np.conj(u[j]))
-            u[i], u[j] = mean, np.conj(mean)
+    for ur, rr in zip(u, real):
+        upper = np.flatnonzero(~rr & (ur.imag > 0.0))
+        lower = np.flatnonzero(~rr & (ur.imag < 0.0))
+        if upper.size == lower.size:
+            for i in upper:
+                j = lower[np.argmin(np.abs(ur[lower] - np.conj(ur[i])))]
+                mean = 0.5 * (ur[i] + np.conj(ur[j]))
+                ur[i], ur[j] = mean, np.conj(mean)
     return u
 
 
-def _at_poles(q, cq):
+def _at_poles(q, cq, lead=0.0):
     """Per row of weights cq: whether every root of
     P(z) = prod_l (z - q_l) f(z) rounds to its own pole (_pole_roots).
 
@@ -798,14 +902,20 @@ def _at_poles(q, cq):
     half an ulp of q.  A real and an imaginary pole are at least min |q|
     apart, and a nonzero pole is |q| from the zero pole of a coupled mode
     with mu = 0.
+
+    A linear term lead z (one row of lead per row of cq) adds one root
+    near -1/lead.  With 16 |lead| max(1, |q|) <= eps that root lies beyond
+    max(1, |q|) / eps and escapes to infinity, and 1 + lead z rounds to 1
+    on the discs, so the other roots still round to their poles.
     """
     s = np.abs(cq).sum(axis=-1)
+    far = 16.0 * np.abs(lead) * max(1.0, np.abs(q).max(initial=0.0)) <= _EPS
     q = q[q != 0.0]
     real = q.imag == 0.0
     gaps = np.concatenate([np.diff(np.sort(q.real[real])),
                            np.diff(np.sort(q.imag[~real]))])
     return (16.0 * s <= _EPS * np.abs(q).min(initial=np.inf)) & (
-        8.0 * s <= gaps.min(initial=np.inf))
+        8.0 * s <= gaps.min(initial=np.inf)) & far
 
 
 def _pole_roots(q, cq):
@@ -822,62 +932,105 @@ def _pole_roots(q, cq):
     return z
 
 
-def _secular_values(mu, w, c):
-    """The 2m coupled values, the roots of prod_k (lam^2 - mu_k) f(lam).
+def _secular_values(mu, w, c, lead=0.0):
+    """The 2m coupled values, the roots of prod_k (lam^2 - mu_k) f(lam),
+    and a (2m+1)-th with the linear term lead lam = c gamma lam; a row of
+    them per entry of c, or one array for a scalar c.  A nonzero lead holds
+    one entry per entry of c, none of whose rows round to their poles.
 
     At c = eta b = 0, and whenever every root rounds to its pole
     (_at_poles: c so small that the iterations below would seek offsets
-    lost to rounding), they are the poles +-sqrt(mu) (_pole_roots).  Otherwise the real
+    lost to rounding), they are the poles +-sqrt(mu) (_pole_roots), the
+    root of the linear term escaped to infinity.  Otherwise the real
     roots that the poles bracket come from _real_secular_roots; a zero mu
     adds the exact root 0; the rest (at most 2 kappa_c, kappa_c the count
     of mu < 0) come from Aberth iteration started at the first-order
-    location q + cq of the imaginary poles q = +-i sqrt(-mu).
+    location q + cq of the imaginary poles q = +-i sqrt(-mu).  With the
+    linear term, Aberth also takes the outer gaps' roots, started near the
+    largest pole and near -1/lead.  The rows are solved together, each as
+    it would be alone.
     """
-    q, cq = _poles(mu, w, c)
-    if _at_poles(q, cq):
-        return _pole_roots(q, cq)
-    fixed = _real_secular_roots(mu, w, c)
-    if np.any(mu == 0.0):
-        fixed = np.append(fixed, 0.0)
-    imag = np.flatnonzero(np.concatenate([mu < 0.0, mu < 0.0]))
-    # turned by the golden angle so no guess is another's conjugate: a
-    # conjugate pair of iterates cannot split into two real roots
-    turn = np.exp(1j * (0.5 + 2.399963 * np.arange(imag.size)))
-    rest = _aberth(q, cq, fixed, q[imag] + cq[imag] * turn)
-    return np.concatenate([fixed.astype(complex), rest])
+    rows = np.atleast_1d(np.asarray(c, dtype=float))
+    lead = np.broadcast_to(lead, rows.shape)
+    q, cq = _poles(mu, w, rows[:, None])
+    at = _at_poles(q, cq, lead)
+    z = np.empty((rows.size, q.size + bool(np.any(lead))), dtype=complex)
+    if at.any():
+        z[at] = _pole_roots(q, cq[at])
+    live = np.flatnonzero(~at)
+    if live.size:
+        cq, lead = cq[live], lead[live]
+        fixed = _real_secular_roots(mu, w, rows[live], lead)
+        if np.any(mu == 0.0):
+            fixed = np.hstack([fixed, np.zeros((live.size, 1))])
+        imag = np.flatnonzero(np.concatenate([mu < 0.0, mu < 0.0]))
+        base, step = np.broadcast_to(q[imag], (live.size, imag.size)), cq[:, imag]
+        if np.any(lead):
+            real = np.flatnonzero(q.imag == 0.0)
+            top = real[[np.argmax(q.real[real])]] if real.size else real
+            far = -1.0 / lead[:, None]
+            base = np.hstack([base, np.broadcast_to(q[top], (live.size, top.size)), far])
+            step = np.hstack([step, cq[:, top], 1e-3 * np.abs(far)])
+        # turned by the golden angle so no guess is another's conjugate: a
+        # conjugate pair of iterates cannot split into two real roots, nor
+        # can real ones leave the axis
+        turn = np.exp(1j * (0.5 + 2.399963 * np.arange(base.shape[1])))
+        rest = _aberth(q, cq, fixed, base + step * turn, lead)
+        z[live] = np.hstack([fixed.astype(complex), rest])
+    return z if np.ndim(c) else z[0]
 
 
-def _companion_eigvals(mu, w, c):
+def _companion_eigvals(mu, w, c, lead=None):
     """The 2m coupled values from eigvals of [[0, I], [D, c w w^T]], one
-    row per entry of c (a scalar c gives one row's shape)."""
+    row per entry of c (a scalar c gives one row's shape).
+
+    With the linear term lead lam = c gamma lam (lead nonzero, one entry
+    per entry of c), the 2m + 1 values of the linearization in
+    (y, lam y, s), s = w^T y / (1 + lead lam):
+    [[0, I, 0], [D + w w^T / gamma, 0, -w / gamma], [w^T / lead, 0, -1 / lead]].
+    """
     m = mu.size
     c = np.asarray(c)
-    comp = np.zeros(c.shape + (2 * m, 2 * m))
-    comp[..., :m, m:] = np.eye(m)
-    comp[..., m:, :m] = np.diag(mu)
-    comp[..., m:, m:] = c[..., None, None] * np.outer(w, w)
+    if lead is not None:
+        lead = np.asarray(lead)
+        inv = c / lead
+        comp = np.zeros(c.shape + (2 * m + 1, 2 * m + 1))
+        comp[..., :m, m:2 * m] = np.eye(m)
+        comp[..., m:2 * m, :m] = np.diag(mu) + inv[..., None, None] * np.outer(w, w)
+        comp[..., m:2 * m, -1] = -inv[..., None] * w
+        comp[..., -1, :m] = w / lead[..., None]
+        comp[..., -1, -1] = -1.0 / lead
+    else:
+        comp = np.zeros(c.shape + (2 * m, 2 * m))
+        comp[..., :m, m:] = np.eye(m)
+        comp[..., m:, :m] = np.diag(mu)
+        comp[..., m:, m:] = c[..., None, None] * np.outer(w, w)
     try:
         return np.linalg.eigvals(comp)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("eigvals failed: %s" % exc)
 
 
-def _inclusion_radii(z, q, cq, q_err):
+def _inclusion_radii(z, q, cq, q_err, lead=None):
     """Centers and radii of discs around the approximations z of the roots
     of P(z) = prod_l (z - q_l) f(z) whose union holds every root, a
     connected component of k discs holding exactly k (Gerschgorin on the
-    Weierstrass corrections W_j = P(z_j) / prod_{i != j} (z_j - z_i);
-    Carstensen, Numer. Math. 1991).  The radius is n (|W_j| + its rounding
-    bound), and the center z_j.  z and cq may be stacks, one row per
-    secular function.
+    Weierstrass corrections W_j = P(z_j) / (a prod_{i != j} (z_j - z_i)),
+    a the leading coefficient; Carstensen, Numer. Math. 1991).  The radius
+    is n (|W_j| + its rounding bound), and the center z_j.  z and cq may be
+    stacks, one row per secular function, as may lead, the coefficient of
+    a linear term lead z of f: then P has degree 2m + 1 and a = lead, else
+    a = 1.
 
     The rounding bound on P(z_j) takes each distance z - q_l uncertain by
     4 eps |z| plus q_err[l], the uncertainty of the pole (_pole_errors).
     """
     shape = z.shape
     n = shape[-1]
+    if n == 0:
+        return z, np.zeros(shape)
     z = z.reshape(-1, n)
-    cq = np.reshape(cq, (-1, 1, q.size))
+    cq = np.reshape(cq, (z.shape[0], 1, q.size))
     gaps = np.abs(z[:, :, None] - z[:, None, :])
     equal = np.flatnonzero(np.count_nonzero(gaps == 0.0, axis=(1, 2)) > n)
     if equal.size:
@@ -908,8 +1061,14 @@ def _inclusion_radii(z, q, cq, q_err):
         ad = np.where(zero, 1e-3 * err, ad)
         d = np.where(zero, ad, d)
     f = 1.0 - (cq / d).sum(axis=2)
-    bound = (1.0 + (cq / ad).sum(axis=2)) * (8.0 * _EPS + (err / ad).sum(axis=2))
+    size = 1.0 + (cq / ad).sum(axis=2)
     logw = np.log(ad).sum(axis=2) - np.log(gaps).sum(axis=2)
+    if lead is not None:
+        lead = np.reshape(lead, (-1, 1))
+        f = f + lead * z
+        size = size + np.abs(lead * z)
+        logw = logw - np.log(np.abs(lead))
+    bound = size * (8.0 * _EPS + (err / ad).sum(axis=2))
     return z.reshape(shape), (n * np.exp(logw) * (np.abs(f) + bound)).reshape(shape)
 
 
@@ -1007,18 +1166,46 @@ def _modal_records(spec, etas):
     decoupled group whose mean lies in one of its discs joins it (and links
     the components of all discs holding it).  Every value within the zero
     band forms one zero record.  A coupled record's vector is
-    Phi_c (lam^2 - D_c)^{-1} w_c; type1 counts the decoupled modes in a
-    record.  Each step runs once over all etas: on stacks with a row per
-    eta, or over one numbering of the records of all etas.  Returns per
-    eta the records and their type I counts.
+    Phi_c (lam^2 - D_c)^{-1} w_c (its largest entry from the secular
+    equation when lam lies near that entry's pole), plus y_e with a
+    massless coupling coordinate: at a root, Sherman-Morrison gives the
+    massless part
+    x0 = -(A00 + c lam e e^T)^{-1} A01 x1 = -A00^{-1} A01 x1 + y_e.  type1
+    counts the decoupled modes in a record.  Each step runs once over all
+    etas: on stacks with a row per eta, or over one numbering of the
+    records of all etas; the etas where the linear term's root is finite
+    (_at_poles) and those where it is not go in two such passes.  Returns
+    per eta the records, their type I counts and the number of infinite
+    values.
     """
     md = _modes(spec)
     mu_c, w_c = md.mu[md.cpl], md.w_c
     etas = np.array(etas, dtype=float)
     c = etas * spec.rank_one.b
     ntar = c.size
+    lead = None
+    if md.gamma:
+        lead = c * md.gamma
+        extra = (lead != 0.0) & ~_at_poles(*_poles(mu_c, w_c, c[:, None]), lead)
+        if not extra.all():
+            lead = None
+            if extra.any():
+                out = [None] * ntar
+                for part in (np.flatnonzero(extra), np.flatnonzero(~extra)):
+                    for i, r in zip(part.tolist(), _modal_records(spec, etas[part])):
+                        out[i] = r
+                return out
     if md.cpl.size >= _SECULAR_MIN_M:
-        z = np.array([_secular_values(mu_c, w_c, ci) for ci in c.tolist()])
+        z = _secular_values(mu_c, w_c, c, 0.0 if lead is None else lead)
+    elif lead is not None:
+        # the linearization's entry -1/lead puts a backward error of about
+        # eps / |lead| on every value: where the extra root lies beyond
+        # 1e4 max(1, |q|), the secular solver gives the values
+        far = np.abs(lead) * max(1.0, np.abs(md.q).max(initial=0.0)) < 1e-4
+        z = np.empty((ntar, 2 * md.cpl.size + 1), dtype=complex)
+        for part, solve in ((~far, _companion_eigvals), (far, _secular_values)):
+            if part.any():
+                z[part] = solve(mu_c, w_c, c[part], lead[part])
     else:
         z = _companion_eigvals(mu_c, w_c, c).astype(complex)
         # where the roots round to their poles, eigvals' rounding noise
@@ -1026,7 +1213,7 @@ def _modal_records(spec, etas):
         q, cq = _poles(mu_c, w_c, c[:, None])
         at = (c > 0.0) & _at_poles(q, cq)
         z[at] = _pole_roots(q, cq[at])
-    centers, radii = _inclusion_radii(z, md.q, c[:, None] * md.q_weight, md.q_err)
+    centers, radii = _inclusion_radii(z, md.q, c[:, None] * md.q_weight, md.q_err, lead)
     nz, nd = z.shape[1], md.d_val.size
 
     # labels: 0 for the zero band, then the components of the coupled discs
@@ -1065,22 +1252,49 @@ def _modal_records(spec, etas):
     absden = np.abs(den)
     hit = absden <= np.minimum(absden.min(axis=0, initial=np.inf),
                                1e-140 * np.abs(w_c).max(initial=1.0))
+    pinned = hit.any(axis=0)
     if hit.any():
-        pinned = hit.any(axis=0)
         y = w_c[:, None] / np.where(hit, 1.0, den)
         y[:, pinned] = hit[:, pinned]
     else:
         y = w_c[:, None] / den
     owner = col_eta[:crec.size]
+    # y's largest entry y_k = w_k / den_k carries den_k's relative error,
+    # about 2 eps |lam|^2 / |den_k| for a relative eps in lam, which grows
+    # as lam nears the pole p_k (a weakly coupled mode).  The secular
+    # equation sum_j w_j y_j = 1 / (c lam) + gamma gives y_k to
+    # eps (sum_j |w_j y_j| + 1 / |c lam| + |gamma|) / |w_k y_k|; where that
+    # is the smaller, y_k is taken from it, which keeps the residual of a
+    # root near a pole at rounding
+    if md.cpl.size:
+        cols = np.arange(lam.size)
+        ay = np.abs(y)
+        k = ay.argmax(axis=0)
+        yk = ay[k, cols]
+        clam = c[owner] * lam
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = 1.0 / np.abs(clam)
+        # down an F-ordered array each column is summed pairwise whatever
+        # the other columns (_simple_pairs), so the sums are per spectrum
+        size = np.asfortranarray(np.abs(w_c)[:, None] * ay).sum(axis=0)
+        fix = ~pinned & ((size + inv + abs(md.gamma)) / yk < 2.0 * np.abs(lam) ** 2 * yk)
+        if fix.any():
+            rest = np.asfortranarray(w_c[:, None] * y[:, fix])
+            rest[k[fix], np.arange(rest.shape[1])] = 0.0
+            y[k[fix], cols[fix]] = (1.0 / clam[fix] + md.gamma - rest.sum(axis=0)) / w_c[k[fix]]
     cvecs = _matmul_blocks(md.phi_c, y, owner).astype(complex)
     cplx = np.flatnonzero(y.imag.any(axis=0))
     if cplx.size:
         cvecs[:, cplx] += 1j * _matmul_blocks(md.phi_c, y.imag[:, cplx], owner[cplx])
+    if md.y_e is not None:
+        # a pinned column is its mode alone, its y_e lost beside it
+        cvecs[:, ~pinned] += md.y_e[:, None]
     vecs = np.hstack([cvecs, np.tile(md.d_vecs, ntar)])
     vecs, resids, _ = _simple_pairs(spec, etas[col_eta], rep[col_rec], vecs, col_eta)
     records = _records(rep, alg, spread, col_rec, vecs, resids)
     type1 = type1.tolist()
-    return [(records[lo:hi], type1[lo:hi])
+    infinite = 2 * md.eliminated - (lead is not None)
+    return [(records[lo:hi], type1[lo:hi], infinite)
             for lo, hi in zip([0] + ends[:-1].tolist(), ends.tolist())]
 
 
@@ -1260,18 +1474,22 @@ def spectra(spec, etas):
         if not (-1e-12 <= eta <= 1.0 + 1e-12):
             raise InvalidInput("eta must lie in [0, 1], got %r" % (eta,))
     etas = [min(max(eta, 0.0), 1.0) for eta in etas]
-    # the modal route: M definite (the nonreal_region test), axis rank-one G
-    if spec.rank_one is not None and spec.m_definite:
-        md = _modes(spec)
+    # the modal route: an axis rank-one G with M definite, or with M
+    # diagonal and its massless block eliminable (_modes)
+    md = None if spec.rank_one is None else _modes(spec)
+    if md is not None:
         m = md.cpl.size
-        per_eta = max((2 * m + md.g_mean.size) ** 2,
-                      spec.residual_stack.shape[0] * (2 * m + md.d_vecs.shape[1]))
+        nz = 2 * m + (md.gamma != 0.0)
+        per_eta = max((nz + md.g_mean.size) ** 2,
+                      spec.residual_stack.shape[0] * (nz + md.d_vecs.shape[1]))
         diagnostics = {"route": "modal", "type1_from": "modes", "coupled_modes": m,
                        "coupled_solver": "secular" if m >= _SECULAR_MIN_M else "eigvals"}
+        if md.eliminated:
+            diagnostics["eliminated"] = md.eliminated
 
         def solve(part):
-            return [_result(spec, eta, records, type1, 0, True, dict(diagnostics))
-                    for eta, (records, type1) in zip(part, _modal_records(spec, part))]
+            return [_result(spec, eta, records, type1, inf, True, dict(diagnostics))
+                    for eta, (records, type1, inf) in zip(part, _modal_records(spec, part))]
     else:
         # the companions' eigenvectors and the residual products, complex
         # (two elements per entry)

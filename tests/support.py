@@ -680,6 +680,31 @@ def mp_records(spec, eta, dps=30):
         return out
 
 
+def mp_newton_value(spec, eta, lam, dps=30, steps=20):
+    """A simple eigenvalue near lam refined at dps digits with mpmath:
+    Newton's method on det L, lam -= 1 / tr(L(lam)^-1 L'(lam)), until the
+    step is below 1e-20 max(1, |lam|), or L(lam) is singular at dps
+    digits.  Shares no code with the program.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        m = mpmath.matrix(spec.m.tolist())
+        a = mpmath.matrix(spec.a.tolist())
+        g = mpmath.matrix(spec.g.tolist())
+        x = mpmath.mpc(complex(lam).real, complex(lam).imag)
+        for _ in range(steps):
+            try:
+                inv = mpmath.inverse(x * x * m - x * eta * g - a)
+            except ZeroDivisionError:
+                return complex(x)
+            step = 1 / sum((inv * (2 * x * m - eta * g))[i, i] for i in range(spec.n))
+            x -= step
+            if abs(step) <= 1e-20 * max(1, abs(x)):
+                return complex(x)
+        raise AssertionError("Newton did not converge from %r" % (lam,))
+
+
 def mp_secular_roots(mu, w, c, dps=50):
     """The 2m roots of prod_k (lam^2 - mu_k) - c lam sum_k w_k^2
     prod_{i != k} (lam^2 - mu_i) from mpmath.polyroots at dps digits."""

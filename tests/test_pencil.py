@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gyropencil import checks, fixtures, linalg, pencil, sturm
@@ -371,16 +371,18 @@ _SINGULAR = {
        st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(0, 2),
        st.sampled_from([0.0, 1e-5, 1e-3]))
 def test_vector_type1_matches_stacked_rank(kind, seed, eta, copies, rel):
-    # singular M: the companion route reads the type split from each
-    # record's kernel vectors; it must give the stacked rank's count.
-    # copies > 0 adds decoupled copies of a real value (a type I value on
-    # a type II value, or a double type I value) or, with rel > 0, next to
-    # it, where the computed vectors are off ker G by about eps / gap
+    # singular M on the companion route (these specs take the modal route
+    # unless A00 is singular, so it is called directly): it reads the type
+    # split from each record's kernel vectors, which must give the stacked
+    # rank's count.  copies > 0 adds decoupled copies of a real value (a
+    # type I value on a type II value, or a double type I value) or, with
+    # rel > 0, next to it, where the computed vectors are off ker G by
+    # about eps / gap
     spec = _SINGULAR[kind](np.random.default_rng(seed))
     if copies:
         spec = _coincident(spec, eta, copies, rel) or spec
     assert not spec.m_definite
-    res = spectrum(spec, eta)
+    res = pencil._companion_spectra(spec, [eta])[0]
     assert res.diagnostics["type1_from"] == "kernel_vectors"
     lams = [r.lam for r in res.records]
     ref = support.stacked_type1(spec, lams, eta, [r.spread for r in res.records])
@@ -394,7 +396,8 @@ def test_vector_type1_multi_member_records():
     # record of two members, plus the double type I values of a
     # three-copy mirror; and a type I value a relative 1e-4 from a type II
     # value, whose computed vector is off ker G by about 1e-12 and which
-    # the rule alone would call type II (the stacked nullity decides it)
+    # the rule alone would call type II (the stacked nullity decides it);
+    # on the companion route, called directly
     seen = set()
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -404,7 +407,7 @@ def test_vector_type1_multi_member_records():
             spec = _coincident(spec, 0.7, copies, rel) if copies else spec
             if spec is None:
                 continue
-            res = spectrum(spec, 0.7)
+            res = pencil._companion_spectra(spec, [0.7])[0]
             ref = support.stacked_type1(spec, [r.lam for r in res.records], 0.7,
                                         [r.spread for r in res.records])
             for rec, dim in zip(res.records, ref):
@@ -429,20 +432,28 @@ def test_companion_types_take_no_stacked_svd(monkeypatch):
              support.mirror_singular_spec(rng)]
     monkeypatch.setattr(np.linalg, "svd", flat_only)
     for spec in specs:
-        res = spectrum(spec, 0.8)
+        res = pencil._companion_spectra(spec, [0.8])[0]
         assert res.diagnostics["type1_from"] == "kernel_vectors"
         assert checks.run_all(spec, eta=0.8).all_pass
 
 
 def test_spectrum_diagnostics():
+    # W1's massless coordinate is eliminated; its value -1/eta comes from
+    # the linear term alone (no coupled mode)
     res = spectrum(fixtures.w1(), 1.0)
-    assert res.diagnostics == {"route": "companion", "shift": choose_shift(fixtures.w1(), 1.0),
-                               "type1_from": "kernel_vectors", "type1_svd_fallbacks": 0,
+    assert res.diagnostics == {"route": "modal", "type1_from": "modes", "coupled_modes": 0,
+                               "coupled_solver": "eigvals", "eliminated": 1,
                                "discarded_infinite": 1}
-    # the value 0 lies in the zero band, so its record takes the stacked
-    # nullity's SVD; the value eta b = 0.5 does not
+    assert spectrum(fixtures.w2(), 1.0).diagnostics == {
+        "route": "companion", "shift": choose_shift(fixtures.w2(), 1.0),
+        "type1_from": "kernel_vectors", "type1_svd_fallbacks": 0, "discarded_infinite": 1}
+    # on the companion route (called directly: the coupling sits on the
+    # massive coordinate, and the modal route takes the spec) the value 0
+    # lies in the zero band, so its record takes the stacked nullity's SVD;
+    # the value eta b = 0.5 does not
     spec = PencilSpec(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    res = spectrum(spec, 0.5)
+    assert spectrum(spec, 0.5).diagnostics["eliminated"] == 1
+    res = pencil._companion_spectra(spec, [0.5])[0]
     assert np.allclose([r.lam for r in res.records], [0.0, 0.5], rtol=0.0, atol=1e-12)
     assert res.diagnostics["type1_svd_fallbacks"] == 1
     prob = dataclasses.replace(fixtures.sl_double_q4(), n=12)
@@ -516,11 +527,43 @@ def test_modal_route_matches_linearization(kind, seed, eta):
         assert got == (alg, geo, type1, alg - type1), (rec.lam, got, ref[j])
 
 
+@pytest.mark.parametrize("w", [2e-6, 1e-5, 1e-4])
+@pytest.mark.parametrize("eta", [0.3, 1.0])
+def test_root_near_its_pole_has_a_small_residual(w, eta):
+    # M = I and a mode coupled by w: one root lies about w^2 from the pole
+    # sqrt(0.5), where w / (lam^2 - mu) carries lam's rounding times
+    # 2 lam / (lam^2 - mu), a residual of about eps / w (1.5e-10 at
+    # w = 2e-6); that entry taken from the secular equation keeps every
+    # residual at rounding
+    rot = np.eye(3)
+    rot[:2, :2] = [[np.sqrt(1.0 - w * w), -w], [w, np.sqrt(1.0 - w * w)]]
+    g = np.zeros((3, 3))
+    g[0, 0] = 1.0
+    spec = PencilSpec(np.eye(3), g, rot @ np.diag([2.0, 0.5, -1.0]) @ rot.T)
+    res = spectrum(spec, eta)
+    assert res.diagnostics["route"] == "modal"
+    near = [r for r in res.records if abs(abs(r.lam) - np.sqrt(0.5)) <= 1e-6]
+    assert len(near) == 2
+    for rec in res.records:
+        assert rec.residual <= 1e-14 * spec.scale * (1.0 + abs(rec.lam) ** 2), rec.lam
+
+
 def _double_string(rng):
     """The q = 4 double string at n = 3, 12, 35 or 47: 4, 13, 36 and 48
     coupled modes, on both sides of the secular crossover."""
     n = int(rng.choice([3, 12, 35, 47]))
     return sturm.discretize(dataclasses.replace(fixtures.sl_double_q4(), n=n))
+
+
+def _mirror_node(mass):
+    """mirror_singular_spec with its coupled node's mass set: massless
+    (0) or massive."""
+    def make(rng):
+        spec = support.mirror_singular_spec(rng)
+        m = spec.m.copy()
+        m[-1, -1] = mass
+        return PencilSpec(m, spec.g, spec.a)
+    return make
 
 
 _SPECTRA_GENERATORS = dict(_GENERATORS, **{
@@ -532,19 +575,22 @@ _SPECTRA_GENERATORS = dict(_GENERATORS, **{
     "w1": lambda rng: fixtures.w1(),
     "w2": lambda rng: fixtures.w2(),
     "shifts": lambda rng: _shift_split_spec(),
+    "mirror_massless": _mirror_node(0.0),
+    "mirror_massive": _mirror_node(1.5),
 })
 
 
-def _assert_same_records(got, want, scale):
+def _assert_same_records(got, want, scale, type1=True):
     """Every record of want has one in got at the same value (to 1e-9
-    scale) with the same alg, geo and type1, and there are no others."""
+    scale) with the same alg, geo and (unless type1 is False) type1, and
+    there are no others."""
     assert len(got.records) == len(want.records)
     lams = np.array([r.lam for r in got.records])
     for rec in want.records:
         other = got.records[int(np.argmin(np.abs(lams - rec.lam)))]
         assert abs(other.lam - rec.lam) <= 1e-9 * scale, (rec.lam, other.lam)
-        assert ((other.alg_mult, other.geo_mult, other.type1_mult)
-                == (rec.alg_mult, rec.geo_mult, rec.type1_mult)), rec.lam
+        assert other.alg_mult == rec.alg_mult and other.geo_mult == rec.geo_mult, rec.lam
+        assert not type1 or other.type1_mult == rec.type1_mult, rec.lam
 
 
 def test_companion_route_keeps_close_simple_values_apart():
@@ -592,16 +638,96 @@ def test_companion_route_matches_modal_route_on_random_specs(kind, seed, eta):
     _companion_against_modal(_SPECTRA_GENERATORS[kind](np.random.default_rng(seed)), eta)
 
 
+_ELIMINATED = {kind: _SPECTRA_GENERATORS[kind]
+               for kind in ("mirror_massless", "mirror_massive")}
+_ELIMINATED["identity_block"] = support.identity_block_spec
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_ELIMINATED)), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(0, 2))
+@example("mirror_massless", 130, 0.3, 0)
+@example("mirror_massless", 11494, 0.3, 0)
+@example("identity_block", 1011795785, 0.3, 1)
+def test_eliminated_route_matches_companion_and_determinant(kind, seed, eta, copies):
+    # M diagonal and singular, A00 invertible: the modal route eliminates
+    # the massless coordinates.  Against the companion route: the values,
+    # alg, geo and the infinite count.  Against the stacked rank at each
+    # value, its spread the larger of its own and its distance from the
+    # companion route's value: type I (seed 130's value -3355.7 at
+    # eta = 0.3 has a unit vector 0.0066 off ker G, which the companion
+    # route's own kernel-vector test, within its wide error disc there,
+    # calls type I).  The companion route's value is certain only to its
+    # spread: a simple value whose spread is wider than the tolerance is
+    # taken from Newton's method on det L in mpmath, inside that disc
+    # (seed 11494's value -10829.918459181 at eta = 0.3 is 2.9e-8 off on
+    # the companion route, 5e-12 on the modal route);
+    # identity blocks up to n = 7 without copies (no multiple values, which
+    # the polynomial's roots split by sqrt(eps)), against the roots of the
+    # Leibniz determinant.  copies > 0 adds decoupled copies of a real value
+    spec = _ELIMINATED[kind](np.random.default_rng(seed))
+    assume(pencil._massless_split(spec) is not None)
+    if copies:
+        spec = _coincident(spec, eta, copies) or spec
+    res = spectrum(spec, eta)
+    assert res.diagnostics["route"] == "modal"
+    assert res.diagnostics["eliminated"] == np.count_nonzero(np.diag(spec.m) == 0.0)
+    ref = pencil._companion_spectra(spec, [eta])[0]
+    assert res.discarded_infinite == ref.discarded_infinite
+    refined = []
+    for rec in ref.records:
+        if rec.alg_mult == 1 and rec.spread > 1e-9 * spec.scale:
+            lam = support.mp_newton_value(spec, eta, rec.lam)
+            assert abs(lam - rec.lam) <= rec.spread, (rec.lam, lam)
+            rec = dataclasses.replace(rec, lam=lam)
+        refined.append(rec)
+    ref = dataclasses.replace(ref, records=refined)
+    _assert_same_records(res, ref, spec.scale, type1=False)
+    lams = np.array([r.lam for r in res.records])
+    ref_lams = np.array([r.lam for r in ref.records])
+    gaps = np.abs(lams[:, None] - ref_lams[None, :]).min(axis=1)
+    dims = support.stacked_type1(spec, lams, eta,
+                                 np.maximum([r.spread for r in res.records], gaps))
+    for rec, dim in zip(res.records, dims):
+        assert rec.type1_mult == min(dim, rec.alg_mult), (rec.lam, dim)
+        assert rec.residual <= 1e-10 * spec.scale * (1.0 + abs(rec.lam) ** 2), rec.lam
+    if kind == "identity_block" and spec.n <= 7 and not copies:
+        roots = support.poly_roots(support.det_poly_coeffs(spec, eta))
+        assert support.max_pair_distance(support.expand_records(res), roots) <= 1e-6 * spec.scale
+
+
+def test_eliminated_route_at_tiny_eta():
+    # W1's value -1/eta is the root of the linear term 1 + eta lam: kept
+    # while 16 eta <= eps fails, then escaped to infinity (_at_poles)
+    for eta, want in ((1e-12, [-1e12, -1.0, 1.0]), (1e-15, [-1e15, -1.0, 1.0]),
+                      (1e-17, [-1.0, 1.0]), (1e-308, [-1.0, 1.0])):
+        res = spectrum(fixtures.w1(), eta)
+        assert np.allclose([r.lam for r in res.records], want, rtol=1e-15, atol=0.0)
+        assert res.discarded_infinite == 4 - len(want)
+    # the linearization below the crossover hands its far rows to the
+    # secular solver: every eta gives small residuals and 2n values in all
+    etas = [0.0, 5e-324, 1e-200, 1e-20, 1e-16, 1e-12, 1e-9, 1e-5, 0.3]
+    for seed in range(8):
+        spec = support.identity_block_spec(np.random.default_rng(seed), n_max=12)
+        for res in pencil.spectra(spec, etas):
+            assert res.diagnostics["route"] == "modal"
+            assert res.n_finite + res.discarded_infinite == 2 * spec.n
+            for rec in res.records:
+                assert np.isfinite(rec.lam)
+                assert rec.residual <= 1e-10 * spec.scale * (1.0 + abs(rec.lam) ** 2)
+
+
 _S1 = pencil._SHIFTS[1]
 
 
 def _shift_split_spec():
-    """M = diag(1, 1, 0), G = e_1 e_1^T and A = diag(0, s1^2 - s1 / 2, 1),
-    s1 the second shift of the ladder: L(s1, eta) is singular at eta = 0.5
-    only, so the shift is s1 at eta = 0.3 and 0.7 and the next one at 0.5.
-    The values are a double 0, one infinite pair and the roots of
-    lam^2 - eta lam - A_11, nonreal at eta = 0.3 and real at 0.5 and 0.7."""
-    return PencilSpec(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 1.0, 0.0]),
+    """M = diag(1, 1, 0), G = diag(0, 1, 1) (rank two, so the companion
+    route) and A = diag(0, s1^2 - s1 / 2, 1), s1 the second shift of the
+    ladder: L(s1, eta) is singular at eta = 0.5 only, so the shift is s1 at
+    eta = 0.3 and 0.7 and the next one at 0.5.  The values are a double 0,
+    -1/eta, one infinite value and the roots of lam^2 - eta lam - A_11,
+    nonreal at eta = 0.3 and real at 0.5 and 0.7."""
+    return PencilSpec(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 1.0, 1.0]),
                       np.diag([0.0, _S1 ** 2 - 0.5 * _S1, 1.0]))
 
 
@@ -635,6 +761,9 @@ def _outcome(solve):
 @example("w1", 0, [0.5, 1.0, 0.75, 0.9, 1.0], pencil._BATCH_ELEMENTS, None)
 @example("w2", 0, [0.0, 0.5, 1.0], pencil._BATCH_ELEMENTS, None)
 @example("shifts", 0, [0.3, 0.5, 0.7], pencil._BATCH_ELEMENTS, None)
+@example("singular", 3, [0.3, 0.0, 1e-20, 1e-9, 1.0], 300, None)
+@example("mirror_massless", 5, [1e-20, 0.7, 1e-9, 0.0, 1.0], pencil._BATCH_ELEMENTS, 0)
+@example("mirror_massive", 5, [0.7, 0.0, 1.0], pencil._BATCH_ELEMENTS, None)
 def test_spectra_match_spectrum_bitwise(kind, seed, etas, budget, crossover):
     # eta = 0 puts the coupled values on their poles, the kernel specs hold
     # values in the zero band, a small element budget makes chunks end
@@ -848,10 +977,13 @@ _W2_RECORDS = [
                                           (fixtures.w2(), _W2_RECORDS)],
                          ids=["W1", "W2"])
 def test_singular_mass_types_over_eta(spec, expect):
-    # singular M stays on the companion route; the records' kernel vectors
-    # give the types the reduced ladder gave
+    # W1 takes the modal route (its massless coordinate eliminated), W2
+    # (A00 = 0) the companion route; both give the types the reduced
+    # ladder gave
+    route = "modal" if spec.a[1, 1] else "companion"
     for k, records in enumerate(expect):
         res = spectrum(spec, k / 10.0)
+        assert res.diagnostics["route"] == route
         got = [(rec.lam, rec.alg_mult, rec.geo_mult, rec.type1_mult, rec.type2_mult)
                for rec in res.records]
         assert len(got) == len(records), k
