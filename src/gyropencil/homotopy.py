@@ -4,10 +4,8 @@ Branches of L(., eta) are piecewise analytic in eta; the tracker samples a
 grid, matches consecutive spectra by minimum-cost assignment on predicted
 positions, and judges each step branch by branch: a step stands unless
 some branch's predictor misses its match by more than half that match's
-distance to the nearest other matched value, or two simple type II real
-values change order (which they do only by meeting).  So the grid is the
-targets, with midpoints inserted only where a branch's own predictor
-fails or an avoided crossing lies inside a step.
+distance to the nearest other matched value.  So the grid is the targets,
+with midpoints inserted only where a branch's own predictor fails.
 Branches meeting at a semisimple multiple value keep the velocities they
 came with, so they leave it on their own curves.  Collisions are named
 by the branches that meet: real branches that swap order across grid
@@ -120,9 +118,8 @@ class TrajectorySet:
 
     diagnostics says what the track cost: spectra_solved (all spectra,
     events included), grid_points, rejected_steps (one dict per refused
-    step: eta_from, eta_to, the error and half_separation of the branch
-    with the widest ratio of the two, and swap, whether two simple type II
-    real values changed order), derivative_fallbacks (by
+    step: eta_from, eta_to, and the error and half_separation of the branch
+    that fails the step rule by the widest ratio), derivative_fallbacks (by
     the exception lambda_derivative would raise), event_spectra (the
     spectra solved while localizing events) and crossing_velocities (the
     slots of semisimple multiple values that kept their branch's velocity
@@ -137,12 +134,11 @@ class TrajectorySet:
 class _Slots:
     """One spectrum with each eigenvalue repeated alg_mult times, in the
     records' (real, imag) order: per slot its record and value, whether it
-    sits beyond half the escape radius, whether its record is a
+    sits beyond half the escape radius, and whether its record is a
     semisimple multiple one (crossing), where branches meet with their own
-    velocities, and whether it is a simple type II real value (simple2).
-    On the modal route a crossing record's first vector is its coupled
-    one, if it holds one: its first type2_mult slots take it, and the rest
-    (type I, still) do not move."""
+    velocities.  On the modal route such a record's first vector is its
+    coupled one, if it holds one: its first type2_mult slots take it, and
+    the rest (type I, still) do not move."""
 
     def __init__(self, result, escape):
         slots = [(r, i) for r in result.records for i in range(r.alg_mult)]
@@ -155,9 +151,6 @@ class _Slots:
         modal = result.diagnostics.get("route") == "modal"
         self.still = self.crossing & np.array([modal and i >= r.type2_mult
                                                for r, i in slots], dtype=bool)
-        self.simple2 = _is_real(self.vals) & np.array(
-            [r.alg_mult == 1 and r.type1_mult == 0 and r.types_classified
-             for r in self.recs], dtype=bool)
 
 
 def _coincide(v):
@@ -179,17 +172,6 @@ def _separations(src, dst):
     dist = _cabs(dst[:, None] - dst)
     dist[_coincide(dst) | _coincide(src)] = np.inf
     return dist.min(axis=1, initial=np.inf)
-
-
-def _swapped(src, dst):
-    """Whether two real values change order from src to dst; a pair that
-    _coincides at either end does not count.  Without a descent of dst in
-    src's order no pair swaps, which skips the pairwise test."""
-    ranked = dst[src.argsort()]
-    if not (ranked[1:] < ranked[:-1]).any():
-        return False
-    turn = np.sign(src[:, None] - src) * np.sign(dst[:, None] - dst) < 0.0
-    return bool((turn & ~_coincide(src) & ~_coincide(dst)).any())
 
 
 class _Tracker:
@@ -244,9 +226,8 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
     is refused, with its midpoint tried first, when some matched branch
     misses by more than half its separation (_separations: the distance
     from its match to the nearest other match, where matches that
-    coincide, or whose sources coincide, do not count), or when two
-    matched simple type II real values change order (_swapped).  v comes
-    from lambda_derivative, 0 for nonreal values.  At a semisimple multiple
+    coincide, or whose sources coincide, do not count).  v comes from
+    lambda_derivative, 0 for nonreal values.  At a semisimple multiple
     value a branch keeps its velocity from the previous grid point.  At
     the first grid point there is none: the modal route gives the record's
     type I slots 0 and its coupled slot the velocity of its coupled vector
@@ -320,18 +301,13 @@ def track(spec, eta_from=0.0, eta_to=1.0, steps=101):
         err = _cabs(pred[hit] - dst)
         sep = _separations(vals[hit], dst)
         fail = err > 0.5 * sep
-        # two simple type II real values change order only by meeting,
-        # where they turn nonreal: a step they swap across stepped over an
-        # avoided crossing (or a pair's round trip off the axis)
-        both = cur.simple2[perm][hit] & nxt.simple2[matched]
-        swap = _swapped(vals[hit][both].real, dst[both].real)
-        if (fail.any() or swap) and abs(d_eta) > 1e-6:
+        if fail.any() and abs(d_eta) > 1e-6:
             work.append(t)
             work.append(cur_eta + 0.5 * d_eta)
-            k = np.argmax(err / sep)
+            k = np.argmax(np.where(fail, err / sep, 0.0))
             rejected.append({"eta_from": float(cur_eta), "eta_to": float(t),
                              "error": float(err[k]),
-                             "half_separation": float(0.5 * sep[k]), "swap": swap})
+                             "half_separation": float(0.5 * sep[k])})
             continue
         jumps = _cabs(vals[hit] - dst)
         max_jump = jumps.max() if jumps.size else 0.0

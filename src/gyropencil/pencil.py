@@ -16,11 +16,11 @@ of them, by one of two routes:
   +-sqrt(mu) directly; the coupled values are the zeros of the secular
   function f(lam) = 1 + c gamma lam - c lam sum_k w_k^2 / (lam^2 - mu_k),
   c = eta b, times the pole product, solved per eta (eigvals of a small
-  companion below a size crossover).  gamma = e^T A00^-1 e is nonzero only
-  for a massless coupling coordinate; its term adds one value near
-  -1/(c gamma).  Inclusion discs around the values certify the
-  multiplicities, and records take geo, types and vectors from the modal
-  structure.
+  companion below a size crossover when gamma = 0).  gamma = e^T A00^-1 e
+  is nonzero only for a massless coupling coordinate; its term adds one
+  value near -1/(c gamma), and the secular solver gives every value.
+  Inclusion discs around the values certify the multiplicities, and
+  records take geo, types and vectors from the modal structure.
 - every other pencil (the companion route): substitute nu = lambda - sigma
   with L(sigma, eta) invertible, reverse mu = 1/nu, and solve the standard
   companion eigenproblem of the reversed polynomial.  Eigenvalues at
@@ -503,8 +503,9 @@ class Modes:
     the pencil's coordinates, the massless part x0 = -A00^-1 A01 x1 filled
     in.  With a massless coupling coordinate, gamma = e^T A00^-1 e and
     y_e is A00^-1 e on the massless coordinates (zero elsewhere), which a
-    coupled vector adds; else gamma is 0.  eliminated counts the massless
-    coordinates.
+    coupled vector adds, and w_err and gamma_err bound the elimination's
+    rounding on each w_c and on gamma; else all are 0.  eliminated counts
+    the massless coordinates.
     """
 
     mu: np.ndarray
@@ -523,17 +524,19 @@ class Modes:
     d_vecs: np.ndarray
     gamma: float = 0.0
     y_e: np.ndarray = None
+    w_err: float = 0.0
+    gamma_err: float = 0.0
     eliminated: int = 0
 
 
 def _massless_split(spec):
-    """(massless, massive) coordinate indices when the modal route may
-    eliminate the massless coordinates, else None: M is diagonal, its
-    massless coordinates are the exact zeros of its diagonal, the massive
-    ones pass the m_definite rule, and A00 (massless x massless) is
-    invertible, its eigenvalues above 1e-8 ||A|| in modulus (kernel_dims'
-    margin: below it A00 is singular at the precision of the
-    discretizations' engineered kernels)."""
+    """(massless, massive) coordinate indices and cond(A00) when the modal
+    route may eliminate the massless coordinates, else None: M is
+    diagonal, its massless coordinates are the exact zeros of its
+    diagonal, the massive ones pass the m_definite rule, and A00
+    (massless x massless) is invertible, its eigenvalues above 1e-8 ||A||
+    in modulus (kernel_dims' margin: below it A00 is singular at the
+    precision of the discretizations' engineered kernels)."""
     d = spec.m_diag
     if d is None:
         return None
@@ -541,10 +544,10 @@ def _massless_split(spec):
     if idx1.size == 0 or not d[idx1].min() > 1e-10 * max(1.0, spec.norm_m):
         return None
     import scipy.linalg as sla
-    ev = sla.eigvalsh(spec.a[np.ix_(idx0, idx0)], check_finite=False)
-    if not np.abs(ev).min() > 1e-8 * max(spec.norm_a, np.finfo(float).tiny):
+    ev = np.abs(sla.eigvalsh(spec.a[np.ix_(idx0, idx0)], check_finite=False))
+    if not ev.min() > 1e-8 * max(spec.norm_a, np.finfo(float).tiny):
         return None
-    return idx0, idx1
+    return idx0, idx1, float(ev.max() / ev.min())
 
 
 def _modes(spec):
@@ -576,20 +579,15 @@ def _modes(spec):
         if split is None:
             spec._modes = False
             return None
-        idx0, idx1 = split
+        idx0, idx1, cond = split
         a10 = spec.a[np.ix_(idx1, idx0)]
-        rhs = np.zeros((idx0.size, idx1.size + 1))
-        rhs[:, :-1] = a10.T
-        massless = spec.m_diag[e] == 0.0
-        if massless:
-            rhs[np.searchsorted(idx0, e), -1] = 1.0
-        y = np.linalg.solve(spec.a[np.ix_(idx0, idx0)], rhs)
+        y = np.linalg.solve(spec.a[np.ix_(idx0, idx0)], np.hstack([a10.T, (idx0 == e)[:, None]]))
         a = spec.a[np.ix_(idx1, idx1)] - a10 @ y[:, :-1]
         a, m = 0.5 * (a + a.T), np.diag(spec.m_diag[idx1])
-        if massless:
-            u, gamma = a10 @ y[:, -1], float(y[np.searchsorted(idx0, e), -1])
+        if spec.m_diag[e] == 0.0:
             y_e = np.zeros(spec.n)
             y_e[idx0] = y[:, -1]
+            u, gamma = a10 @ y[:, -1], float(y_e[e])
         else:
             e = int(np.searchsorted(idx1, e))
     import scipy.linalg as sla
@@ -618,12 +616,17 @@ def _modes(spec):
             w[i] = -head
         i = j
     mu_max = max(1.0, float(np.max(np.abs(mu))))
-    # the elimination's rounding, eps ||A|| (1 + ||Y1||) in S, joins the
-    # backward error of mu
-    mu_err = mu_max
+    mu_err, w_err, gamma_err = mu_max, 0.0, 0.0
     if split is not None:
-        mu_err = max(mu_max, spec.norm_a * (1.0 + np.linalg.norm(y[:, :-1]))
-                     / spec.m_diag[idx1].min())
+        # a backward stable solve puts eps cond(A00) ||Y|| on Y: in S,
+        # eps ||A|| cond(A00) ||Y1|| joins mu's backward error; gamma takes
+        # eps cond(A00) ||y_e||, and w (Phi's columns at most 1/sqrt(min M11)
+        # long) ||A|| times that
+        m11 = spec.m_diag[idx1].min()
+        mu_err = max(mu_max, spec.norm_a * (1.0 + cond * np.linalg.norm(y[:, :-1])) / m11)
+        if y_e is not None:
+            gamma_err = _EPS * (1.0 + cond) * np.linalg.norm(y[:, -1])
+            w_err = spec.norm_a * gamma_err / np.sqrt(m11)
         psi = np.empty((spec.n, mu.size))
         psi[idx1], psi[idx0] = phi, -y[:, :-1] @ phi
         phi = psi
@@ -650,7 +653,8 @@ def _modes(spec):
                         q_err=_pole_errors(q, mu_err), d_val=d_val,
                         d_out=np.flatnonzero(~d_band), d_group=d_group, g_mean=g_mean,
                         d_col=d_col, d_vecs=phi[:, d_mode[d_col]], gamma=gamma,
-                        y_e=y_e, eliminated=spec.n - mu.size)
+                        y_e=y_e, w_err=w_err, gamma_err=gamma_err,
+                        eliminated=spec.n - mu.size)
     return spec._modes
 
 
@@ -903,10 +907,9 @@ def _at_poles(q, cq, lead=0.0):
     apart, and a nonzero pole is |q| from the zero pole of a coupled mode
     with mu = 0.
 
-    A linear term lead z (one row of lead per row of cq) adds one root
-    near -1/lead.  With 16 |lead| max(1, |q|) <= eps that root lies beyond
-    max(1, |q|) / eps and escapes to infinity, and 1 + lead z rounds to 1
-    on the discs, so the other roots still round to their poles.
+    A linear term lead z (a row of lead per row of cq) adds a root near
+    -1/lead, beyond max(1, |q|) / eps (escaped to infinity) once
+    16 |lead| max(1, |q|) <= eps; 1 + lead z then rounds to 1 on the discs.
     """
     s = np.abs(cq).sum(axis=-1)
     far = 16.0 * np.abs(lead) * max(1.0, np.abs(q).max(initial=0.0)) <= _EPS
@@ -980,38 +983,22 @@ def _secular_values(mu, w, c, lead=0.0):
     return z if np.ndim(c) else z[0]
 
 
-def _companion_eigvals(mu, w, c, lead=None):
+def _companion_eigvals(mu, w, c):
     """The 2m coupled values from eigvals of [[0, I], [D, c w w^T]], one
-    row per entry of c (a scalar c gives one row's shape).
-
-    With the linear term lead lam = c gamma lam (lead nonzero, one entry
-    per entry of c), the 2m + 1 values of the linearization in
-    (y, lam y, s), s = w^T y / (1 + lead lam):
-    [[0, I, 0], [D + w w^T / gamma, 0, -w / gamma], [w^T / lead, 0, -1 / lead]].
-    """
+    row per entry of c (a scalar c gives one row's shape)."""
     m = mu.size
     c = np.asarray(c)
-    if lead is not None:
-        lead = np.asarray(lead)
-        inv = c / lead
-        comp = np.zeros(c.shape + (2 * m + 1, 2 * m + 1))
-        comp[..., :m, m:2 * m] = np.eye(m)
-        comp[..., m:2 * m, :m] = np.diag(mu) + inv[..., None, None] * np.outer(w, w)
-        comp[..., m:2 * m, -1] = -inv[..., None] * w
-        comp[..., -1, :m] = w / lead[..., None]
-        comp[..., -1, -1] = -1.0 / lead
-    else:
-        comp = np.zeros(c.shape + (2 * m, 2 * m))
-        comp[..., :m, m:] = np.eye(m)
-        comp[..., m:, :m] = np.diag(mu)
-        comp[..., m:, m:] = c[..., None, None] * np.outer(w, w)
+    comp = np.zeros(c.shape + (2 * m, 2 * m))
+    comp[..., :m, m:] = np.eye(m)
+    comp[..., m:, :m] = np.diag(mu)
+    comp[..., m:, m:] = c[..., None, None] * np.outer(w, w)
     try:
         return np.linalg.eigvals(comp)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("eigvals failed: %s" % exc)
 
 
-def _inclusion_radii(z, q, cq, q_err, lead=None):
+def _inclusion_radii(z, q, cq, q_err, lead=None, coef_err=None):
     """Centers and radii of discs around the approximations z of the roots
     of P(z) = prod_l (z - q_l) f(z) whose union holds every root, a
     connected component of k discs holding exactly k (Gerschgorin on the
@@ -1023,7 +1010,9 @@ def _inclusion_radii(z, q, cq, q_err, lead=None):
     a = 1.
 
     The rounding bound on P(z_j) takes each distance z - q_l uncertain by
-    4 eps |z| plus q_err[l], the uncertainty of the pole (_pole_errors).
+    4 eps |z| plus q_err[l], the uncertainty of the pole (_pole_errors),
+    and with coef_err = (cq_err, lead_err) each weight cq_l by cq_err[l]
+    and lead by lead_err (shaped as cq and lead).
     """
     shape = z.shape
     n = shape[-1]
@@ -1069,6 +1058,9 @@ def _inclusion_radii(z, q, cq, q_err, lead=None):
         size = size + np.abs(lead * z)
         logw = logw - np.log(np.abs(lead))
     bound = size * (8.0 * _EPS + (err / ad).sum(axis=2))
+    if coef_err is not None:
+        bound = (bound + (np.reshape(coef_err[0], cq.shape) / ad).sum(axis=2)
+                 + np.abs(np.reshape(coef_err[1], (-1, 1)) * z))
     return z.reshape(shape), (n * np.exp(logw) * (np.abs(f) + bound)).reshape(shape)
 
 
@@ -1161,15 +1153,15 @@ def _modal_records(spec, etas):
     A degenerate group of decoupled modes is one record with
     alg = geo = type1 = its size.  The coupled values come from eigvals of
     the 2m companion below _SECULAR_MIN_M coupled modes and from the
-    secular equation above; a connected component of k inclusion discs is
-    one record with alg k and geo 1 (the coupled block is unreduced), and a
-    decoupled group whose mean lies in one of its discs joins it (and links
-    the components of all discs holding it).  Every value within the zero
-    band forms one zero record.  A coupled record's vector is
-    Phi_c (lam^2 - D_c)^{-1} w_c (its largest entry from the secular
-    equation when lam lies near that entry's pole), plus y_e with a
-    massless coupling coordinate: at a root, Sherman-Morrison gives the
-    massless part
+    secular equation above, or at any size with the linear term; a
+    connected component of k inclusion discs is one record with alg k and
+    geo 1 (the coupled block is unreduced), and a decoupled group whose
+    mean lies in one of its discs joins it (and links the components of
+    all discs holding it).  Every value within the zero band forms one
+    zero record.  A coupled record's vector is Phi_c (lam^2 - D_c)^{-1} w_c
+    (its largest entry from the secular equation where its residual is
+    above rounding), plus y_e with a massless coupling coordinate: at a
+    root, Sherman-Morrison gives the massless part
     x0 = -(A00 + c lam e e^T)^{-1} A01 x1 = -A00^{-1} A01 x1 + y_e.  type1
     counts the decoupled modes in a record.  Each step runs once over all
     etas: on stacks with a row per eta, or over one numbering of the
@@ -1183,29 +1175,16 @@ def _modal_records(spec, etas):
     etas = np.array(etas, dtype=float)
     c = etas * spec.rank_one.b
     ntar = c.size
-    lead = None
+    lead = c * md.gamma if md.gamma else None
     if md.gamma:
-        lead = c * md.gamma
         extra = (lead != 0.0) & ~_at_poles(*_poles(mu_c, w_c, c[:, None]), lead)
-        if not extra.all():
-            lead = None
-            if extra.any():
-                out = [None] * ntar
-                for part in (np.flatnonzero(extra), np.flatnonzero(~extra)):
-                    for i, r in zip(part.tolist(), _modal_records(spec, etas[part])):
-                        out[i] = r
-                return out
-    if md.cpl.size >= _SECULAR_MIN_M:
+        if extra.any() and not extra.all():
+            parts = [np.flatnonzero(extra), np.flatnonzero(~extra)]
+            out = sum((_modal_records(spec, etas[part]) for part in parts), [])
+            return [out[i] for i in np.argsort(np.concatenate(parts)).tolist()]
+        lead = lead if extra.all() else None
+    if md.gamma or md.cpl.size >= _SECULAR_MIN_M:
         z = _secular_values(mu_c, w_c, c, 0.0 if lead is None else lead)
-    elif lead is not None:
-        # the linearization's entry -1/lead puts a backward error of about
-        # eps / |lead| on every value: where the extra root lies beyond
-        # 1e4 max(1, |q|), the secular solver gives the values
-        far = np.abs(lead) * max(1.0, np.abs(md.q).max(initial=0.0)) < 1e-4
-        z = np.empty((ntar, 2 * md.cpl.size + 1), dtype=complex)
-        for part, solve in ((~far, _companion_eigvals), (far, _secular_values)):
-            if part.any():
-                z[part] = solve(mu_c, w_c, c[part], lead[part])
     else:
         z = _companion_eigvals(mu_c, w_c, c).astype(complex)
         # where the roots round to their poles, eigvals' rounding noise
@@ -1213,7 +1192,10 @@ def _modal_records(spec, etas):
         q, cq = _poles(mu_c, w_c, c[:, None])
         at = (c > 0.0) & _at_poles(q, cq)
         z[at] = _pole_roots(q, cq[at])
-    centers, radii = _inclusion_radii(z, md.q, c[:, None] * md.q_weight, md.q_err, lead)
+    coef_err = None if not md.w_err else (
+        c[:, None] * np.abs(np.concatenate([w_c, w_c])) * md.w_err, c * md.gamma_err)
+    centers, radii = _inclusion_radii(z, md.q, c[:, None] * md.q_weight, md.q_err, lead,
+                                      coef_err)
     nz, nd = z.shape[1], md.d_val.size
 
     # labels: 0 for the zero band, then the components of the coupled discs
@@ -1259,29 +1241,6 @@ def _modal_records(spec, etas):
     else:
         y = w_c[:, None] / den
     owner = col_eta[:crec.size]
-    # y's largest entry y_k = w_k / den_k carries den_k's relative error,
-    # about 2 eps |lam|^2 / |den_k| for a relative eps in lam, which grows
-    # as lam nears the pole p_k (a weakly coupled mode).  The secular
-    # equation sum_j w_j y_j = 1 / (c lam) + gamma gives y_k to
-    # eps (sum_j |w_j y_j| + 1 / |c lam| + |gamma|) / |w_k y_k|; where that
-    # is the smaller, y_k is taken from it, which keeps the residual of a
-    # root near a pole at rounding
-    if md.cpl.size:
-        cols = np.arange(lam.size)
-        ay = np.abs(y)
-        k = ay.argmax(axis=0)
-        yk = ay[k, cols]
-        clam = c[owner] * lam
-        with np.errstate(divide="ignore", over="ignore"):
-            inv = 1.0 / np.abs(clam)
-        # down an F-ordered array each column is summed pairwise whatever
-        # the other columns (_simple_pairs), so the sums are per spectrum
-        size = np.asfortranarray(np.abs(w_c)[:, None] * ay).sum(axis=0)
-        fix = ~pinned & ((size + inv + abs(md.gamma)) / yk < 2.0 * np.abs(lam) ** 2 * yk)
-        if fix.any():
-            rest = np.asfortranarray(w_c[:, None] * y[:, fix])
-            rest[k[fix], np.arange(rest.shape[1])] = 0.0
-            y[k[fix], cols[fix]] = (1.0 / clam[fix] + md.gamma - rest.sum(axis=0)) / w_c[k[fix]]
     cvecs = _matmul_blocks(md.phi_c, y, owner).astype(complex)
     cplx = np.flatnonzero(y.imag.any(axis=0))
     if cplx.size:
@@ -1291,6 +1250,30 @@ def _modal_records(spec, etas):
         cvecs[:, ~pinned] += md.y_e[:, None]
     vecs = np.hstack([cvecs, np.tile(md.d_vecs, ntar)])
     vecs, resids, _ = _simple_pairs(spec, etas[col_eta], rep[col_rec], vecs, col_eta)
+    # y's largest entry y_k = w_k / den_k carries den_k's relative error,
+    # about 2 eps |lam|^2 / |den_k|, large near the pole p_k (a weakly
+    # coupled mode: a residual of about eps / |w_k|).  A column whose
+    # residual exceeds 64 times 2n eps times the size of L(lam) (other
+    # columns stay below 12 times) takes y_k from the secular equation
+    # sum_j w_j y_j = 1 / (c lam) + gamma instead, where that lowers it
+    alam = np.abs(lam)
+    level = 128 * spec.n * _EPS * (alam * (alam * spec.norm_m + etas[owner] * spec.norm_g)
+                                   + spec.norm_a)
+    redo = np.flatnonzero(~pinned & (resids[:crec.size] > level))
+    if redo.size:
+        y, cols = y[:, redo], np.arange(redo.size)
+        k = np.abs(y).argmax(axis=0)
+        # down an F-ordered array each column is summed pairwise whatever
+        # the other columns (_simple_pairs), so the sums are per spectrum
+        rest = np.asfortranarray(w_c[:, None] * y)
+        rest[k, cols] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dy = (1.0 / (c[owner[redo]] * lam[redo]) + md.gamma
+                  - rest.sum(axis=0)) / w_c[k] - y[k, cols]
+        fixed, res, _ = _simple_pairs(spec, etas[owner[redo]], lam[redo],
+                                      cvecs[:, redo] + md.phi_c[:, k] * dy, owner[redo])
+        better = res < resids[redo]
+        vecs[:, redo[better]], resids[redo[better]] = fixed[:, better], res[better]
     records = _records(rep, alg, spread, col_rec, vecs, resids)
     type1 = type1.tolist()
     infinite = 2 * md.eliminated - (lead is not None)
@@ -1483,7 +1466,8 @@ def spectra(spec, etas):
         per_eta = max((nz + md.g_mean.size) ** 2,
                       spec.residual_stack.shape[0] * (nz + md.d_vecs.shape[1]))
         diagnostics = {"route": "modal", "type1_from": "modes", "coupled_modes": m,
-                       "coupled_solver": "secular" if m >= _SECULAR_MIN_M else "eigvals"}
+                       "coupled_solver": "secular" if md.gamma or m >= _SECULAR_MIN_M
+                       else "eigvals"}
         if md.eliminated:
             diagnostics["eliminated"] = md.eliminated
 

@@ -439,10 +439,11 @@ def test_companion_types_take_no_stacked_svd(monkeypatch):
 
 def test_spectrum_diagnostics():
     # W1's massless coordinate is eliminated; its value -1/eta comes from
-    # the linear term alone (no coupled mode)
+    # the linear term alone (no coupled mode), which the secular solver
+    # takes at any size
     res = spectrum(fixtures.w1(), 1.0)
     assert res.diagnostics == {"route": "modal", "type1_from": "modes", "coupled_modes": 0,
-                               "coupled_solver": "eigvals", "eliminated": 1,
+                               "coupled_solver": "secular", "eliminated": 1,
                                "discarded_infinite": 1}
     assert spectrum(fixtures.w2(), 1.0).diagnostics == {
         "route": "companion", "shift": choose_shift(fixtures.w2(), 1.0),
@@ -696,6 +697,43 @@ def test_eliminated_route_matches_companion_and_determinant(kind, seed, eta, cop
         assert support.max_pair_distance(support.expand_records(res), roots) <= 1e-6 * spec.scale
 
 
+def _ill_conditioned_a00(tiny, theta):
+    """Two massless coordinates, the first the coupling axis, whose
+    A00 = R diag(1, tiny) R^T (R a rotation by theta) is within a factor
+    of the gate's 1e-8 ||A|| margin; A01 lies along A00's well-conditioned
+    eigenvector, so ||A00^-1 A01|| stays small."""
+    r = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    a01 = np.outer(r[:, 0], [0.3, -0.2, 0.5])
+    a = np.block([[r @ np.diag([1.0, tiny]) @ r.T, a01],
+                  [a01.T, np.diag([2.0, -1.0, 3.0]) + 0.1]])
+    g = np.zeros((5, 5))
+    g[0, 0] = 1.0
+    return PencilSpec(np.diag([0.0, 0.0, 1.0, 2.0, 1.5]), g, a)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1e-3])
+@pytest.mark.parametrize("eta", [0.3, 1.0])
+@pytest.mark.parametrize("copies", [0, 2])
+def test_eliminated_route_with_ill_conditioned_a00(theta, eta, copies):
+    # cond(A00) = 2e7: the values against Newton's method on det L in
+    # mpmath, the records against the companion route.  The residuals
+    # (about 5e-11 here, 6e-11 on the companion route) carry that cond
+    spec = _ill_conditioned_a00(5e-8, theta)
+    assert pencil._massless_split(spec)[2] >= 1e7
+    if copies:
+        spec = _coincident(spec, eta, copies)
+    res = spectrum(spec, eta)
+    assert res.diagnostics["route"] == "modal"
+    ref = pencil._companion_spectra(spec, [eta])[0]
+    assert res.discarded_infinite == ref.discarded_infinite
+    _assert_same_records(res, ref, spec.scale)
+    for rec in res.records:
+        if rec.alg_mult == 1:
+            lam = support.mp_newton_value(spec, eta, rec.lam)
+            assert abs(lam - rec.lam) <= 1e-12 * spec.scale, (rec.lam, lam)
+        assert rec.residual <= 1e-10 * spec.scale * (1.0 + abs(rec.lam) ** 2), rec.lam
+
+
 def test_eliminated_route_at_tiny_eta():
     # W1's value -1/eta is the root of the linear term 1 + eta lam: kept
     # while 16 eta <= eps fails, then escaped to infinity (_at_poles)
@@ -704,8 +742,8 @@ def test_eliminated_route_at_tiny_eta():
         res = spectrum(fixtures.w1(), eta)
         assert np.allclose([r.lam for r in res.records], want, rtol=1e-15, atol=0.0)
         assert res.discarded_infinite == 4 - len(want)
-    # the linearization below the crossover hands its far rows to the
-    # secular solver: every eta gives small residuals and 2n values in all
+    # the linear term's root, from finite to escaped: every eta gives
+    # small residuals and 2n values in all
     etas = [0.0, 5e-324, 1e-200, 1e-20, 1e-16, 1e-12, 1e-9, 1e-5, 0.3]
     for seed in range(8):
         spec = support.identity_block_spec(np.random.default_rng(seed), n_max=12)
