@@ -148,7 +148,6 @@ class PencilSpec:
         self._a_eigs = a_eigs
         self.spec_norm = max(self.norm_m, self.norm_g, self.norm_a)
         self.scale = max(1.0, self.spec_norm)
-        self._ker_ma = None
         self._modes = None
         # the validation report, or None for a spec built with validate=False
         self.condition_report = None
@@ -200,17 +199,15 @@ class PencilSpec:
         """True iff lambda_min(G) > 1e-10 max(1, |G|): G is definite."""
         return self.g_min > 1e-10 * max(1.0, self.norm_g)
 
-    @property
+    @functools.cached_property
     def ker_ma_trivial(self):
         """True iff ker M intersect ker A = {0} (rank of [M; A] is n).
 
         True by construction when M is definite; the rank SVD runs only
         otherwise.
         """
-        if self._ker_ma is None:
-            self._ker_ma = self.m_definite or (
-                linalg.rank_with_tol(np.vstack([self.m, self.a])) == self.n)
-        return self._ker_ma
+        return self.m_definite or (
+            linalg.rank_with_tol(np.vstack([self.m, self.a])) == self.n)
 
 
 def validate_condition_I(spec):
@@ -220,7 +217,8 @@ def validate_condition_I(spec):
     psd_tol_g = 1e-10 * max(1.0, spec.norm_g)
     sym_m = linalg.symmetry_defect(spec.m) <= 1e-12 * max(1.0, linalg.max_abs(spec.m))
     sym_g = linalg.symmetry_defect(spec.g) <= 1e-12 * max(1.0, linalg.max_abs(spec.g))
-    sym_a = linalg.symmetry_defect(spec.a) <= 1e-12 * max(1.0, linalg.max_abs(spec.a))
+    defect_a = linalg.symmetry_defect(spec.a)
+    sym_a = defect_a <= 1e-12 * max(1.0, linalg.max_abs(spec.a))
     clauses.append((
         "m_symmetric_psd", sym_m and spec.m_mass >= -psd_tol_m,
         "lambda_min(M)=%.3e" % spec.m_mass,
@@ -229,8 +227,7 @@ def validate_condition_I(spec):
         "g_symmetric_psd", sym_g and spec.g_min >= -psd_tol_g,
         "lambda_min(G)=%.3e" % spec.g_min,
     ))
-    clauses.append(("a_symmetric", sym_a,
-                    "defect=%.3e" % linalg.symmetry_defect(spec.a)))
+    clauses.append(("a_symmetric", sym_a, "defect=%.3e" % defect_a))
     # for symmetric M > 0, sigma_min([M; G; A]) >= lambda_min(M); above the
     # bound it clears rank_with_tol's cutoff 3n eps sigma_max twice over
     bound = 6 * spec.n * _EPS * np.sqrt(spec.norm_m ** 2 + spec.norm_g ** 2 + spec.norm_a ** 2)
@@ -491,25 +488,23 @@ class Modes:
     """Modes of (S, M11) for the modal route and what follows from them
     alone, solved once per spec; S = A and M11 = M when M is definite.
 
-    mu holds every mode's eigenvalue, and mu_max is max(1, max |mu|); cpl
-    indexes the coupled modes (components w_c of w = Phi^T u, vectors
-    phi_c), and q = (sqrt(mu_c), -sqrt(mu_c)) are the poles of their
-    secular function, with weights eta b q_weight and uncertainties q_err.
-    Each decoupled mode gives a value per sign in d_val (a zero pair for a
-    zero mode).  d_group numbers the values outside the zero band (indices
-    d_out) by degenerate run and sign, and g_mean holds each such group's
-    mean.  d_col marks the values that bring their mode's vector, the
-    columns of d_vecs (a zero pair brings one).  phi_c and d_vecs are in
-    the pencil's coordinates, the massless part x0 = -A00^-1 A01 x1 filled
-    in.  With a massless coupling coordinate, gamma = e^T A00^-1 e and
-    y_e is A00^-1 e on the massless coordinates (zero elsewhere), which a
-    coupled vector adds, and w_err and gamma_err bound the elimination's
-    rounding on each w_c and on gamma; else all are 0.  eliminated counts
-    the massless coordinates.
+    mu holds every mode's eigenvalue; cpl indexes the coupled modes
+    (components w_c of w = Phi^T u, vectors phi_c), and q = (sqrt(mu_c),
+    -sqrt(mu_c)) are the poles of their secular function, with weights eta
+    b q_weight and uncertainties q_err.  Each decoupled mode gives a value
+    per sign in d_val (a zero pair for a zero mode).  d_group numbers the
+    values outside the zero band (indices d_out) by degenerate run and
+    sign, and g_mean holds each such group's mean.  d_col marks the values
+    that bring their mode's vector, the columns of d_vecs (a zero pair
+    brings one).  phi_c and d_vecs are in the pencil's coordinates, the
+    massless part x0 = -A00^-1 A01 x1 filled in.  With a massless coupling
+    coordinate, gamma = e^T A00^-1 e and y_e is A00^-1 e on the massless
+    coordinates (zero elsewhere), which a coupled vector adds, and w_err
+    and gamma_err bound the elimination's rounding on each w_c and on
+    gamma; else all are 0.  eliminated counts the massless coordinates.
     """
 
     mu: np.ndarray
-    mu_max: float
     cpl: np.ndarray
     w_c: np.ndarray
     phi_c: np.ndarray
@@ -527,6 +522,12 @@ class Modes:
     w_err: float = 0.0
     gamma_err: float = 0.0
     eliminated: int = 0
+
+    @property
+    def secular(self):
+        """Whether the secular equation gives the coupled values (with the
+        linear term, or from _SECULAR_MIN_M coupled modes), not eigvals."""
+        return bool(self.gamma) or self.cpl.size >= _SECULAR_MIN_M
 
 
 def _massless_split(spec):
@@ -648,7 +649,7 @@ def _modes(spec):
     d_col = ~d_band | (np.arange(d_val.size) < dec.size)
     w2 = 0.5 * w[cpl] ** 2
     q = np.concatenate([p, -p])
-    spec._modes = Modes(mu=mu, mu_max=mu_max, cpl=cpl, w_c=w[cpl], phi_c=phi[:, cpl],
+    spec._modes = Modes(mu=mu, cpl=cpl, w_c=w[cpl], phi_c=phi[:, cpl],
                         q=q, q_weight=np.concatenate([w2, w2]),
                         q_err=_pole_errors(q, mu_err), d_val=d_val,
                         d_out=np.flatnonzero(~d_band), d_group=d_group, g_mean=g_mean,
@@ -1151,13 +1152,12 @@ def _modal_records(spec, etas):
     vectors by structure.
 
     A degenerate group of decoupled modes is one record with
-    alg = geo = type1 = its size.  The coupled values come from eigvals of
-    the 2m companion below _SECULAR_MIN_M coupled modes and from the
-    secular equation above, or at any size with the linear term; a
-    connected component of k inclusion discs is one record with alg k and
-    geo 1 (the coupled block is unreduced), and a decoupled group whose
-    mean lies in one of its discs joins it (and links the components of
-    all discs holding it).  Every value within the zero band forms one
+    alg = geo = type1 = its size.  The coupled values come from the
+    secular equation or from eigvals of the 2m companion (Modes.secular);
+    a connected component of k inclusion discs is one record with alg k
+    and geo 1 (the coupled block is unreduced), and a decoupled group
+    whose mean lies in one of its discs joins it (and links the components
+    of all discs holding it).  Every value within the zero band forms one
     zero record.  A coupled record's vector is Phi_c (lam^2 - D_c)^{-1} w_c
     (its largest entry from the secular equation where its residual is
     above rounding), plus y_e with a massless coupling coordinate: at a
@@ -1183,7 +1183,7 @@ def _modal_records(spec, etas):
             out = sum((_modal_records(spec, etas[part]) for part in parts), [])
             return [out[i] for i in np.argsort(np.concatenate(parts)).tolist()]
         lead = lead if extra.all() else None
-    if md.gamma or md.cpl.size >= _SECULAR_MIN_M:
+    if md.secular:
         z = _secular_values(mu_c, w_c, c, 0.0 if lead is None else lead)
     else:
         z = _companion_eigvals(mu_c, w_c, c).astype(complex)
@@ -1235,11 +1235,8 @@ def _modal_records(spec, etas):
     hit = absden <= np.minimum(absden.min(axis=0, initial=np.inf),
                                1e-140 * np.abs(w_c).max(initial=1.0))
     pinned = hit.any(axis=0)
-    if hit.any():
-        y = w_c[:, None] / np.where(hit, 1.0, den)
-        y[:, pinned] = hit[:, pinned]
-    else:
-        y = w_c[:, None] / den
+    y = w_c[:, None] / np.where(hit, 1.0, den)
+    y[:, pinned] = hit[:, pinned]
     owner = col_eta[:crec.size]
     cvecs = _matmul_blocks(md.phi_c, y, owner).astype(complex)
     cplx = np.flatnonzero(y.imag.any(axis=0))
@@ -1466,8 +1463,7 @@ def spectra(spec, etas):
         per_eta = max((nz + md.g_mean.size) ** 2,
                       spec.residual_stack.shape[0] * (nz + md.d_vecs.shape[1]))
         diagnostics = {"route": "modal", "type1_from": "modes", "coupled_modes": m,
-                       "coupled_solver": "secular" if md.gamma or m >= _SECULAR_MIN_M
-                       else "eigvals"}
+                       "coupled_solver": "secular" if md.secular else "eigvals"}
         if md.eliminated:
             diagnostics["eliminated"] = md.eliminated
 

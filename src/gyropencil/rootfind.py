@@ -3,12 +3,15 @@
 winding_count integrates the phase of an analytic function around a
 rectangle with adaptive boundary refinement; find_zeros subdivides until
 each zero is isolated, descends from each located zero or pair of zeros
-to one contour, polishes by multiplicity-aware Newton steps, and
-certifies multiplicities by isolating-square windings or, for a refined
-simple zero, by its leaf.  The module also
-hosts the resonant-potential verification bundle for the joined-string
-characteristic function: counts of the origin zero, the imaginary pairs,
-the complex quadruple, and the per-interval real-zero counts.
+to one contour, polishes each leaf's zero, and certifies multiplicities
+by isolating-square windings or, for a refined simple zero, by its leaf.
+Locating and polishing run one Newton kernel (_newton) on a 3-point
+stencil, on f or, for a pair of zeros, on f'; a run ends converged, on a
+zero divisor, with an iterate outside its cell, or at its step limit.
+The module also hosts the resonant-potential verification bundle for the
+joined-string characteristic function: counts of the origin zero, the
+imaginary pairs, the complex quadruple, and the per-interval real-zero
+counts.
 
 Evaluator contract: f takes a complex ndarray of points and returns an
 array of the same shape.  The search runs level by level, so one call may
@@ -256,36 +259,51 @@ def _is_leaf(path, cell, n):
     return (n == 1 and small) or cell.diameter < 1e-8 or len(path) > 80
 
 
-def _locate(cell, pair=False):
-    """Newton's method from the center of a cell, as a task: on f for a
-    winding-1 cell, on f' for a pair of zeros.
+def _newton(cell, pair, steps, tol, slack, fstop=None):
+    """Newton's method on f, or on f' for a pair of zeros, from the center
+    of cell, as a task: each step yields the stencil [z - h, z, z + h],
+    h = 1e-6 (1 + |z|), receives f there (see _run_tasks) and takes
+    dz = f / f' (f' / f'') from central differences.
 
-    Returns the zero, or for a pair (c, r): the critical point c, and the
-    distance r = sqrt|2 f(c) / f''(c)| from c to the two zeros of f's
-    quadratic model there.  None when an iterate strays more than the
-    cell's size from it, 12 steps do not reach |dz| <= 1e-10 (1 + |z|), or
-    the converged point lies outside the cell.
+    Returns (end, z, step), z the last iterate within slack of the cell.
+    end is "converged" once |dz| <= tol (1 + |z|), or, given fstop, once
+    |f| <= fstop and |dz| <= 1e-9 (1 + |z|); "flat" on a zero divisor;
+    "stray" when the next iterate leaves the slack; "limit" after steps
+    steps.  step holds (f, divisor, dz) of a converged run's last step.
     """
     z = cell.center
-    for _ in range(12):
+    for _ in range(steps):
         h = 1e-6 * (1.0 + abs(z))
-        f0, fp, fm = yield [z, z + h, z - h]
+        fm, f0, fp = yield [z - h, z, z + h]
         d1 = (fp - fm) / (2.0 * h)
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        if (d2 if pair else d1) == 0:
-            return None
-        dz = d1 / d2 if pair else f0 / d1
+        num, d = (d1, (fp - 2.0 * f0 + fm) / (h * h)) if pair else (f0, d1)
+        if d == 0:
+            return "flat", z, None
+        dz = num / d
+        if not cell.contains(z - dz, slack=slack):
+            return "stray", z, None
         z = z - dz
-        if not cell.contains(z, slack=cell.diameter):
-            return None
-        if abs(dz) <= 1e-10 * (1.0 + abs(z)):
-            if not cell.contains(z):
-                return None
-            if not pair:
-                return z
-            # f(z) = f0 - d2 dz^2 / 2 on the model
-            return z, float(np.sqrt(abs(2.0 * f0 / d2 - dz * dz)))
-    return None
+        if abs(dz) <= tol * (1.0 + abs(z)) or (
+                fstop is not None and abs(f0) <= fstop
+                and abs(dz) <= 1e-9 * (1.0 + abs(z))):
+            return "converged", z, (f0, d, dz)
+    return "limit", z, None
+
+
+def _locate(cell, pair=False):
+    """The zero of a winding-1 cell, or for a pair of zeros (c, r): the
+    critical point c and the distance r = sqrt|2 f(c) / f''(c)| from c to
+    the two zeros of f's quadratic model there, as a task.  None unless
+    _newton converges inside the cell.
+    """
+    end, z, step = yield from _newton(cell, pair, 12, 1e-10, cell.diameter)
+    if end != "converged" or not cell.contains(z):
+        return None
+    if not pair:
+        return z
+    f0, d2, dz = step
+    # f(z) = f0 - d2 dz^2 / 2 on the model
+    return z, float(np.sqrt(abs(2.0 * f0 / d2 - dz * dz)))
 
 
 def _cut_gap(cell, z):
@@ -493,74 +511,36 @@ def _subdivide(f, w, wind, stats=None):
     return [(cell, n) for _, cell, n in leaves]
 
 
-def _newton(leaf, fscale):
-    """Newton's method from the center of a winding-1 leaf, as a task.
+def _polish(leaf, wind, fscale):
+    """The zero of a leaf of winding wind, as a task; returns
+    [z, wind, refined, residual, leaf if simple].
 
-    Yields the points it needs f at and receives f there (see _run_tasks);
-    returns [z, 1, refined, residual].
+    A simple zero takes _newton on f and is refined when its residual is
+    at most 1e-10 fscale.  A double zero split by rounding into a tight
+    pair straddles the critical point of f, which stays well above the
+    noise floor even when f itself does not; the critical point is the
+    pair's centroid to first order, hence the accurate location of the
+    double zero, which _newton on f' finds.  The iterates are confined to
+    the leaf inflated by its own size: one that leaves it is heading for a
+    different zero, not refining this one, and the leaf's center stands,
+    unrefined, as it does for a leaf of winding 3 or more.
     """
-    z = leaf.center
-    # Confined to the leaf (inflated by its own size): an iterate that
-    # leaves it is heading for a different zero, not refining this one.
     slack = max(leaf.diameter, 1e-6 * (1.0 + abs(leaf.center)))
-    for _ in range(60):
-        h = 1e-6 * (1.0 + abs(z))
-        f0, fp, fm = yield [z, z + h, z - h]
-        d = (fp - fm) / (2.0 * h)
-        if d == 0:
-            break
-        dz = f0 / d
-        zn = z - dz
-        if not leaf.contains(zn, slack=slack):
-            fc, = yield [leaf.center]
-            return [leaf.center, 1, False, abs(fc)]
-        z = zn
-        if abs(dz) <= 1e-13 * (1.0 + abs(z)):
-            break
-        if abs(f0) <= 1e-10 * fscale and abs(dz) <= 1e-9 * (1.0 + abs(z)):
-            break
+    end = None
+    if wind == 1:
+        end, z, _ = yield from _newton(leaf, False, 60, 1e-13, slack,
+                                       1e-10 * fscale)
+    elif wind == 2:
+        end, z, _ = yield from _newton(leaf, True, 40, 1e-12, slack)
+    refined = end not in (None, "stray")
+    if not refined:
+        z = leaf.center
     fz, = yield [z]
     # residuals take the scalar abs: np.abs of an array can differ from it
     # in the last bit
     resid = abs(fz)
-    return [z, 1, resid <= 1e-10 * fscale, resid]
-
-
-def _critical_point(leaf):
-    """Newton on f' from the center of a winding-2 leaf, as a task.
-
-    A double zero split by rounding into a tight pair straddles the
-    critical point of f, which stays well above the noise floor even when
-    f itself does not; the critical point is the pair's centroid to first
-    order, hence the accurate location of the double zero.  Returns
-    [z, 2, refined, residual].
-    """
-    z = leaf.center
-    ok = True
-    slack = max(leaf.diameter, 1e-6 * (1.0 + abs(leaf.center)))
-    for _ in range(40):
-        h = 1e-6 * (1.0 + abs(z))
-        fm, f0, fp = yield [z - h, z, z + h]
-        d1 = (fp - fm) / (2.0 * h)
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        if d2 == 0:
-            break
-        dz = d1 / d2
-        zn = z - dz
-        if not leaf.contains(zn, slack=slack):
-            z, ok = leaf.center, False
-            break
-        z = zn
-        if abs(dz) <= 1e-12 * (1.0 + abs(z)):
-            break
-    fz, = yield [z]
-    return [z, 2, ok, abs(fz)]
-
-
-def _center(leaf, wind):
-    """A leaf of winding 3 or more: its center, unrefined, as a task."""
-    fc, = yield [leaf.center]
-    return [leaf.center, wind, False, abs(fc)]
+    return [z, wind, refined and (wind == 2 or resid <= 1e-10 * fscale),
+            resid, leaf if wind == 1 else None]
 
 
 def _run_tasks(f, tasks):
@@ -631,14 +611,7 @@ def _find_zeros(f, w, outer, stats):
         return []
 
     leaves = _subdivide(f, w, wind, stats)
-    raw = _run_tasks(f, [
-        _newton(leaf, fscale) if n == 1
-        else _critical_point(leaf) if n == 2
-        else _center(leaf, n)
-        for leaf, n in leaves
-    ])
-    for item, (leaf, n) in zip(raw, leaves):
-        item.append(leaf if n == 1 else None)
+    raw = _run_tasks(f, [_polish(leaf, n, fscale) for leaf, n in leaves])
 
     # Merge duplicates.  A multiple zero splits under rounding into a tight
     # cluster of radius about sqrt(eps)*scale, so cells resolve it as

@@ -51,7 +51,7 @@ def pencil_to_dict(spec):
     return d
 
 
-def pencil_from_dict(d, validate=True):
+def pencil_from_dict(d):
     _require(isinstance(d, dict), "pencil document must be an object")
     for key in ("n", "M", "G", "A"):
         _require(key in d, "pencil document missing %r" % key)
@@ -97,7 +97,7 @@ def pencil_from_dict(d, validate=True):
     a = np.asarray(aspec.get("data", []), dtype=float)
     _require(a.shape == (n, n), "A must be n by n")
 
-    return PencilSpec(m, g, a, validate=validate)
+    return PencilSpec(m, g, a)
 
 
 def save_pencil(spec, path):
@@ -105,13 +105,13 @@ def save_pencil(spec, path):
         fh.write(dumps(pencil_to_dict(spec)))
 
 
-def load_pencil(path, validate=True):
+def load_pencil(path):
     with open(path) as fh:
         try:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInput("malformed JSON: %s" % exc)
-    return pencil_from_dict(d, validate=validate)
+    return pencil_from_dict(d)
 
 
 def sl_to_dict(problem):

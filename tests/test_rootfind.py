@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import numpy as np
@@ -570,6 +571,51 @@ def test_double_zero_near_a_side_matches_depth_first(d):
     r = 1.253023584267221 - 0.10208770901503716j
     w = RootWindow(r.real - 1.0, r.real + d, -1.0, 1.0)
     _assert_same_as_depth_first(_poly([r, r]), w)
+
+
+_Z0 = 0.3 + 0.2j
+_SQ = 0.7 - 0.4j
+_SQ_C1, _SQ_C0 = -2.0 * _SQ, _SQ * _SQ
+_WINDOW = RootWindow(-0.7, 1.1, -0.9, 1.3)
+
+
+@pytest.mark.parametrize("f, w, want", [
+    # f on a 1e-4 grid: the stencil's two sides round alike, so the
+    # derivative is zero, in the descent and in the leaf
+    (lambda z: np.round(1e4 * (z - _Z0)) / 1e4, _WINDOW,
+     {("_locate", False, "flat"), ("_polish", False, "flat")}),
+    # a 1e-5 ripple ten times as steep as f: a derivative near zero sends a
+    # polish iterate out of its leaf
+    (lambda z: z - _Z0 + 1e-5 * np.cos(1.5e6 * z.real), _WINDOW,
+     {("_polish", False, "stray")}),
+    # the expanded square's rounding keeps the f' steps of its double zero
+    # above 1e-12, so the pair's polish hits its step limit (a window found
+    # by search: on most, the steps reach 1e-12)
+    (lambda z: z * z + _SQ_C1 * z + _SQ_C0,
+     RootWindow(_SQ.real - 0.9, _SQ.real + 0.8, _SQ.imag - 0.7, _SQ.imag + 1.1),
+     {("_polish", True, "limit")}),
+    # a triple zero: its leaf keeps its center and runs no Newton
+    (lambda z: (z - _Z0) ** 3, _WINDOW, set()),
+], ids=["zero-derivative", "polish-stray", "pair-limit", "winding-3"])
+def test_newton_endings_match_depth_first(monkeypatch, f, w, want):
+    real = rootfind._newton
+    ends = set()
+
+    def spy(cell, pair, *args):
+        # the task that runs the kernel: _locate or _polish
+        caller = sys._getframe(1).f_code.co_name
+        end, z, step = yield from real(cell, pair, *args)
+        ends.add((caller, pair, end))
+        return end, z, step
+
+    monkeypatch.setattr(rootfind, "_newton", spy)
+    zeros = find_zeros(f, w)
+    if want:
+        assert want <= ends
+    else:
+        assert not ends
+        assert [(z.multiplicity, z.refined) for z in zeros] == [(3, False)]
+    _assert_same_as_depth_first(f, w)
 
 
 def test_subdivision_raises_the_first_stall_depth_first():
