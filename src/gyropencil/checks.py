@@ -205,9 +205,9 @@ def check_nonsimple_interval_containment(spec, result):
     return passed(name, detail)
 
 
-def _gate_type1(spec):
+def _gate_type1(spec, need="rank-one coupling required for the type split"):
     if spec.rank_one is None:
-        raise HypothesisViolated("rank-one coupling required for the type split")
+        raise HypothesisViolated(need)
     if not spec.ker_ma_trivial:
         raise PreconditionKerMA("ker M and ker A must intersect trivially")
 
@@ -269,10 +269,7 @@ class Type2Stats:
 
 
 def _gate_type2(spec, eta):
-    if spec.rank_one is None:
-        raise HypothesisViolated("rank-one coupling required")
-    if not spec.ker_ma_trivial:
-        raise PreconditionKerMA("ker M and ker A must intersect trivially")
+    _gate_type1(spec, "rank-one coupling required")
     if spec.mg_min < 1e-8:
         raise HypothesisViolated(
             "M+G must be uniformly positive (min eig %.3e)" % spec.mg_min

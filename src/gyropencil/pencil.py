@@ -2,33 +2,33 @@
 
 M and G are real symmetric positive semidefinite, A real symmetric, and the
 joint kernel of the three matrices is trivial.  The featured case carries a
-rank-one coupling G = b e e^T on a coordinate axis; PencilSpec finds it
-from G itself (spec.rank_one), whatever form G came in, so one (M, G, A)
+rank-one coupling G = b g g^T, g a unit vector; PencilSpec finds it from
+G itself (spec.rank_one), whatever form G came in, so one (M, G, A)
 always gives one answer.  spectrum() solves one eta and spectra() a list
 of them, by one of two routes:
 
-- an axis rank-one G with M definite, or with M diagonal, its zero
-  entries massless coordinates whose block A00 of A is invertible (the
-  modal route): the massless coordinates are eliminated, and the modes of
-  the Schur complement S = A11 - A10 A00^-1 A01 against the massive block
-  M11 (of (A, M) itself when M is definite) are solved once per spec.
-  Modes without a component on the coupling axis give the type I values
-  +-sqrt(mu) directly; the coupled values are the zeros of the secular
-  function f(lam) = 1 + c gamma lam - c lam sum_k w_k^2 / (lam^2 - mu_k),
+- a rank-one G with M definite, or with M diagonal, its zero entries
+  massless coordinates whose block A00 of A is invertible (the modal
+  route): the massless coordinates are eliminated, and the modes of the
+  Schur complement S = A11 - A10 A00^-1 A01 against the massive block M11
+  (of (A, M) itself when M is definite) are solved once per spec.  Modes
+  with w = Phi^T u zero, u = g1 - A10 A00^-1 g0 (g0 and g1 the massless
+  and massive parts of g), give the type I values +-sqrt(mu) directly;
+  the coupled values are the zeros of the secular function
+  f(lam) = 1 + c gamma lam - c lam sum_k w_k^2 / (lam^2 - mu_k),
   c = eta b, times the pole product, solved per eta (eigvals of a small
-  companion below a size crossover when gamma = 0).  gamma = e^T A00^-1 e
-  is nonzero only for a massless coupling coordinate; its term adds one
-  value near -1/(c gamma), and the secular solver gives every value.
+  companion below a size crossover when gamma = 0).  gamma = g0^T A00^-1 g0
+  adds one value near -1/(c gamma) when nonzero, and the secular solver
+  gives every value.
   Inclusion discs around the values certify the multiplicities, and
   records take geo, types and vectors from the modal structure.
 - every other pencil (the companion route): substitute nu = lambda - sigma
   with L(sigma, eta) invertible, reverse mu = 1/nu, and solve the standard
   companion eigenproblem of the reversed polynomial.  Eigenvalues at
   infinity (singular M) show up as mu ~ 0 and are discarded but counted.
-  A record's type I part is the part of its kernel vectors without a
-  component on the coupling axis.  Each eta takes its own shift, and the
-  companions of a chunk of etas come from one stacked solve and go
-  through one stacked eig.
+  A record's type I part is the part of its kernel vectors orthogonal to
+  g.  Each eta takes its own shift, and the companions of a chunk of etas
+  come from one stacked solve and go through one stacked eig.
 
 On both routes spectra() runs each step once over a chunk of etas.
 
@@ -62,11 +62,11 @@ _EPS = np.finfo(float).eps
 
 @dataclass
 class RankOneCoupling:
-    """G = b * e e^T with b > 0 and e a coordinate axis (e_index, 0-based),
-    as PencilSpec finds it from G (_axis_coupling)."""
+    """G = b g g^T with b > 0 and g a unit n-vector, as PencilSpec finds it
+    from G (_rank_one)."""
 
     b: float
-    e_index: int
+    g: np.ndarray
 
 
 @dataclass
@@ -92,14 +92,24 @@ def _diagonal(mat):
     return diag.copy()
 
 
-def _axis_coupling(g_diag, g_rows):
-    """RankOneCoupling(b, k) when G = b e_k e_k^T with b > 0, else None:
-    G is real diagonal (g_diag not None) and its one nonzero row holds a
-    positive entry.  An exact test on G's entries, with no tolerance."""
-    if g_diag is None or g_rows.size != 1 or not g_diag[g_rows[0]] > 0:
+def _rank_one(g, g_rows, g_eigs):
+    """RankOneCoupling(b, g) when the real G is b g g^T to rounding, else
+    None: every eigenvalue (g_eigs, ascending) but the largest, b, lies
+    below 8 r eps b in modulus, r = g_rows.size, so b > 0.  With one
+    nonzero row k, g = e_k exactly; else g is the top eigenvector of G's
+    nonzero block, its largest entry in modulus made positive."""
+    r, b = g_rows.size, float(g_eigs[-1])
+    if np.iscomplexobj(g) or not np.abs(g_eigs[:-1]).max(initial=0.0) < 8 * r * _EPS * b:
         return None
-    k = int(g_rows[0])
-    return RankOneCoupling(b=float(g_diag[k]), e_index=k)
+    vec = np.zeros(g.shape[0])
+    if r == 1:
+        vec[g_rows] = 1.0
+    else:
+        import scipy.linalg as sla
+        top = sla.eigh(g[np.ix_(g_rows, g_rows)], subset_by_index=[r - 1, r - 1],
+                       check_finite=False)[1][:, 0]
+        vec[g_rows] = top * np.sign(top[np.abs(top).argmax()])
+    return RankOneCoupling(b=b, g=vec)
 
 
 def _eigvalsh(mat, diag):
@@ -116,8 +126,8 @@ class PencilSpec:
 
     beta = max(0, -lambda_min(A)) is the lower-bound constant of A,
     m_mass = lambda_min(M), g_top = lambda_max(G).  scale is used to make
-    thresholds dimensionless.  rank_one is the RankOneCoupling when G's
-    only nonzero entry is a positive diagonal one, else None.
+    thresholds dimensionless.  rank_one is the RankOneCoupling when G is
+    b g g^T to rounding, else None.
     """
 
     def __init__(self, m, g, a, validate=True):
@@ -132,10 +142,9 @@ class PencilSpec:
         self.m_diag = _diagonal(self.m)
         # the rows of G that hold a nonzero entry
         self.g_rows = np.flatnonzero(np.any(self.g != 0.0, axis=1))
-        g_diag = _diagonal(self.g)
-        self.rank_one = _axis_coupling(g_diag, self.g_rows)
         m_eigs = _eigvalsh(self.m, self.m_diag)
-        g_eigs = _eigvalsh(self.g, g_diag)
+        g_eigs = _eigvalsh(self.g, _diagonal(self.g))
+        self.rank_one = _rank_one(self.g, self.g_rows, g_eigs)
         a_eigs = _eigvalsh(self.a, _diagonal(self.a))
         self.m_mass = float(m_eigs[0])
         self.g_min = float(g_eigs[0])
@@ -445,8 +454,8 @@ def _vector_type1(spec, eta, records):
     """dim(ker L(lam, eta) ∩ ker G) per record, from its kernel basis V
     (orthonormal columns) and residual rho = max ||L V c|| over unit c.
 
-    The geo - 1 directions V c with (V c)_e = 0 keep the residual of the
-    stack [L; b e^T] below rho, so type1 = geo iff hypot(rho, b ||V[e, :]||)
+    The geo - 1 directions V c with g^T V c = 0 keep the residual of the
+    stack [L; b g^T] below rho, so type1 = geo iff hypot(rho, b ||g^T V||)
     <= tol, else geo - 1: the nullity of the stack whenever geo is right
     (Courant-Fischer).  tol is _kernel_tol with the bound hypot(|lam|^2 ||M||
     + |lam| eta ||G|| + ||A||, b) on the stack's norm.  A basis is off ker G
@@ -459,14 +468,14 @@ def _vector_type1(spec, eta, records):
     """
     if not records:
         return [], np.zeros(0, dtype=bool)
-    b, e, n = spec.rank_one.b, spec.rank_one.e_index, spec.n
+    b, g, n = spec.rank_one.b, spec.rank_one.g, spec.n
     lams = np.array([rec.lam for rec in records], dtype=complex)
     eta = np.broadcast_to(np.asarray(eta, dtype=float), lams.shape)
     geo = np.array([rec.geo_mult for rec in records])
     rho = np.array([rec.residual for rec in records])
     spreads = np.array([rec.spread for rec in records])
-    axis = np.abs(np.concatenate([rec.vectors[e] for rec in records])) ** 2
-    dist = np.hypot(rho, b * np.sqrt(np.add.reduceat(axis, np.cumsum(geo) - geo)))
+    along = np.abs(g @ np.hstack([rec.vectors for rec in records])) ** 2
+    dist = np.hypot(rho, b * np.sqrt(np.add.reduceat(along, np.cumsum(geo) - geo)))
     alam = np.abs(lams)
     smax = np.hypot(alam * alam * spec.norm_m + alam * eta * spec.norm_g + spec.norm_a, b)
     tol = _kernel_tol(spec, lams, eta, spreads, smax, 2 * n)
@@ -497,11 +506,10 @@ class Modes:
     sign, and g_mean holds each such group's mean.  d_col marks the values
     that bring their mode's vector, the columns of d_vecs (a zero pair
     brings one).  phi_c and d_vecs are in the pencil's coordinates, the
-    massless part x0 = -A00^-1 A01 x1 filled in.  With a massless coupling
-    coordinate, gamma = e^T A00^-1 e and y_e is A00^-1 e on the massless
-    coordinates (zero elsewhere), which a coupled vector adds, and w_err
-    and gamma_err bound the elimination's rounding on each w_c and on
-    gamma; else all are 0.  eliminated counts the massless coordinates.
+    massless part x0 = -A00^-1 A01 x1 filled in.  gamma = g0^T A00^-1 g0
+    and y_g = -A00^-1 g0 (_modes), which a coupled vector adds; w_err and
+    gamma_err bound the elimination's rounding on each w_c and on gamma
+    (all 0 when g0 = 0).  eliminated counts the massless coordinates.
     """
 
     mu: np.ndarray
@@ -517,8 +525,8 @@ class Modes:
     g_mean: np.ndarray
     d_col: np.ndarray
     d_vecs: np.ndarray
+    y_g: np.ndarray
     gamma: float = 0.0
-    y_e: np.ndarray = None
     w_err: float = 0.0
     gamma_err: float = 0.0
     eliminated: int = 0
@@ -556,11 +564,13 @@ def _modes(spec):
     None (also cached) for a spec that takes the companion route.
 
     With M singular, the massless block is eliminated (_massless_split):
-    one solve Y = A00^-1 [A01 | e] gives S = A11 - A10 Y1, and, for a
-    massless coupling coordinate e, u = A10 A00^-1 e and
-    gamma = e^T A00^-1 e; for a massive one u is its axis in the massive
-    block.  eigh(S, M11) gives M11-orthonormal modes phi with w = Phi^T u
-    (w = phi[e] when M is definite, from eigh(A, M)).  Inside each
+    with g0, g1 the massless and massive parts of g and s = g^T x, the
+    massless rows give x0 = -A00^-1 (A01 x1 + c lam s g0), and the rest
+    (lam^2 M11 - S) x1 = c lam s u, s (1 + c lam gamma) = u^T x1.  One
+    solve Y = A00^-1 [A01 | g0] gives S = A11 - A10 Y1, u = g1 - A10 Y_g,
+    gamma = g0^T Y_g and y_g = -Y_g (Golub, SIAM Rev. 15, 1973).
+    eigh(S, M11) gives M11-orthonormal modes phi with w = Phi^T u (u = g
+    when M is definite, from eigh(A, M)).  Inside each
     group of degenerate mu whose members couple more than once, a
     Householder reflection leaves one coupled vector, and the group's mu
     become the Rayleigh quotients of the reflected vectors.  The reflection
@@ -573,8 +583,8 @@ def _modes(spec):
     """
     if spec._modes is not None:
         return spec._modes or None
-    e = spec.rank_one.e_index
-    a, m, gamma, y_e, split = spec.a, spec.m, 0.0, None, None
+    g = spec.rank_one.g
+    a, m, u, y_g, gamma, split = spec.a, spec.m, g, np.zeros(spec.n), 0.0, None
     if not spec.m_definite:
         split = _massless_split(spec)
         if split is None:
@@ -582,21 +592,17 @@ def _modes(spec):
             return None
         idx0, idx1, cond = split
         a10 = spec.a[np.ix_(idx1, idx0)]
-        y = np.linalg.solve(spec.a[np.ix_(idx0, idx0)], np.hstack([a10.T, (idx0 == e)[:, None]]))
+        y = np.linalg.solve(spec.a[np.ix_(idx0, idx0)], np.hstack([a10.T, g[idx0, None]]))
         a = spec.a[np.ix_(idx1, idx1)] - a10 @ y[:, :-1]
         a, m = 0.5 * (a + a.T), np.diag(spec.m_diag[idx1])
-        if spec.m_diag[e] == 0.0:
-            y_e = np.zeros(spec.n)
-            y_e[idx0] = y[:, -1]
-            u, gamma = a10 @ y[:, -1], float(y_e[e])
-        else:
-            e = int(np.searchsorted(idx1, e))
+        y_g[idx0] = -y[:, -1]
+        u, gamma = g[idx1] - a10 @ y[:, -1], float(g[idx0] @ y[:, -1])
     import scipy.linalg as sla
     try:
         mu, phi = sla.eigh(a, m, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("eigh(A, M) failed: %s" % exc)
-    w = phi.T @ u if y_e is not None else phi[e].copy()
+    w = phi.T @ u
     cut = 1e-8 * float(np.max(np.abs(w)))
     group = np.empty(mu.size, dtype=int)
     i = 0
@@ -621,13 +627,12 @@ def _modes(spec):
     if split is not None:
         # a backward stable solve puts eps cond(A00) ||Y|| on Y: in S,
         # eps ||A|| cond(A00) ||Y1|| joins mu's backward error; gamma takes
-        # eps cond(A00) ||y_e||, and w (Phi's columns at most 1/sqrt(min M11)
+        # eps cond(A00) ||Y_g||, and w (Phi's columns at most 1/sqrt(min M11)
         # long) ||A|| times that
         m11 = spec.m_diag[idx1].min()
         mu_err = max(mu_max, spec.norm_a * (1.0 + cond * np.linalg.norm(y[:, :-1])) / m11)
-        if y_e is not None:
-            gamma_err = _EPS * (1.0 + cond) * np.linalg.norm(y[:, -1])
-            w_err = spec.norm_a * gamma_err / np.sqrt(m11)
+        gamma_err = _EPS * (1.0 + cond) * np.linalg.norm(y[:, -1])
+        w_err = spec.norm_a * gamma_err / np.sqrt(m11)
         psi = np.empty((spec.n, mu.size))
         psi[idx1], psi[idx0] = phi, -y[:, :-1] @ phi
         phi = psi
@@ -653,16 +658,16 @@ def _modes(spec):
                         q=q, q_weight=np.concatenate([w2, w2]),
                         q_err=_pole_errors(q, mu_err), d_val=d_val,
                         d_out=np.flatnonzero(~d_band), d_group=d_group, g_mean=g_mean,
-                        d_col=d_col, d_vecs=phi[:, d_mode[d_col]], gamma=gamma,
-                        y_e=y_e, w_err=w_err, gamma_err=gamma_err,
+                        d_col=d_col, d_vecs=phi[:, d_mode[d_col]], y_g=y_g,
+                        gamma=gamma, w_err=w_err, gamma_err=gamma_err,
                         eliminated=spec.n - mu.size)
     return spec._modes
 
 
 def count_negative_modes(spec):
     """kappa_A, the number of negative eigenvalues of lambda M - A for M
-    definite; the threshold is -1e-8 max(1, max |mu|).  An axis rank-one
-    spec with M definite reads mu from its cached modes, any other from one
+    definite; the threshold is -1e-8 max(1, max |mu|).  A rank-one spec
+    with M definite reads mu from its cached modes, any other from one
     eigvalsh(A, M)."""
     if spec.rank_one is not None and spec.m_definite:
         mu = _modes(spec).mu
@@ -1160,9 +1165,8 @@ def _modal_records(spec, etas):
     of all discs holding it).  Every value within the zero band forms one
     zero record.  A coupled record's vector is Phi_c (lam^2 - D_c)^{-1} w_c
     (its largest entry from the secular equation where its residual is
-    above rounding), plus y_e with a massless coupling coordinate: at a
-    root, Sherman-Morrison gives the massless part
-    x0 = -(A00 + c lam e e^T)^{-1} A01 x1 = -A00^{-1} A01 x1 + y_e.  type1
+    above rounding), plus y_g (_modes: scaled so that c lam s = 1, the
+    massless part is x0 = -A00^-1 A01 x1 + y_g).  type1
     counts the decoupled modes in a record.  Each step runs once over all
     etas: on stacks with a row per eta, or over one numbering of the
     records of all etas; the etas where the linear term's root is finite
@@ -1242,9 +1246,8 @@ def _modal_records(spec, etas):
     cplx = np.flatnonzero(y.imag.any(axis=0))
     if cplx.size:
         cvecs[:, cplx] += 1j * _matmul_blocks(md.phi_c, y.imag[:, cplx], owner[cplx])
-    if md.y_e is not None:
-        # a pinned column is its mode alone, its y_e lost beside it
-        cvecs[:, ~pinned] += md.y_e[:, None]
+    # a pinned column is its mode alone, its y_g lost beside it
+    cvecs[:, ~pinned] += md.y_g[:, None]
     vecs = np.hstack([cvecs, np.tile(md.d_vecs, ntar)])
     vecs, resids, _ = _simple_pairs(spec, etas[col_eta], rep[col_rec], vecs, col_eta)
     # y's largest entry y_k = w_k / den_k carries den_k's relative error,
@@ -1454,8 +1457,8 @@ def spectra(spec, etas):
         if not (-1e-12 <= eta <= 1.0 + 1e-12):
             raise InvalidInput("eta must lie in [0, 1], got %r" % (eta,))
     etas = [min(max(eta, 0.0), 1.0) for eta in etas]
-    # the modal route: an axis rank-one G with M definite, or with M
-    # diagonal and its massless block eliminable (_modes)
+    # the modal route: a rank-one G with M definite, or with M diagonal
+    # and its massless block eliminable (_modes)
     md = None if spec.rank_one is None else _modes(spec)
     if md is not None:
         m = md.cpl.size
@@ -1487,7 +1490,7 @@ def _result(spec, eta, records, type1, discarded, classified, diagnostics):
     """The SpectrumResult of records with their type I counts: types set,
     records sorted by (real, imag)."""
     diagnostics["discarded_infinite"] = int(discarded)
-    # without an axis rank-one G and ker M ∩ ker A = {0}, all type II
+    # without a rank-one G and ker M ∩ ker A = {0}, all type II
     for rec, t1 in zip(records, type1):
         rec.type1_mult = min(t1, rec.alg_mult)
         rec.type2_mult = rec.alg_mult - rec.type1_mult
@@ -1525,17 +1528,16 @@ def is_semisimple(result, lam):
 def classify_type(spec, record, eta=1.0):
     """(type1_mult, type2_mult) for a record of spectrum(spec, eta).
 
-    type1_mult = dim(ker L(lam) ∩ ker G), which is independent of eta, from
-    the record's orthonormal kernel vectors and residual (_vector_type1).
+    type1_mult = dim(ker L(lam) ∩ ker G), which is independent of eta; the
+    record already holds the split its route found (eta is not read).
     For lam = 0 the split is reported but the identity with the persistent
     multiplicity is not asserted (the record should carry zero_flagged).
     """
     if spec.rank_one is None:
-        raise InvalidInput("type classification requires G = b e_k e_k^T")
+        raise InvalidInput("type classification requires a rank-one G")
     if not spec.ker_ma_trivial:
         raise PreconditionKerMA("ker M ∩ ker A must be trivial")
-    t1 = min(_vector_type1(spec, eta, [record])[0][0], record.alg_mult)
-    return t1, record.alg_mult - t1
+    return record.type1_mult, record.type2_mult
 
 
 @dataclass

@@ -3,7 +3,8 @@
 A pencil is written in the most structured form its matrices take: M as
 `identity_block` when its diagonal is k ones followed by zeros, else as
 `diag` when it is diagonal, else `dense`; G as `rank_one` (shorthand for
-b e e^T) when the spec finds that coupling, else `dense`.  A file written
+b e e^T, e a coordinate axis) when the spec finds a rank-one coupling on
+one nonzero row, else `dense`, an off-axis coupling too.  A file written
 that way loads and saves back byte-identical: floats go through json's
 shortest round-trip repr and the key order is fixed.  Other files save
 back in that form, among them a `dense` M that is diagonal, a `diag` M
@@ -41,10 +42,10 @@ def pencil_to_dict(spec):
         d["M"] = {"kind": "identity_block", "data": int(np.count_nonzero(diag))}
     else:
         d["M"] = {"kind": "diag", "data": [float(x) for x in diag]}
-    if spec.rank_one is not None:
+    if spec.rank_one is not None and spec.g_rows.size == 1:
         d["G"] = {"kind": "rank_one",
                   "b": float(spec.rank_one.b),
-                  "e_index": int(spec.rank_one.e_index)}
+                  "e_index": int(spec.g_rows[0])}
     else:
         d["G"] = {"kind": "dense", "data": _matrix_list(spec.g)}
     d["A"] = {"kind": "dense", "data": _matrix_list(spec.a)}

@@ -105,6 +105,13 @@ def rand_condition1_spec(rng, n_max=8):
     return PencilSpec(m, g, a)
 
 
+def rotated_spec(spec, rng):
+    """Q^T (M, G, A) Q for a random orthogonal Q: an axis coupling turns
+    into G = b g g^T off every axis."""
+    q = rand_orth(rng, spec.n)
+    return PencilSpec(q.T @ spec.m @ q, q.T @ spec.g @ q, q.T @ spec.a @ q)
+
+
 def permuted_spec(spec, perm):
     """The same pencil with coordinate i moved to position inv[i]."""
     sub = np.ix_(perm, perm)
@@ -557,14 +564,14 @@ def linearization_records(spec, eta):
     1e-7 scale of 0 joins one zero group; lam is the group mean.  Away from
     0, geo is the rank of the group's x, and type1 adds up, over the
     distinct values of the group (equal to 1e-10), the dimension of the span
-    of their x inside e^perp: its rank, less one when some x has a component
-    on the coupling axis (cutoffs 1e-6 for the rank and 1e-9 for the
+    of their x inside g^perp: its rank, less one when some x has a component
+    g^T x along the coupling g (cutoffs 1e-6 for the rank and 1e-9 for the
     component, on unit columns).  Inside the zero band, where eig's vectors
     of the defective zero need not span the kernel, lam = 0, geo = dim ker A
     and type1 = dim(ker A ∩ ker G), from ranks at 1e-8 * scale.
     """
     n = spec.n
-    e_index = spec.rank_one.e_index
+    g = spec.rank_one.g
     eye, zero = np.eye(n), np.zeros((n, n))
     lhs = np.block([[zero, eye], [spec.a, eta * spec.g]])
     rhs = np.block([[eye, zero], [zero, spec.m]])
@@ -601,7 +608,7 @@ def linearization_records(spec, eta):
                 else:
                     distinct.append([i])
             geo = rank(members)
-            type1 = sum(rank(grp) - int(np.max(np.abs(x[e_index, grp])) > 1e-9)
+            type1 = sum(rank(grp) - int(np.max(np.abs(g @ x[:, grp])) > 1e-9)
                         for grp in distinct)
         out.append((lam, len(members), geo, min(type1, len(members))))
     return out

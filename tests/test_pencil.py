@@ -158,21 +158,38 @@ def test_validate_report_without_raise():
     assert not rep.all_pass
 
 
-@pytest.mark.parametrize("g", [
-    np.diag([1.0, 1.0]),
-    np.array([[1.0, 0.5], [0.5, 1.0]]),
-    np.ones((2, 2)),
-], ids=["two-diagonal", "off-diagonal-pair", "off-axis-rank-one"])
-def test_g_beyond_one_axis_is_not_rank_one(g):
-    # any G other than b e_k e_k^T carries no coupling: untyped, on the
-    # companion route even with M definite
+@pytest.mark.parametrize("g, coupling", [
+    (np.diag([1.0, 1.0]), None),
+    (np.array([[1.0, 0.5], [0.5, 1.0]]), None),
+    (np.ones((2, 2)), np.sqrt([0.5, 0.5])),
+    (np.diag([1.0, 1e-10]), None),
+    (np.diag([1.0, 1e-18]), np.array([1.0, 0.0])),
+], ids=["two-diagonal", "off-diagonal-pair", "off-axis-rank-one", "second-eig-1e-10",
+        "second-eig-1e-18"])
+def test_g_beyond_one_axis_is_not_rank_one(g, coupling):
+    # G is the coupling b g g^T, on an axis or not, when its eigenvalues
+    # other than the largest, b, are rounding against b (8 r eps b): then
+    # the modal route types the spectrum.  Any other G carries no
+    # coupling: untyped, on the companion route even with M definite
     spec = PencilSpec(np.eye(2), g, np.diag([1.0, 2.0]))
-    assert spec.rank_one is None
     res = spectrum(spec, 0.5)
-    assert res.diagnostics["route"] == "companion"
-    assert res.diagnostics["type1_from"] == "unclassified"
-    with pytest.raises(InvalidInput, match="G = b e_k e_k"):
-        classify_type(spec, res.records[0], 0.5)
+    if coupling is None:
+        assert spec.rank_one is None
+        assert res.diagnostics["route"] == "companion"
+        assert res.diagnostics["type1_from"] == "unclassified"
+        with pytest.raises(InvalidInput, match="a rank-one G"):
+            classify_type(spec, res.records[0], 0.5)
+    else:
+        assert spec.rank_one.b == spec.g_top
+        np.testing.assert_allclose(spec.rank_one.g, coupling, rtol=0, atol=1e-15)
+        assert res.diagnostics["route"] == "modal"
+        assert res.diagnostics["type1_from"] == "modes"
+        ref = support.stacked_type1(spec, [r.lam for r in res.records], 0.5,
+                                    [r.spread for r in res.records])
+        for rec, dim in zip(res.records, ref):
+            assert rec.types_classified and rec.type1_mult == min(dim, rec.alg_mult)
+            assert classify_type(spec, rec, 0.5) == (rec.type1_mult, rec.type2_mult)
+        assert sum(r.type1_mult for r in res.records) == (2 if g[1, 1] < 1e-15 else 0)
     # one off-diagonal pair, or entry, alone: not PSD, and no coupling
     for off in (np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([[0.0, 0.5], [0.0, 0.0]])):
         assert PencilSpec(np.eye(2), off, np.eye(2), validate=False).rank_one is None
@@ -184,7 +201,7 @@ def test_one_positive_diagonal_entry_is_the_coupling(n):
         g = np.zeros((n, n))
         g[k, k] = 0.75
         spec = PencilSpec(np.eye(n), g, np.diag(np.arange(1.0, n + 1)))
-        assert (spec.rank_one.b, spec.rank_one.e_index) == (0.75, k)
+        assert spec.rank_one.b == 0.75 and np.array_equal(spec.rank_one.g, np.eye(n)[k])
         assert spectrum(spec, 0.5).diagnostics["route"] == "modal"
     # a negative entry is not a coupling (and not PSD)
     g = np.zeros((n, n))
@@ -200,7 +217,7 @@ def test_permuted_coupling_moves_with_the_axis(seed):
     perm = rng.permutation(spec.n)
     moved = support.permuted_spec(spec, perm)
     assert moved.rank_one.b == spec.rank_one.b
-    assert perm[moved.rank_one.e_index] == spec.rank_one.e_index
+    assert np.array_equal(moved.rank_one.g, spec.rank_one.g[perm])
 
 
 def test_choose_shift_deterministic():
@@ -670,6 +687,14 @@ def test_eliminated_route_matches_companion_and_determinant(kind, seed, eta, cop
     assume(pencil._massless_split(spec) is not None)
     if copies:
         spec = _coincident(spec, eta, copies) or spec
+    _eliminated_against_references(spec, eta, kind == "identity_block" and not copies)
+
+
+def _eliminated_against_references(spec, eta, simple):
+    """The modal route's spectrum of a spec with massless coordinates
+    against the companion route (values in its discs, alg, geo and the
+    infinite count), the stacked rank (type I) and, when simple and
+    n <= 7, the roots of the Leibniz determinant; returns it."""
     res = spectrum(spec, eta)
     assert res.diagnostics["route"] == "modal"
     assert res.diagnostics["eliminated"] == np.count_nonzero(np.diag(spec.m) == 0.0)
@@ -692,9 +717,67 @@ def test_eliminated_route_matches_companion_and_determinant(kind, seed, eta, cop
     for rec, dim in zip(res.records, dims):
         assert rec.type1_mult == min(dim, rec.alg_mult), (rec.lam, dim)
         assert rec.residual <= 1e-10 * spec.scale * (1.0 + abs(rec.lam) ** 2), rec.lam
-    if kind == "identity_block" and spec.n <= 7 and not copies:
+    if simple and spec.n <= 7:
         roots = support.poly_roots(support.det_poly_coeffs(spec, eta))
         assert support.max_pair_distance(support.expand_records(res), roots) <= 1e-6 * spec.scale
+    return res
+
+
+def _mixed_coupling_spec(rng):
+    """identity_block_spec's M and A with G = b g g^T, g a random unit
+    vector with a massless part and a massive part, each of one to all of
+    its coordinates."""
+    spec = support.identity_block_spec(rng)
+    g = np.zeros(spec.n)
+    for part in (np.flatnonzero(np.diag(spec.m)), np.flatnonzero(np.diag(spec.m) == 0.0)):
+        pick = rng.choice(part, int(rng.integers(1, part.size + 1)), replace=False)
+        g[pick] = rng.normal(size=pick.size)
+    g /= np.linalg.norm(g)
+    return PencilSpec(spec.m, float(rng.uniform(0.5, 2.0)) * np.outer(g, g), spec.a)
+
+
+_ROTATED = {"rand": support.rand_condition1_spec, "mirror": support.mirror_spec,
+            "kernel": lambda rng: support.kernel_engineered_spec(rng)[0]}
+
+
+def _statuses(spec, eta, res):
+    return [(c.name, c.status) for c in checks.run_all(spec, eta, res).checks]
+
+
+def _types(res):
+    return sorted((r.alg_mult, r.geo_mult, r.type1_mult) for r in res.records)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_ROTATED) + ["mixed"]), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 2))
+@example("mirror", 84, 0.3, 0)
+@example("mixed", 7, 0.3, 1)
+def test_rank_one_coupling_in_any_direction(kind, seed, eta, copies):
+    # G = b g g^T takes the modal route whatever the direction of g.  A
+    # rotated copy Q^T (M, G, A) Q of an axis spec with M definite: the
+    # same values (to 1e-10 of the largest), the same alg, geo and type1
+    # and the same check statuses.  A g with massless and massive parts
+    # on a singular diagonal M: the companion route, the stacked rank and
+    # the Leibniz determinant, and every check passes.  copies > 0 adds
+    # decoupled copies of a real value
+    rng = np.random.default_rng(seed)
+    spec = _mixed_coupling_spec(rng) if kind == "mixed" else _ROTATED[kind](rng)
+    assume(spec.m_definite or pencil._massless_split(spec) is not None)
+    if copies:
+        spec = _coincident(spec, eta, copies) or spec
+    if kind == "mixed":
+        res = _eliminated_against_references(spec, eta, not copies)
+        assert checks.run_all(spec, eta, res).all_pass
+        return
+    rot = support.rotated_spec(spec, rng)
+    res, want = spectrum(rot, eta), spectrum(spec, eta)
+    assert res.diagnostics["route"] == "modal" and res.diagnostics["type1_from"] == "modes"
+    assert _types(res) == _types(want)
+    lams = support.expand_records(want)
+    dist = support.max_pair_distance(support.expand_records(res), lams)
+    assert dist <= 1e-10 * max(1.0, np.max(np.abs(lams), initial=0.0)), dist
+    assert _statuses(rot, eta, res) == _statuses(spec, eta, want)
 
 
 def _ill_conditioned_a00(tiny, theta):
@@ -1054,7 +1137,8 @@ def test_diagonal_matrix_eigenvalues_skip_eigvalsh(monkeypatch):
     monkeypatch.setattr(sla, "eigvalsh", counted)
     spec = sturm.discretize(dataclasses.replace(fixtures.sl_double_q4(), n=12))
     assert len(calls) == 1
-    assert spec.m_diag is not None and spec.g_rows.tolist() == [spec.rank_one.e_index]
+    assert spec.m_diag is not None and spec.g_rows.tolist() == [spec.n - 1]
+    assert np.array_equal(spec.rank_one.g, np.eye(spec.n)[-1])
 
 
 @settings(max_examples=40, deadline=None)

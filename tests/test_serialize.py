@@ -51,10 +51,26 @@ def test_rank_one_expansion():
     expect = np.zeros((3, 3))
     expect[1, 1] = 2.5
     assert np.allclose(spec.g, expect)
-    assert spec.rank_one.e_index == 1
+    assert np.array_equal(spec.rank_one.g, [0.0, 1.0, 0.0])
     # the same G spelled out densely is found and written back as rank_one
     dense = dict(d, G={"kind": "dense", "data": expect.tolist()})
     assert serialize.pencil_to_dict(serialize.pencil_from_dict(dense)) == d
+
+
+def test_off_axis_rank_one_saves_dense(tmp_path):
+    # a rank-one G off every axis is the coupling but has no rank_one
+    # shorthand: it saves as dense, and loads and saves back byte-identical
+    rng = np.random.default_rng(3)
+    spec = support.rand_condition1_spec(rng)
+    rot = support.rotated_spec(spec, rng)
+    assert rot.rank_one is not None and rot.g_rows.size == spec.n
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    serialize.save_pencil(rot, first)
+    assert json.loads(first.read_text())["G"]["kind"] == "dense"
+    serialize.save_pencil(serialize.load_pencil(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    # the axis original keeps its rank_one form
+    assert serialize.pencil_to_dict(spec)["G"]["kind"] == "rank_one"
 
 
 @pytest.mark.parametrize("m_in, m_out", [

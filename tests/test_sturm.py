@@ -29,7 +29,7 @@ def test_hand_assembled_single_stencil():
     g_expect[3, 3] = 0.7
     assert np.allclose(spec.g, g_expect)
     assert spec.rank_one is not None
-    assert spec.rank_one.e_index == 3
+    assert np.array_equal(spec.rank_one.g, np.eye(4)[3])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 30])
@@ -113,7 +113,7 @@ def test_double_shape():
     assert np.allclose(spec.a, spec.a.T)
     h = 1.0 / 6.0
     assert np.allclose(np.diag(spec.m), h)
-    assert spec.rank_one.e_index == n_total - 1
+    assert np.array_equal(spec.rank_one.g, np.eye(n_total)[-1])
     g_expect = np.zeros((n_total, n_total))
     g_expect[-1, -1] = 0.9
     assert np.allclose(spec.g, g_expect)
@@ -344,4 +344,4 @@ def test_double_string_is_two_single_strings_joined(n, sign, q):
             assert block.tobytes() == want.tobytes()
     assert not double.a[np.ix_(segs[0][:-1], segs[1][:-1])].any()
     assert double.g.tobytes() == np.pad(single.g[-1:, -1:], (2 * n, 0)).tobytes()
-    assert (double.rank_one.b, double.rank_one.e_index) == (1.7, 2 * n)
+    assert double.rank_one.b == 1.7 and double.g_rows.tolist() == [2 * n]

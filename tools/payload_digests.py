@@ -81,6 +81,18 @@ def _rank_one_pencil(rng, n):
             "A": {"kind": "dense", "data": a.tolist()}}
 
 
+def _rotated_w3():
+    """W3 (M = I, G = e_2 e_2^T, A = diag(1, -0.09)) as Q^T (M, G, A) Q, Q
+    the rotation by 0.6 rad: the same pencil with G off both axes."""
+    c, s = np.cos(0.6), np.sin(0.6)
+    q = np.array([[c, -s], [s, c]])
+    mats = {"M": np.eye(2), "G": np.diag([0.0, 1.0]), "A": np.diag([1.0, -0.09])}
+    doc = {"n": 2}
+    for key, mat in mats.items():
+        doc[key] = {"kind": "dense", "data": (q.T @ mat @ q).tolist()}
+    return doc
+
+
 def operations(tree, workdir):
     """(label, argv) of every operation, inputs written to workdir."""
     ops = []
@@ -101,6 +113,10 @@ def operations(tree, workdir):
     ops.append(("verify --sturm double_q4 n=60",
                 ["verify", "--sturm", _write(workdir, "double_q4.json", doc)]))
     ops += [("roots " + " ".join(argv), ["roots"] + argv) for argv in ROOTS]
+    path = _write(workdir, "W3_rotated.json", _rotated_w3())
+    ops += [("W3 rotated spectrum eta=0.7", ["spectrum", "--input", path, "--eta", "0.7"]),
+            ("W3 rotated verify eta=0.7", ["verify", "--input", path, "--eta", "0.7"]),
+            ("W3 rotated track 0..1/41", ["track", "--input", path, "--steps", "41"])]
     rng = np.random.default_rng(0)
     for name, doc in (("dense n=120", _dense_pencil(rng, 120)),
                       ("rank_one n=60", _rank_one_pencil(rng, 60))):
